@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "compiler/service.h"
+#include "compiler/pipeline.h"
 #include "metrics/metrics.h"
 #include "sim/density_matrix.h"
 #include "sim/statevector.h"
@@ -76,11 +76,9 @@ struct GateSetScore
 
 /**
  * Compile every circuit for the gate set, simulate exactly (density
- * matrix + readout) and average metric(ideal, noisy). Compilation
- * goes through a one-shot CompileService request/job round trip (the
- * same path the async front end serves), so a pool parallelizes
- * across circuits while the shared cache still deduplicates NuOp
- * work; results are bit-identical to the legacy compileBatch path.
+ * matrix + readout) and average metric(ideal, noisy). Compilation is
+ * one compileBatch call, so a pool parallelizes across circuits while
+ * the shared cache still deduplicates NuOp work.
  */
 inline GateSetScore
 scoreGateSet(const Device& device, const GateSet& gate_set,
@@ -92,16 +90,8 @@ scoreGateSet(const Device& device, const GateSet& gate_set,
              ThreadPool* pool = nullptr)
 {
     GateSetScore score;
-    DeviceFleet fleet(options);
-    fleet.addDevice(device, options);
-    CompileService service(
-        std::move(fleet), gate_set,
-        oneShotServiceOptions(cache, circuits.size(), pool));
-
-    CompileRequest request;
-    request.circuits = circuits;
     std::vector<CompileResult> results =
-        service.submit(std::move(request)).takeResults();
+        compileBatch(circuits, device, gate_set, cache, options, pool);
     for (size_t i = 0; i < circuits.size(); ++i) {
         auto ideal = idealProbabilities(circuits[i]);
         auto noisy = simulateCompiled(results[i]);

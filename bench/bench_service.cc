@@ -5,9 +5,9 @@
  * end to end (submit -> complete). Reports jobs/sec, p50/p95/mean
  * latency, queue-wait percentiles and the warm-cache hit ratio, plus
  * the service/serial speedup against compiling the same stream with
- * the legacy one-shot compileCircuit path — and verifies that every
- * service result is bit-identical to that solo compile (exit code 1
- * on any mismatch, so CI catches determinism breaks).
+ * serial compileCircuit calls — and verifies that every service
+ * result is bit-identical to that solo compile (exit code 1 on any
+ * mismatch, so CI catches determinism breaks).
  *
  * Emits a single JSON object on stdout (captured as BENCH_service.json
  * by scripts/bench_smoke.sh); the regression gate tracks the speedup,
@@ -17,8 +17,8 @@
  *
  * A second *soak* leg replays a few hundred tiny jobs with the full
  * observability stack on — event stream + background recorder,
- * completion callbacks, periodic telemetry snapshots, online cost
- * model — and exports the drained log as a Chrome trace
+ * completion callbacks, periodic telemetry snapshots — and exports
+ * the drained log as a Chrome trace
  * (SERVICE_TRACE_OUT, default "trace.json"; load it in Perfetto or
  * chrome://tracing). scripts/trace_lint.py validates the file in CI.
  * The soak fails the bench on dropped packets, missed callbacks or an
@@ -137,7 +137,7 @@ main()
             cache_hit_ratio_last = stats.cache_hit_ratio;
     }
 
-    // ---- serial baseline: the legacy one-shot path, shared cache ----
+    // ---- serial baseline: direct compileCircuit calls, shared cache --
     ProfileCache serial_cache;
     auto serial_start = Clock::now();
     std::vector<CompileResult> serial;
@@ -150,7 +150,7 @@ main()
     }
     double serial_ms = msSince(serial_start);
 
-    // ---- self-check: service results == legacy solo compiles --------
+    // ---- self-check: service results == solo compiles ---------------
     bool bit_identical = true;
     bool all_done = true;
     for (size_t i = 0; i < jobs.size(); ++i) {
@@ -176,14 +176,11 @@ main()
     EventRecorder recorder(stream, 1.0);
     std::atomic<size_t> soak_callbacks{0};
     std::atomic<size_t> snapshots{0};
-    CompileCostModel cost_model;
     double soak_ms = 0.0;
     {
         CompileServiceOptions soak_options;
         soak_options.workers = threads;
         soak_options.events = &stream;
-        soak_options.cost_model = &cost_model;
-        soak_options.planner.use_cost_model = true;
         soak_options.telemetry_interval_ms = 5.0;
         soak_options.telemetry_sink =
             [&snapshots](std::vector<PassMetric>) {
@@ -246,7 +243,6 @@ main()
               << ", \"events_dropped\": " << stream.dropped()
               << ", \"events_recorded\": " << recorder.events().size()
               << ", \"callbacks\": " << soak_callbacks.load()
-              << ", \"cost_model_samples\": " << cost_model.samples()
               << ", \"telemetry_snapshots\": " << snapshots.load()
               << ", \"trace_file\": \"" << trace_path << "\""
               << ", \"trace_written\": "
@@ -258,7 +254,7 @@ main()
         return 1;
     }
     if (!bit_identical) {
-        std::cerr << "FAIL: service results diverge from legacy "
+        std::cerr << "FAIL: service results diverge from "
                      "compileCircuit\n";
         return 1;
     }

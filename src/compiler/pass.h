@@ -153,21 +153,27 @@ struct CompileResult
     std::vector<std::string> diagnostics;
 
     CompileResult() : circuit(1) {}
+    /** A result whose circuit starts as a copy of `app`. */
+    explicit CompileResult(const Circuit& app) : circuit(app) {}
 };
 
 /**
  * Shared state of one compilation, owned for the duration of a
- * PassManager run. The application circuit, device and cache are held
- * by reference and must outlive the context; the gate set and options
- * are small and copied, so temporaries are safe to pass.
+ * PassManager run. The context *is* the result it builds: passes read
+ * and write the inherited CompileResult fields (starting with
+ * `circuit`, a copy of the application circuit) directly, and
+ * takeResult() moves that one object out. The application circuit,
+ * device and cache are held by reference and must outlive the
+ * context; the gate set and options are small and copied, so
+ * temporaries are safe to pass.
  */
-class CompilationContext
+class CompilationContext : public CompileResult
 {
   public:
     CompilationContext(const Circuit& app, const Device& device,
                        GateSet gate_set, CompileOptions options,
                        ProfileCache& cache, ThreadPool* pool = nullptr)
-        : circuit(app), app_(app), device_(device),
+        : CompileResult(app), app_(app), device_(device),
           gate_set_(std::move(gate_set)),
           options_(std::move(options)), cache_(cache), pool_(pool)
     {
@@ -197,32 +203,13 @@ class CompilationContext
      */
     MemArena& arena() { return arena_; }
 
-    // ----- mutable pipeline state (passes read/write directly) -------
-    /** Working circuit; starts as a copy of the application circuit. */
-    Circuit circuit;
+    // ----- mutable pipeline state beyond the inherited result ---------
     /**
      * Shared moment schedule of `circuit`. The scheduling pass builds
      * it; passes that rewrite the circuit invalidate() it; consumers
      * go through ensureSchedule() so they never read a stale one.
      */
     Schedule schedule;
-    /** physical[i] = device qubit hosting register position i. */
-    std::vector<int> physical;
-    /** initial_positions[l] = start position of logical qubit l. */
-    std::vector<int> initial_positions;
-    /** final_positions[l] = register position of logical qubit l. */
-    std::vector<int> final_positions;
-    /** Noise parameters of the compressed register. */
-    NoiseModel noise;
-    int two_qubit_count = 0;
-    int swaps_inserted = 0;
-    int teleports_inserted = 0;
-    double epr_attempts = 0.0;
-    int crosstalk_inflated = 0;
-    std::map<std::string, int> type_usage;
-    double estimated_fidelity = 1.0;
-
-    // ----- metrics & diagnostics --------------------------------------
     /**
      * Telemetry identity of this compile (may be null, the default):
      * when set, the PassManager publishes PassBegin/PassComplete
@@ -230,9 +217,6 @@ class CompilationContext
      * the pipeline run; the service keeps one on the worker's stack.
      */
     const CompileTelemetry* telemetry = nullptr;
-    /** Per-pass records, appended by the PassManager as passes run. */
-    std::vector<PassMetric> pass_metrics;
-    std::vector<std::string> diagnostics;
 
     /** Record a note for the compile report. */
     void diagnostic(std::string message)
@@ -264,25 +248,10 @@ class CompilationContext
             pass_metrics[current_index_].counters[name] = value;
     }
 
-    /** Assemble the final CompileResult (moves the context's state). */
+    /** Move the built CompileResult out of the context. */
     CompileResult takeResult()
     {
-        CompileResult out;
-        out.circuit = std::move(circuit);
-        out.physical = std::move(physical);
-        out.initial_positions = std::move(initial_positions);
-        out.final_positions = std::move(final_positions);
-        out.noise = std::move(noise);
-        out.two_qubit_count = two_qubit_count;
-        out.swaps_inserted = swaps_inserted;
-        out.teleports_inserted = teleports_inserted;
-        out.epr_attempts = epr_attempts;
-        out.crosstalk_inflated = crosstalk_inflated;
-        out.type_usage = std::move(type_usage);
-        out.estimated_fidelity = estimated_fidelity;
-        out.pass_metrics = std::move(pass_metrics);
-        out.diagnostics = std::move(diagnostics);
-        return out;
+        return std::move(static_cast<CompileResult&>(*this));
     }
 
   private:

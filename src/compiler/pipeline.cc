@@ -1,7 +1,5 @@
 #include "compiler/pipeline.h"
 
-#include "compiler/service.h"
-#include "metrics/metrics.h"
 #include "sim/density_matrix.h"
 #include "sim/statevector.h"
 
@@ -25,15 +23,19 @@ compileCircuit(const Circuit& app, const Device& device,
                const GateSet& gate_set, ProfileCache& cache,
                const CompileOptions& options, ThreadPool* pool)
 {
-    DeviceFleet fleet(options);
-    fleet.addDevice(device, options);
-    CompileService service(std::move(fleet), gate_set,
-                           oneShotServiceOptions(cache, 1, pool));
-    CompileRequest request;
-    request.circuits.push_back(app);
-    std::vector<CompileResult> results =
-        service.submit(std::move(request)).takeResults();
-    return std::move(results.front());
+    return runCompilePipeline(app, device, gate_set, cache, options, pool);
+}
+
+void
+forEachCircuit(size_t count, ThreadPool* pool,
+               const std::function<void(size_t)>& compile)
+{
+    if (pool && pool->size() > 1 && count > 1) {
+        parallelFor(*pool, count, compile);
+        return;
+    }
+    for (size_t i = 0; i < count; ++i)
+        compile(i);
 }
 
 std::vector<CompileResult>
@@ -41,14 +43,12 @@ compileBatch(const std::vector<Circuit>& apps, const Device& device,
              const GateSet& gate_set, ProfileCache& cache,
              const CompileOptions& options, ThreadPool* pool)
 {
-    DeviceFleet fleet(options);
-    fleet.addDevice(device, options);
-    CompileService service(
-        std::move(fleet), gate_set,
-        oneShotServiceOptions(cache, apps.size(), pool));
-    CompileRequest request;
-    request.circuits = apps;
-    return service.submit(std::move(request)).takeResults();
+    std::vector<CompileResult> results(apps.size());
+    forEachCircuit(apps.size(), pool, [&](size_t i) {
+        results[i] = runCompilePipeline(apps[i], device, gate_set, cache,
+                                        options, pool);
+    });
+    return results;
 }
 
 std::vector<double>

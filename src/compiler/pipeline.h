@@ -8,11 +8,14 @@
  * plus the noisy-simulation helpers the benches use.
  *
  * The pipeline itself is a PassManager over the passes in passes.h;
- * compileCircuit() is a thin wrapper running the default pipeline, and
- * compileBatch() fans a workload of circuits over a ThreadPool with
- * one shared decomposition profile cache.
+ * runCompilePipeline() runs the default pipeline on one circuit, and
+ * every entry point here — compileCircuit(), compileBatch(), and
+ * compileBatchSharded() in shard.h — calls it directly. compileBatch()
+ * fans a workload of circuits over a ThreadPool with one shared
+ * decomposition profile cache.
  */
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,11 +34,10 @@
 namespace qiset {
 
 /**
- * Raw pass-pipeline primitive: run the default pipeline built from
- * `options` on one circuit, on the calling thread. This is what the
- * CompileService executes per admitted circuit; almost every caller
- * wants compileCircuit() (the service-routed wrapper, same results
- * bit-for-bit) instead.
+ * Pass-pipeline primitive: run the default pipeline built from
+ * `options` on one circuit, on the calling thread (`pool`, when
+ * given, parallelizes the circuit's translation). Every compile entry
+ * point and every CompileService worker executes exactly this.
  *
  * `telemetry` (optional) attributes PassBegin/PassComplete packets to
  * a service job on an EventStream (see metrics/event_stream.h); null
@@ -53,13 +55,10 @@ CompileResult runCompilePipeline(const Circuit& app, const Device& device,
 
 /**
  * Compile an application circuit for a device and instruction set by
- * running the default pass pipeline built from `options`. The
- * ProfileCache may be shared across calls (and instruction sets) to
- * amortize NuOp optimizations.
- *
- * A thin wrapper over a one-shot inline CompileService (see
- * compiler/service.h) — results are bit-identical to the raw
- * pipeline, and the request/job path is exercised on every call.
+ * running the default pass pipeline built from `options` (the same as
+ * runCompilePipeline). The ProfileCache may be shared across calls
+ * (and instruction sets) to amortize NuOp optimizations. Raises
+ * FatalError on invalid input, e.g. a circuit wider than the device.
  */
 CompileResult compileCircuit(const Circuit& app, const Device& device,
                              const GateSet& gate_set, ProfileCache& cache,
@@ -71,19 +70,30 @@ CompileResult compileCircuit(const Circuit& app, const Device& device,
  * one thread-safe profile cache so every distinct (unitary, gate type)
  * profile is optimized at most once across the whole batch.
  *
- * With a pool, circuits compile concurrently (one worker per circuit;
- * each worker additionally fans its circuit's decompositions across
- * otherwise-idle workers via the cooperative parallelFor, capped by
- * options.intra_circuit_parallelism). Results are positionally
- * aligned with `apps` and,
- * thanks to deterministic multistart seeding, bit-identical to serial
- * compileCircuit() calls. Like compileCircuit, a thin wrapper over a
- * one-shot single-device CompileService.
+ * Circuits are dispatched by forEachCircuit(): with a pool of more
+ * than one worker they compile concurrently, and each additionally
+ * fans its decompositions across otherwise-idle workers (capped by
+ * options.intra_circuit_parallelism). Results are positionally aligned
+ * with `apps` and, thanks to deterministic multistart seeding,
+ * bit-identical to serial compileCircuit() calls. The first compile
+ * error is rethrown; circuits not yet started are skipped.
  */
 std::vector<CompileResult>
 compileBatch(const std::vector<Circuit>& apps, const Device& device,
              const GateSet& gate_set, ProfileCache& cache,
              const CompileOptions& options, ThreadPool* pool = nullptr);
+
+/**
+ * The batch dispatch rule of compileBatch and compileBatchSharded:
+ * run compile(i) for every i in [0, count). When `pool` has more than
+ * one worker and the batch more than one circuit, the calls fan out
+ * through the cooperative parallelFor (which skips unclaimed indices
+ * after a throw and rethrows the first error); otherwise they run in
+ * order on the calling thread, stopping at the first throw. Either
+ * way `compile` should pass `pool` on to its circuit's translation.
+ */
+void forEachCircuit(size_t count, ThreadPool* pool,
+                    const std::function<void(size_t)>& compile);
 
 /**
  * Exact noisy output distribution of a compiled circuit (density

@@ -186,12 +186,6 @@ struct CompileService::Impl
         double epr_attempts = 0.0;
         double est_fid_sum = 0.0;
         double pred_fid_sum = 0.0;
-        /** Summed workload features of the admitted circuits, so the
-         *  snapshot can ask the cost model about the shard's *mean*
-         *  workload without keeping per-circuit history. */
-        double feat_ops_sum = 0.0;
-        double feat_two_q_sum = 0.0;
-        double feat_depth_sum = 0.0;
         std::vector<PassMetric> pass_rollup;
     };
 
@@ -202,13 +196,8 @@ struct CompileService::Impl
     ProfileCache* cache = nullptr;
     /** Worker pool (owned or borrowed); null => inline execution. */
     ThreadPool* pool = nullptr;
-    size_t max_inflight = 1;
     /** Borrowed event stream; null publishes nothing. */
     EventStream* events = nullptr;
-    /** Active cost model (opts.cost_model, or owned_model when the
-     *  planner knob asks for one); null observes nothing. */
-    CompileCostModel owned_model;
-    CompileCostModel* cost_model = nullptr;
 
     mutable std::mutex m;
     std::condition_variable idle_cv;
@@ -365,13 +354,17 @@ struct CompileService::Impl
         idle_cv.notify_all();
     }
 
-    /** Dispatch queued entries while capacity allows (m held). */
+    /**
+     * Dispatch queued entries while capacity allows (m held). At most
+     * pool-size circuits are in flight, so the admission queue, not
+     * the pool's FIFO, orders work.
+     */
     void pumpLocked()
     {
         if (!pool)
             return;
         size_t per_shard_cap = opts.planner.max_in_flight_per_shard;
-        while (!paused && in_flight < max_inflight) {
+        while (!paused && in_flight < pool->size()) {
             int best_shard = -1;
             for (size_t s = 0; s < queues.size(); ++s) {
                 if (queues[s].empty())
@@ -463,20 +456,16 @@ struct CompileService::Impl
         // the same pool: parallelFor is cooperative (the worker claims
         // indices itself; it never waits on the pool), so a lone large
         // job recruits otherwise-idle workers while a saturated pool
-        // degrades gracefully to per-worker serial. Inline submits use
-        // the caller-provided translation pool as before. Either way
-        // options.intra_circuit_parallelism caps the fan-out.
-        ThreadPool* inner = pool ? pool : opts.translation_pool;
-        if (options.intra_circuit_parallelism == 1)
-            inner = nullptr;
-
+        // degrades gracefully to per-worker serial, and
+        // options.intra_circuit_parallelism caps the fan-out. Inline
+        // submits (no pool) translate serially.
         CompileResult result;
         std::exception_ptr error;
         auto start = Clock::now();
         try {
             result = runCompilePipeline(entry.job->circuits[entry.index],
                                         shard.device, gate_set, *cache,
-                                        options, inner,
+                                        options, pool,
                                         events ? &telemetry : nullptr);
         } catch (...) {
             error = std::current_exception();
@@ -519,20 +508,11 @@ struct CompileService::Impl
             entry.job->plan.assignments[entry.index];
         size_t s = static_cast<size_t>(assignment.shard);
 
-        // Telemetry and model feedback before any lock: the cost model
-        // has its own mutex, and the packets come from the finishing
-        // worker's thread (its trace track).
+        // Telemetry before any lock: the packets come from the
+        // finishing worker's thread (its trace track).
         double hits = 0.0, misses = 0.0;
         if (!error)
             cacheTraffic(result.pass_metrics, hits, misses);
-        if (cost_model && !error) {
-            cost_model->observeCompile(assignment.features, wall_ms,
-                                       static_cast<uint64_t>(hits),
-                                       static_cast<uint64_t>(misses));
-            for (const PassMetric& metric : result.pass_metrics)
-                cost_model->observePass(metric.pass, assignment.features,
-                                        metric.wall_ms);
-        }
         if (!error && hits + misses > 0.0)
             publishEvent(ServiceEventType::CacheStats, entry.job->id,
                          static_cast<int32_t>(entry.index),
@@ -608,37 +588,9 @@ struct CompileService::Impl
             if (acc.completed > 0)
                 metric.counters["mean_estimated_fidelity"] =
                     acc.est_fid_sum / acc.completed;
-            if (acc.assigned > 0) {
+            if (acc.assigned > 0)
                 metric.counters["mean_predicted_fidelity"] =
                     acc.pred_fid_sum / acc.assigned;
-                if (cost_model) {
-                    // The cost model's view of the shard's mean
-                    // admitted workload: whole-compile and per-pass
-                    // wall-clock plus the expected warm-cache
-                    // fraction. Cold models simply contribute no
-                    // counters (the predicates below return false).
-                    CompileCostModel::Features mean;
-                    mean.ops = acc.feat_ops_sum / acc.assigned;
-                    mean.two_q = acc.feat_two_q_sum / acc.assigned;
-                    mean.depth = acc.feat_depth_sum / acc.assigned;
-                    double value = 0.0;
-                    if (cost_model->predictCompileMs(
-                            mean, &value,
-                            opts.planner.cost_model_min_samples))
-                        metric.counters["predicted_compile_ms"] = value;
-                    if (cost_model->predictHitRatio(
-                            mean, &value,
-                            opts.planner.cost_model_min_samples))
-                        metric.counters["predicted_hit_ratio"] = value;
-                    for (const std::string& pass :
-                         cost_model->passNames())
-                        if (cost_model->predictPassMs(
-                                pass, mean, &value,
-                                opts.planner.cost_model_min_samples))
-                            metric.counters["predicted_" + pass +
-                                            "_ms"] = value;
-                }
-            }
             out.push_back(std::move(metric));
         }
         return out;
@@ -743,19 +695,6 @@ CompileJob::results() const
                   "results() on a job that ended \"", toString(status),
                   "\"");
     return state_->results;
-}
-
-std::vector<CompileResult>
-CompileJob::takeResults()
-{
-    JobStatus status = wait();
-    std::lock_guard<std::mutex> lock(state_->m);
-    if (state_->error)
-        std::rethrow_exception(state_->error);
-    QISET_REQUIRE(status == JobStatus::Done,
-                  "takeResults() on a job that ended \"",
-                  toString(status), "\"");
-    return std::move(state_->results);
 }
 
 const ShardPlan&
@@ -866,37 +805,15 @@ oneShotServiceOptions(ProfileCache& cache, size_t batch_size,
 {
     CompileServiceOptions options;
     options.cache = &cache;
-    if (pool && pool->size() > 1 && batch_size > 1) {
-        // Fan circuits over the pool. Each worker's translation may
-        // additionally recruit idle workers (cooperative parallelFor),
-        // so a skewed batch with one giant circuit still saturates.
+    if (pool && pool->size() > 1 && batch_size > 1)
         options.pool = pool;
-    } else {
-        // Inline on the calling thread; the pool (if any) instead
-        // parallelizes within each circuit's translation.
-        options.translation_pool = pool;
-    }
     return options;
 }
 
 CompileService::CompileService(DeviceFleet fleet, GateSet gate_set,
                                CompileServiceOptions options)
 {
-    QISET_REQUIRE(fleet.size() > 0,
-                  "a CompileService needs a non-empty fleet");
-    for (size_t s = 1; s < fleet.size(); ++s)
-        QISET_REQUIRE(
-            sameNuOpOptions(fleet.shard(0).options.nuop,
-                            fleet.shard(s).options.nuop),
-            "shards \"", fleet.shard(0).name, "\" and \"",
-            fleet.shard(s).name,
-            "\" have different NuOp settings; they cannot share one "
-            "profile cache");
-
-    // Fail fast on unknown engines (per-shard knobs are resolved
-    // per-compile inside the translation pass).
-    for (size_t s = 0; s < fleet.size(); ++s)
-        makeDecompositionStrategy(fleet.shard(s).options.decomposition);
+    validateFleet(fleet);
 
     impl_ = std::make_shared<Impl>();
     impl_->fleet = std::move(fleet);
@@ -916,11 +833,6 @@ CompileService::CompileService(DeviceFleet fleet, GateSet gate_set,
         owned_pool_ = std::make_unique<ThreadPool>(impl_->opts.workers);
     impl_->pool = impl_->opts.pool ? impl_->opts.pool
                                    : owned_pool_.get();
-    impl_->max_inflight =
-        impl_->opts.max_inflight > 0
-            ? impl_->opts.max_inflight
-            : (impl_->pool ? std::max<size_t>(impl_->pool->size(), 1)
-                           : 1);
 
     size_t shards = impl_->fleet.size();
     impl_->queues.resize(shards);
@@ -930,14 +842,6 @@ CompileService::CompileService(DeviceFleet fleet, GateSet gate_set,
     impl_->shard_accum.resize(shards);
 
     impl_->events = impl_->opts.events;
-    // A borrowed model always observes (and steers only when the
-    // planner knob is on); asking for the knob without providing one
-    // makes the service own a model.
-    impl_->cost_model =
-        impl_->opts.cost_model
-            ? impl_->opts.cost_model
-            : (impl_->opts.planner.use_cost_model ? &impl_->owned_model
-                                                  : nullptr);
 
     if (impl_->opts.telemetry_interval_ms > 0.0 &&
         impl_->opts.telemetry_sink) {
@@ -992,7 +896,7 @@ CompileService::submit(CompileRequest request)
     state->plan =
         planShardAssignments(state->circuits, impl_->fleet,
                              impl_->gate_set, impl_->opts.planner,
-                             impl_->backlog_ns, impl_->cost_model);
+                             impl_->backlog_ns);
     ++impl_->submitted;
 
     size_t n = state->circuits.size();
@@ -1059,9 +963,6 @@ CompileService::submit(CompileRequest request)
             impl_->shard_accum[static_cast<size_t>(a.shard)];
         ++acc.assigned;
         acc.pred_fid_sum += a.predicted_fidelity;
-        acc.feat_ops_sum += a.features.ops;
-        acc.feat_two_q_sum += a.features.two_q;
-        acc.feat_depth_sum += a.features.depth;
         impl_->publishEvent(ServiceEventType::Admit, state->id,
                             static_cast<int32_t>(c), a.shard,
                             a.predicted_duration_ns,
@@ -1226,12 +1127,6 @@ ProfileCache&
 CompileService::profileCache()
 {
     return *impl_->cache;
-}
-
-CompileCostModel*
-CompileService::costModel()
-{
-    return impl_->cost_model;
 }
 
 } // namespace qiset

@@ -15,11 +15,9 @@
  * hit ratio, accumulated PassMetric roll-up). Observability is
  * streaming: an optional EventStream receives one lock-free packet
  * per lifecycle transition and per compiler pass (exportable as a
- * Chrome trace, metrics/trace_export.h), a periodic publisher can
- * push shardTelemetry() snapshots to a sink, and an online cost model
- * (metrics/cost_model.h) learns compile wall-clock from finished work
- * and — behind ShardPlannerOptions::use_cost_model, default off —
- * feeds predictions back into admission planning. Internally the service owns a DeviceFleet, one
+ * Chrome trace, metrics/trace_export.h), and a periodic publisher can
+ * push shardTelemetry() snapshots to a sink. Internally the service
+ * owns a DeviceFleet, one
  * shared persistable ProfileCache, a worker ThreadPool, and per-shard
  * admission queues keyed by the planner's predicted queue_ns:
  * arriving requests are re-planned against the current backlog (the
@@ -27,12 +25,11 @@
  * whose predicted completion misses its deadline or overflows a
  * backlog cap, and dispatch is FIFO within priority.
  *
- * Determinism: per-circuit compiles run the same pass pipeline as
- * compileCircuit() with the same seeded-multistart guarantee, so
+ * Determinism: every circuit compiles through runCompilePipeline —
+ * the function compileCircuit, compileBatch and compileBatchSharded
+ * call directly — with the same seeded-multistart guarantee, so
  * service results are bit-identical to solo compiles on the assigned
- * shard's device — the legacy entry points (compileCircuit,
- * compileBatch, compileBatchSharded) are thin wrappers over one-shot
- * service instances.
+ * shard's device.
  */
 
 #include <cstdint>
@@ -199,13 +196,6 @@ class CompileJob
      */
     const std::vector<CompileResult>& results() const;
 
-    /**
-     * Move the compiled circuits out (same contract as results()).
-     * Leaves every handle to this job with empty results; the one-shot
-     * legacy wrappers use it to avoid deep-copying circuits.
-     */
-    std::vector<CompileResult> takeResults();
-
     /** The admission-time plan of this request's circuits. */
     const ShardPlan& plan() const;
 
@@ -242,22 +232,18 @@ struct CompileServiceOptions
     /**
      * Worker threads of a service-owned ThreadPool. 0 with no
      * borrowed pool means *inline* execution: submit() compiles the
-     * request on the calling thread before returning (the mode the
-     * one-shot legacy wrappers use — no thread spin-up per call).
+     * request on the calling thread before returning, with a serial
+     * translation (no thread spin-up per call).
      */
     size_t workers = 0;
     /**
      * Borrowed worker pool (takes precedence over `workers`; must
      * outlive the service). Never submit() from inside one of its
-     * workers — the drain would deadlock.
+     * workers — the drain would deadlock. At most pool-size circuits
+     * are dispatched at once, so the admission queue, not the pool's
+     * FIFO, orders work and priorities hold under load.
      */
     ThreadPool* pool = nullptr;
-    /**
-     * Intra-circuit translation pool used only in inline mode (async
-     * workers keep the inner translation serial so a worker never
-     * waits on its own pool).
-     */
-    ThreadPool* translation_pool = nullptr;
     /** Shard planner settings used on every arrival re-plan. */
     ShardPlannerOptions planner;
     /**
@@ -265,12 +251,6 @@ struct CompileServiceOptions
      * backlog would exceed this many ns. 0 = unbounded.
      */
     double max_queue_ns = 0.0;
-    /**
-     * Dispatched-but-unfinished circuit cap; 0 = worker-pool size.
-     * Keeping it at the pool size preserves priority semantics under
-     * load (the queue, not the pool's FIFO, orders work).
-     */
-    size_t max_inflight = 0;
     /**
      * Borrowed profile cache (must outlive the service). When null
      * the service owns one — the warm state the ROADMAP's service
@@ -293,16 +273,6 @@ struct CompileServiceOptions
      * affects compile results.
      */
     EventStream* events = nullptr;
-    /**
-     * Borrowed online cost model (must outlive the service). When set
-     * — or when the service owns one because planner.use_cost_model is
-     * on — every finished compile feeds its measured wall-clock,
-     * per-pass breakdown and cache traffic back into the model, and
-     * arrival re-plans consult it per planner.use_cost_model. A
-     * borrowed model with the planner knob off observes without ever
-     * steering (useful for warming a model offline).
-     */
-    CompileCostModel* cost_model = nullptr;
     /**
      * When > 0 (ms) and telemetry_sink is set, a service-owned
      * publisher thread delivers a shardTelemetry() snapshot to the
@@ -333,14 +303,11 @@ struct CompileServiceStats
 };
 
 /**
- * Options for a one-shot service standing in for a legacy entry
- * point: borrow the caller's cache, and route a caller-provided pool
- * the way the old direct execution used it — fanning circuits across
- * workers when it can parallelize the batch (pool of > 1 worker,
- * > 1 circuit), otherwise parallelizing within each circuit's
- * translation. Shared by compileCircuit/compileBatch/
- * compileBatchSharded and the bench helpers so the dispatch rule
- * lives in exactly one place.
+ * Options for a one-shot service compiling one batch: borrow the
+ * caller's cache, and borrow the caller's pool as the worker pool
+ * when it can parallelize the batch (pool of > 1 worker, > 1 circuit,
+ * the forEachCircuit rule); otherwise the service runs inline with a
+ * serial translation. Results match compileBatch bit for bit.
  */
 CompileServiceOptions oneShotServiceOptions(ProfileCache& cache,
                                             size_t batch_size,
@@ -357,8 +324,10 @@ class CompileService
 {
   public:
     /**
-     * @throws FatalError when the fleet is empty or its shards carry
-     *         mismatched NuOpOptions (they share one profile cache).
+     * @throws FatalError when the fleet fails validateFleet(): it is
+     *         empty, its shards carry mismatched NuOpOptions (they
+     *         share one profile cache), or a shard names an unknown
+     *         decomposition engine.
      */
     CompileService(DeviceFleet fleet, GateSet gate_set,
                    CompileServiceOptions options = CompileServiceOptions());
@@ -411,13 +380,6 @@ class CompileService
     const GateSet& gateSet() const;
     /** The shared profile cache (owned or borrowed). */
     ProfileCache& profileCache();
-
-    /**
-     * The active cost model (borrowed, or service-owned when
-     * planner.use_cost_model is set without one); null when the
-     * service neither observes nor consults a model.
-     */
-    CompileCostModel* costModel();
 
   private:
     friend class CompileJob;

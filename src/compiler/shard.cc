@@ -8,8 +8,8 @@
 
 #include "common/error.h"
 #include "compiler/mapping.h"
-#include "compiler/service.h"
 #include "metrics/metrics.h"
+#include "nuop/decomposition_strategy.h"
 
 namespace qiset {
 
@@ -186,8 +186,7 @@ ShardPlan
 planShardAssignments(const std::vector<Circuit>& apps,
                      const DeviceFleet& fleet, const GateSet& gate_set,
                      const ShardPlannerOptions& planner,
-                     const std::vector<double>& initial_queue_ns,
-                     const CompileCostModel* cost_model)
+                     const std::vector<double>& initial_queue_ns)
 {
     QISET_REQUIRE(fleet.size() > 0,
                   "cannot plan a sharded batch over an empty fleet");
@@ -222,60 +221,15 @@ planShardAssignments(const std::vector<Circuit>& apps,
         features[c].schedule = Schedule(apps[c]).summary();
     }
 
-    std::vector<CompileCostModel::Features> model_features(apps.size());
-    for (size_t c = 0; c < apps.size(); ++c) {
-        model_features[c].ops = static_cast<double>(apps[c].size());
-        model_features[c].two_q = features[c].two_q;
-        model_features[c].depth = features[c].schedule.depth;
-    }
-
     // All (circuit, shard) candidates up front: cheap (schedule
     // summaries + calibration aggregates), and both policies need the
     // per-pair durations.
     std::vector<std::vector<Candidate>> candidates(apps.size());
     for (size_t c = 0; c < apps.size(); ++c) {
-        // The online cost model's predicted compile wall-clock: a
-        // per-circuit term (the model knows nothing of shards), added
-        // to every feasible candidate so queue_ns reflects the worker
-        // time the compile will actually occupy. A cold model (fewer
-        // than cost_model_min_samples observations) contributes
-        // nothing — the static proxy carries the cold start.
-        double compile_ns = 0.0;
-        if (planner.use_cost_model && cost_model) {
-            double ms = 0.0;
-            if (cost_model->predictCompileMs(
-                    model_features[c], &ms,
-                    planner.cost_model_min_samples)) {
-                // Derate the translation share by the predicted cache
-                // hit ratio: warm-cache lookups skip the BFGS hot path
-                // entirely, so a workload the model expects to hit
-                // mostly warm costs far less worker time than its raw
-                // wall-clock fit suggests. Both sub-models cold (or
-                // the hit model untrained) leave ms untouched — and
-                // the whole term is still gated on use_cost_model, so
-                // knob-off plans stay bit-identical.
-                double translation_ms = 0.0;
-                double hit_ratio = 0.0;
-                if (cost_model->predictPassMs(
-                        "translation", model_features[c],
-                        &translation_ms,
-                        planner.cost_model_min_samples) &&
-                    cost_model->predictHitRatio(
-                        model_features[c], &hit_ratio,
-                        planner.cost_model_min_samples))
-                    ms -= std::max(0.0, translation_ms) * hit_ratio;
-                compile_ns =
-                    planner.cost_model_weight * std::max(0.0, ms) * 1e6;
-            }
-        }
         candidates[c].reserve(fleet.size());
-        for (size_t s = 0; s < fleet.size(); ++s) {
-            Candidate candidate = scoreCandidate(
-                features[c], aggregates[s], fleet.shard(s).device);
-            if (candidate.feasible)
-                candidate.duration_ns += compile_ns;
-            candidates[c].push_back(candidate);
-        }
+        for (size_t s = 0; s < fleet.size(); ++s)
+            candidates[c].push_back(scoreCandidate(
+                features[c], aggregates[s], fleet.shard(s).device));
     }
 
     auto assign = [&](size_t c, size_t s) {
@@ -283,7 +237,6 @@ planShardAssignments(const std::vector<Circuit>& apps,
         plan.assignments[c].shard = static_cast<int>(s);
         plan.assignments[c].predicted_fidelity = candidate.fidelity;
         plan.assignments[c].predicted_duration_ns = candidate.duration_ns;
-        plan.assignments[c].features = model_features[c];
         plan.queues[s].push_back(c);
         plan.queue_ns[s] += candidate.duration_ns;
     };
@@ -345,8 +298,8 @@ planShardAssignments(const std::vector<Circuit>& apps,
                 continue;
             double load =
                 (plan.queue_ns[s] + candidate.duration_ns) / scale;
-            double score = planner.fidelity_weight * candidate.fidelity -
-                           planner.load_weight * load;
+            double score =
+                candidate.fidelity - planner.load_weight * load;
             if (score > best_score) {
                 best_score = score;
                 best = static_cast<int>(s);
@@ -380,29 +333,42 @@ sameNuOpOptions(const NuOpOptions& a, const NuOpOptions& b)
            a.bfgs.stop_below == b.bfgs.stop_below;
 }
 
+void
+validateFleet(const DeviceFleet& fleet)
+{
+    QISET_REQUIRE(fleet.size() > 0,
+                  "a compile fleet needs at least one shard");
+    for (size_t s = 1; s < fleet.size(); ++s)
+        QISET_REQUIRE(
+            sameNuOpOptions(fleet.shard(0).options.nuop,
+                            fleet.shard(s).options.nuop),
+            "shards \"", fleet.shard(0).name, "\" and \"",
+            fleet.shard(s).name,
+            "\" have different NuOp settings; they cannot share one "
+            "profile cache");
+    // Fail fast on unknown engines (per-shard knobs are resolved
+    // per-compile inside the translation pass).
+    for (const Shard& shard : fleet.shards())
+        makeDecompositionStrategy(shard.options.decomposition);
+}
+
 ShardedBatchResult
 compileBatchSharded(const std::vector<Circuit>& apps,
                     const DeviceFleet& fleet, const GateSet& gate_set,
                     ProfileCache& cache,
                     const ShardPlannerOptions& planner, ThreadPool* pool)
 {
-    // One-shot service over the caller's fleet: the constructor
-    // enforces the shared-cache NuOp invariant, submit() plans against
-    // an idle backlog (so the plan matches a direct
-    // planShardAssignments call), and the job fans circuits over the
-    // pool exactly as the old direct execution did.
-    CompileServiceOptions service_options =
-        oneShotServiceOptions(cache, apps.size(), pool);
-    service_options.planner = planner;
-    CompileService service(fleet, gate_set, service_options);
-
-    CompileRequest request;
-    request.circuits = apps;
-    CompileJob job = service.submit(std::move(request));
-
+    validateFleet(fleet);
     ShardedBatchResult out;
-    out.plan = job.plan();
-    out.results = job.takeResults();
+    out.plan = planShardAssignments(apps, fleet, gate_set, planner);
+    out.results.resize(apps.size());
+    forEachCircuit(apps.size(), pool, [&](size_t i) {
+        const Shard& shard = fleet.shard(
+            static_cast<size_t>(out.plan.assignments[i].shard));
+        out.results[i] = runCompilePipeline(apps[i], shard.device,
+                                            gate_set, cache,
+                                            shard.options, pool);
+    });
 
     out.shard_pass_rollups.resize(fleet.size());
     for (size_t s = 0; s < fleet.size(); ++s) {

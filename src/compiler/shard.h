@@ -13,9 +13,9 @@
  * (circuit, shard) candidate by predicted fidelity and by the
  * Schedule IR's depth / critical-path duration, then assigns circuits
  * with a load-balancing policy; compileBatchSharded() executes the
- * plan by fanning per-shard queues over a ThreadPool with one shared
- * ProfileCache (profile keys are device-independent, so sharing
- * across shards is sound and maximizes BFGS reuse).
+ * plan, fanning the batch's circuits over a ThreadPool with one
+ * shared ProfileCache (profile keys are device-independent, so
+ * sharing across shards is sound and maximizes BFGS reuse).
  *
  * Determinism: planning is pure arithmetic over calibration data and
  * schedules, and per-circuit compiles inherit the seeded-multistart
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "compiler/pipeline.h"
-#include "metrics/cost_model.h"
 
 namespace qiset {
 
@@ -87,34 +86,14 @@ struct ShardPlannerOptions
      * Assignment policy:
      *  - "greedy": rank circuits by predicted duration (longest
      *    first), then give each to the shard maximizing
-     *    fidelity_weight * predicted_fidelity minus a queue-depth
-     *    penalty proportional to the shard's accumulated load.
+     *    predicted_fidelity minus a queue-depth penalty proportional
+     *    to the shard's accumulated load.
      *  - "round-robin": circuit i -> feasible shard i mod k
      *    (baseline; ignores fidelity and load).
      */
     std::string policy = "greedy";
-    /** Weight of predicted fidelity in the greedy score. */
-    double fidelity_weight = 1.0;
     /** Weight of the normalized queue-load penalty. */
     double load_weight = 1.0;
-    /**
-     * Add the online cost model's predicted compile wall-clock (see
-     * metrics/cost_model.h) to every candidate's predicted duration,
-     * making the planner self-calibrating under real traffic: the
-     * compile time the service's workers actually spend — not just
-     * the circuit's own critical path — drives load balancing and
-     * admission. Off by default, and inert until a model is passed to
-     * planShardAssignments (the CompileService does this
-     * automatically); **with the knob off the plan — and therefore
-     * every compile result — is bit-identical to a model-free plan.**
-     */
-    bool use_cost_model = false;
-    /** Scale of the predicted-compile-time term, in queue-ns per
-     *  predicted compile-ns (1.0 = count compile time at par). */
-    double cost_model_weight = 1.0;
-    /** Observations the model needs before its term switches on (the
-     *  static proxy alone carries the cold start). */
-    uint64_t cost_model_min_samples = 16;
     /**
      * Cap on the circuits of one shard the CompileService will hold
      * in flight simultaneously (0 = unlimited, the default). A planner
@@ -122,7 +101,8 @@ struct ShardPlannerOptions
      * trade the planner's load term does — per-shard backlog versus
      * fleet throughput — and rides the same options plumbing into the
      * service. Inert outside the threaded service dispatch loop
-     * (inline compiles are strictly sequential already).
+     * (inline service submits and compileBatchSharded never consult
+     * it).
      */
     size_t max_in_flight_per_shard = 0;
 };
@@ -134,19 +114,8 @@ struct ShardAssignment
     int shard = -1;
     /** Product-model fidelity estimate on that shard. */
     double predicted_fidelity = 0.0;
-    /**
-     * Schedule-derived compile/queue cost estimate on that shard
-     * (plus the cost model's predicted compile time, when the planner
-     * runs with use_cost_model and a warmed-up model).
-     */
+    /** Schedule-derived compile/queue cost estimate on that shard. */
     double predicted_duration_ns = 0.0;
-    /**
-     * The circuit's workload features (ops / 2Q ops / logical depth),
-     * captured at plan time so the service can feed the compile's
-     * measured wall-clock back into the online cost model without
-     * re-deriving them.
-     */
-    CompileCostModel::Features features;
 };
 
 /** Output of the shard planner. */
@@ -174,13 +143,6 @@ struct ShardPlan
  * every arriving request against its live backlog this way, so the
  * greedy policy steers new work away from busy shards. The returned
  * plan's queue_ns is cumulative (initial load plus this workload).
- *
- * `cost_model`, combined with `planner.use_cost_model`, adds the
- * model's predicted compile wall-clock to every candidate duration
- * (the term is per-circuit — the model is options-agnostic — so it
- * shifts load balance and admission backlog, never the relative
- * fidelity ranking). Null, a cold model, or the knob off leave the
- * plan bit-identical to the static proxy.
  */
 ShardPlan planShardAssignments(const std::vector<Circuit>& apps,
                                const DeviceFleet& fleet,
@@ -188,9 +150,7 @@ ShardPlan planShardAssignments(const std::vector<Circuit>& apps,
                                const ShardPlannerOptions& planner =
                                    ShardPlannerOptions(),
                                const std::vector<double>&
-                                   initial_queue_ns = {},
-                               const CompileCostModel* cost_model =
-                                   nullptr);
+                                   initial_queue_ns = {});
 
 /**
  * True when two NuOp option sets produce interchangeable cached
@@ -200,6 +160,16 @@ ShardPlan planShardAssignments(const std::vector<Circuit>& apps,
  * CompileService — must agree under this predicate.
  */
 bool sameNuOpOptions(const NuOpOptions& a, const NuOpOptions& b);
+
+/**
+ * Check that a fleet can serve compiles from one shared ProfileCache:
+ * it has at least one shard, every shard agrees under
+ * sameNuOpOptions, and every shard names a registered decomposition
+ * engine. Raises FatalError otherwise. The CompileService constructor
+ * and compileBatchSharded both call it, so unknown engines and
+ * mismatched optimizer settings fail before any circuit compiles.
+ */
+void validateFleet(const DeviceFleet& fleet);
 
 /** A sharded batch's results plus its plan and per-shard telemetry. */
 struct ShardedBatchResult
@@ -220,13 +190,17 @@ struct ShardedBatchResult
 
 /**
  * Plan and execute a sharded batch: circuits are assigned to shards
- * by planShardAssignments(), then all per-circuit compiles fan out
- * over `pool` (serial without one). Every shard must share the same
- * NuOpOptions — the shared cache's profiles are keyed by
+ * by planShardAssignments(), then each compiles through
+ * runCompilePipeline on its shard's device with the shard's options,
+ * dispatched like compileBatch (fanned over `pool` when it can
+ * parallelize the batch, in order otherwise). The fleet must pass
+ * validateFleet() — the shared cache's profiles are keyed by
  * (unitary, gate type) only, so mixing optimizer settings across
  * shards would let one shard's profiles answer another's lookups.
  * Results are bit-identical to compileCircuit() on the assigned
- * shard's device with the shard's options.
+ * shard's device with the shard's options. Raises FatalError when the
+ * fleet fails validation or a circuit fits no shard, and rethrows the
+ * first compile error.
  */
 ShardedBatchResult
 compileBatchSharded(const std::vector<Circuit>& apps,

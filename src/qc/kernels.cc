@@ -90,13 +90,12 @@ const KernelOps kScalarOps = {
 
 // ------------------------------------------------------- dispatch
 //
-// The SIMD tiers live in their own translation units (compiled with
-// the ISA flags they need); each exports a factory that returns its
-// table when the host can run it, nullptr otherwise.
+// The SIMD tier lives in its own translation unit (compiled with the
+// ISA flags it needs) and exports a factory that returns its table
+// when the host can run it, nullptr otherwise.
 
 namespace detail {
 const KernelOps* avx2Ops(); // kernels_avx2.cc
-const KernelOps* neonOps(); // kernels_neon.cc
 } // namespace detail
 
 namespace {
@@ -111,8 +110,6 @@ runnableOps(const char* name)
         return &kScalarOps;
     if (std::strcmp(name, "avx2") == 0)
         return detail::avx2Ops();
-    if (std::strcmp(name, "neon") == 0)
-        return detail::neonOps();
     return nullptr;
 }
 
@@ -120,8 +117,6 @@ const KernelOps*
 bestNativeOps()
 {
     if (const KernelOps* ops = detail::avx2Ops())
-        return ops;
-    if (const KernelOps* ops = detail::neonOps())
         return ops;
     return &kScalarOps;
 }
@@ -186,8 +181,6 @@ runnableTiers()
     tiers.push_back("scalar");
     if (detail::avx2Ops())
         tiers.push_back("avx2");
-    if (detail::neonOps())
-        tiers.push_back("neon");
     return tiers;
 }
 

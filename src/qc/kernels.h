@@ -12,8 +12,8 @@
  * selected once at startup:
  *
  *   - AVX2 on x86-64 when the CPU supports it,
- *   - NEON on aarch64,
- *   - an always-correct scalar fallback everywhere else.
+ *   - an always-correct scalar fallback everywhere else (aarch64
+ *     included).
  *
  * BIT-IDENTITY CONTRACT: every tier performs exactly the same IEEE-754
  * operations in exactly the same order as the scalar reference — plain
@@ -28,7 +28,7 @@
  * eliminating branches and temporaries, never from reassociation.
  *
  * Dispatch can be pinned for benchmarking and tests:
- *   - env QISET_KERNEL_TIER=scalar|avx2|neon (read at first use), or
+ *   - env QISET_KERNEL_TIER=scalar|avx2 (read at first use), or
  *     QISET_FORCE_SCALAR=1 as a shorthand for the scalar tier;
  *   - kernels::setTier("scalar") at runtime (the kernel-equivalence
  *     suite and bench_hotpath's scalar-baseline leg use this).
@@ -50,7 +50,7 @@ namespace kernels {
  */
 struct KernelOps
 {
-    /** Tier name: "scalar", "avx2" or "neon". */
+    /** Tier name: "scalar" or "avx2". */
     const char* tier;
 
     /**
@@ -88,7 +88,7 @@ struct KernelOps
  */
 const KernelOps& active();
 
-/** Name of the active tier ("scalar", "avx2", "neon"). */
+/** Name of the active tier ("scalar" or "avx2"). */
 const char* tierName();
 
 /**

@@ -99,9 +99,11 @@ TEST(FermiHubbard, InteractionCountsMatchPaper)
 TEST(FermiHubbard, NearestNeighbourOnly)
 {
     Circuit c = makeFermiHubbardCircuit(8, 0.3, 0.1);
-    for (const auto& op : c.ops())
-        if (op.isTwoQubit())
+    for (const auto& op : c.ops()) {
+        if (op.isTwoQubit()) {
             EXPECT_EQ(std::abs(op.qubits()[0] - op.qubits()[1]), 1);
+        }
+    }
 }
 
 TEST(Qft, GateCountIsQuadratic)

@@ -1,5 +1,6 @@
 // Batch compilation tests: serial/parallel equivalence, cache sharing
-// across a batch, and warm-start from a persisted cache.
+// across a batch, warm-start from a persisted cache, and the errors
+// the compile entry points raise.
 
 #include <cstdio>
 #include <string>
@@ -9,7 +10,9 @@
 
 #include "apps/qaoa.h"
 #include "apps/qft.h"
+#include "common/error.h"
 #include "compiler/pipeline.h"
+#include "compiler/shard.h"
 
 namespace qiset {
 namespace {
@@ -189,6 +192,39 @@ TEST(CompileBatch, EmptyAndSerialFallback)
     CompileResult reference =
         compileCircuit(apps[0], d, set, reference_cache, opts);
     expectIdentical(reference, batch[0]);
+}
+
+TEST(CompileBatch, EntryPointsRaiseFatalErrorOnBadInput)
+{
+    Device d = lineDevice(3);
+    GateSet set = isa::rigettiSet(1);
+    CompileOptions opts = fastCompile();
+    ProfileCache cache;
+    Circuit wide = makeQftCircuit(5);
+
+    EXPECT_THROW(compileCircuit(wide, d, set, cache, opts), FatalError);
+
+    // One bad circuit fails the whole batch, serial or fanned out.
+    std::vector<Circuit> batch = {makeQftCircuit(3), wide,
+                                  makeQftCircuit(3)};
+    EXPECT_THROW(compileBatch(batch, d, set, cache, opts), FatalError);
+    ThreadPool pool(4);
+    EXPECT_THROW(compileBatch(batch, d, set, cache, opts, &pool),
+                 FatalError);
+
+    DeviceFleet fleet(opts);
+    fleet.addDevice(lineDevice(3), "a");
+    fleet.addDevice(lineDevice(3), "b");
+    EXPECT_THROW(compileBatchSharded(batch, fleet, set, cache), FatalError);
+
+    CompileOptions unknown = opts;
+    unknown.decomposition = "no-such-engine";
+    DeviceFleet bad_engine(opts);
+    bad_engine.addDevice(lineDevice(3), "a");
+    bad_engine.addDevice(lineDevice(3), unknown, "b");
+    EXPECT_THROW(compileBatchSharded({makeQftCircuit(3)}, bad_engine, set,
+                                     cache),
+                 FatalError);
 }
 
 } // namespace

@@ -98,10 +98,10 @@ TEST(Pipeline, NativeSwapReducesInstructionCount)
 
 TEST(Pipeline, IntraCircuitParallelismBitIdenticalAcrossCaps)
 {
-    // Full pipeline through the one-shot service with a worker pool:
-    // every intra_circuit_parallelism setting must reproduce the
-    // serial compile bit-for-bit (cold cache per variant, so nothing
-    // is shared between runs but the inputs).
+    // Full pipeline through compileCircuit with a worker pool: every
+    // intra_circuit_parallelism setting must reproduce the serial
+    // compile bit-for-bit (cold cache per variant, so nothing is
+    // shared between runs but the inputs).
     Rng rng(84);
     Device d = makeSycamore(rng);
     Circuit app = makeQuantumVolumeCircuit(4, rng);

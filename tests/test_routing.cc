@@ -58,9 +58,11 @@ void
 expectWellFormedRouting(const RoutedCircuit& routed,
                         const Topology& coupling)
 {
-    for (const auto& op : routed.circuit.ops())
-        if (op.isTwoQubit())
+    for (const auto& op : routed.circuit.ops()) {
+        if (op.isTwoQubit()) {
             EXPECT_TRUE(coupling.adjacent(op.qubits()[0], op.qubits()[1]));
+        }
+    }
     for (const auto* positions :
          {&routed.initial_positions, &routed.final_positions}) {
         std::vector<bool> seen(routed.circuit.numQubits(), false);
@@ -103,9 +105,11 @@ TEST(Routing, AllEmittedOpsAreOnCoupledPairs)
             logical.add2q(a, b, iswap(), "ISWAP");
     Topology line = Topology::line(5);
     RoutedCircuit routed = routeCircuit(logical, line);
-    for (const auto& op : routed.circuit.ops())
-        if (op.isTwoQubit())
+    for (const auto& op : routed.circuit.ops()) {
+        if (op.isTwoQubit()) {
             EXPECT_TRUE(line.adjacent(op.qubits()[0], op.qubits()[1]));
+        }
+    }
     EXPECT_GT(routed.swaps_inserted, 0);
 }
 

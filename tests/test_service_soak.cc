@@ -1,7 +1,7 @@
 // Deterministic service soak: thousands of tiny jobs through an async
 // CompileService with the event stream on and a live background
-// recorder. Asserts the telemetry invariants the trace exporter and
-// cost model rely on: nothing dropped (ring sized for the burst),
+// recorder. Asserts the telemetry invariants the trace exporter
+// relies on: nothing dropped (ring sized for the burst),
 // nothing duplicated, per-job lifecycle order monotone
 // (submit <= admit <= dispatch <= pass spans <= complete), completion
 // callbacks firing exactly once per job, and the exported Chrome trace
