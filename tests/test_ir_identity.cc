@@ -21,7 +21,10 @@
 #include "circuit/label_table.h"
 #include "circuit/schedule.h"
 #include "common/rng.h"
+#include "compiler/mapping.h"
 #include "compiler/pipeline.h"
+#include "compiler/routing_strategy.h"
+#include "compiler/teleport_router.h"
 #include "device/device.h"
 #include "isa/gate_set.h"
 #include "qc/gates.h"
@@ -164,6 +167,106 @@ TEST(IrIdentity, GeneratorsAndPipelineMatchPreSoaGoldens)
         EXPECT_EQ(resultHash(result), golden.result)
             << golden.name << " compile result";
     }
+}
+
+/** Every RoutedCircuit field: routed ops, both layouts, counters. */
+uint64_t
+routedHash(const RoutedCircuit& routed)
+{
+    uint64_t hash = circuitContentHash(routed.circuit);
+    for (int p : routed.initial_positions)
+        hash = fnv1a(hash, static_cast<uint64_t>(p));
+    for (int p : routed.final_positions)
+        hash = fnv1a(hash, static_cast<uint64_t>(p));
+    hash = fnv1a(hash, static_cast<uint64_t>(routed.swaps_inserted));
+    hash = fnv1a(hash, static_cast<uint64_t>(routed.teleports_inserted));
+    hash = fnvDouble(hash, routed.epr_attempts);
+    return hash;
+}
+
+// Routes of the lookahead routers, captured before SABRE and telesabre
+// shared one pass loop; must never drift.
+TEST(IrIdentity, SabreRoutesMatchGoldens)
+{
+    Circuit qft16 = makeQftCircuit(16);
+    RoutedCircuit routed =
+        SabreRouter().route(qft16, Topology::grid(4, 4));
+    EXPECT_EQ(routedHash(routed), 0x1e4808639c538662ull)
+        << "qft16 grid4x4";
+
+    Rng rng(77);
+    Circuit qv12 = makeQuantumVolumeCircuit(12, rng);
+    routed = SabreRouter().route(qv12, Topology::grid(3, 4));
+    EXPECT_EQ(routedHash(routed), 0xe3862365b381de6ull)
+        << "qv12 grid3x4";
+}
+
+TEST(IrIdentity, TeleportRoutesMatchGoldens)
+{
+    // Both chiplets of bench_chiplet; each circuit is placed the way
+    // the mapping pass places it, then routed over the induced
+    // coupling in TELEPORT and in TELESWAP mode.
+    Rng dev_rng(77);
+    ChipletSpec spec;
+    spec.core_rows = 2;
+    spec.core_cols = 2;
+    Device chiplet2x2 = makeChipletDevice(spec, dev_rng);
+    spec.core_rows = 3;
+    spec.core_cols = 3;
+    Device chiplet3x3 = makeChipletDevice(spec, dev_rng);
+
+    Rng app_rng(4242);
+    Circuit qft14 = makeQftCircuit(14);
+    Circuit qaoa18 = makeRandomQaoaCircuit(18, app_rng);
+
+    struct Case
+    {
+        const char* name;
+        const Circuit* circuit;
+        const Device* device;
+        uint64_t teleport;
+        uint64_t teleswap;
+    };
+    const Case cases[] = {
+        {"qft14 chiplet2x2", &qft14, &chiplet2x2, 0x8a474441ae57efeeull,
+         0xaf241b487a0f245full},
+        {"qaoa18 chiplet2x2", &qaoa18, &chiplet2x2, 0x76a86f9803e85895ull,
+         0x8d6e1c19aa642a90ull},
+        {"qft14 chiplet3x3", &qft14, &chiplet3x3, 0x9d876a182448f65cull,
+         0x5617553209f1d7feull},
+        {"qaoa18 chiplet3x3", &qaoa18, &chiplet3x3, 0xfa034fb3b2a728f8ull,
+         0x16c3c6fc157409a8ull},
+    };
+    GateSet set = isa::singleTypeSet(3); // CZ
+    for (const Case& c : cases) {
+        std::vector<int> physical =
+            chooseMapping(*c.device, c.circuit->numQubits(), set);
+        Topology coupling = c.device->topology().inducedSubgraph(physical);
+        ASSERT_GT(coupling.numCores(), 1) << c.name;
+        TeleportOptions teleport;
+        RoutedCircuit routed =
+            TeleportRouter(SabreOptions(), teleport).route(*c.circuit,
+                                                           coupling);
+        EXPECT_GT(routed.teleports_inserted, 0) << c.name;
+        EXPECT_EQ(routedHash(routed), c.teleport) << c.name << " teleport";
+        teleport.use_teleport = false;
+        routed = TeleportRouter(SabreOptions(), teleport).route(*c.circuit,
+                                                                coupling);
+        EXPECT_EQ(routedHash(routed), c.teleswap) << c.name << " teleswap";
+    }
+}
+
+TEST(IrIdentity, BestOfCompileMatchesGolden)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    CompileOptions options = goldenOptions();
+    options.routing = "best-of";
+    ProfileCache cache;
+    CompileResult result = compileCircuit(makeQftCircuit(8), device,
+                                          isa::singleTypeSet(3), cache,
+                                          options);
+    EXPECT_EQ(resultHash(result), 0x3c3d5c368ef63a7cull);
 }
 
 TEST(IrIdentity, RenderedTextMatchesPreSoaGoldens)
