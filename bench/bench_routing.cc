@@ -1,7 +1,7 @@
 /**
  * @file
  * Routing-strategy comparison bench: SWAP counts, routed depth and
- * routing wall-clock for every registered RoutingStrategy across
+ * routing wall-clock for every router in routingStrategyNames() across
  * representative workloads (long-range QFT, random QV, QAOA), at the
  * Topology level so routing cost is isolated from NuOp translation.
  *

@@ -50,17 +50,18 @@ struct CompileOptions
      */
     double crosstalk_inflation = 1.0;
     /**
-     * Routing strategy name resolved through the RoutingStrategy
-     * registry (routing_strategy.h): "greedy" (nearest-neighbor SWAP
-     * chains, the paper's baseline), "sabre" (bidirectional
-     * lookahead; fewer SWAPs on long-range workloads), or "best-of"
-     * (meta-router: route with every registered strategy and keep the
+     * Routing strategy name, built by makeRoutingStrategy
+     * (routing_strategy.h): "greedy" (nearest-neighbor SWAP chains,
+     * the paper's baseline), "sabre" (bidirectional lookahead; fewer
+     * SWAPs on long-range workloads), "telesabre" (chiplet-aware
+     * SABRE, forced on multi-core couplings), or "best-of"
+     * (meta-router: route with greedy and with sabre and keep the
      * best predicted-fidelity result).
      */
     std::string routing = "greedy";
     /**
-     * Decomposition engine name resolved through the
-     * DecompositionStrategy registry (nuop/decomposition_strategy.h):
+     * Decomposition engine name, built by makeDecompositionStrategy
+     * (nuop/decomposition_strategy.h):
      * "nuop" (BFGS multistarts, the paper's engine — bit-identical to
      * the historical path), "kak" (analytic Cartan synthesis, the
      * Cirq-style baseline), or "auto" (analytic when it reaches the
@@ -69,9 +70,10 @@ struct CompileOptions
      */
     std::string decomposition = "nuop";
     /**
-     * SABRE tuning used when `routing == "sabre"` (lookahead window,
-     * decay, refinement rounds). Per-compile — and therefore per-shard
-     * in a sharded batch — so each target can tune its router.
+     * SABRE tuning of the "sabre" and "telesabre" routers (and of
+     * best-of's sabre candidate): lookahead window, decay, refinement
+     * rounds. Per-compile — and therefore per-shard in a sharded
+     * batch — so each target can tune its router.
      */
     SabreOptions sabre;
     /**

@@ -15,55 +15,6 @@ PassManager::append(std::unique_ptr<Pass> pass)
     return *this;
 }
 
-size_t
-PassManager::indexOf(const std::string& name) const
-{
-    for (size_t i = 0; i < passes_.size(); ++i)
-        if (passes_[i]->name() == name)
-            return i;
-    return passes_.size();
-}
-
-bool
-PassManager::insertBefore(const std::string& anchor,
-                          std::unique_ptr<Pass> pass)
-{
-    QISET_REQUIRE(pass != nullptr, "cannot register a null pass");
-    size_t index = indexOf(anchor);
-    if (index == passes_.size())
-        return false;
-    passes_.insert(passes_.begin() + index, std::move(pass));
-    return true;
-}
-
-bool
-PassManager::insertAfter(const std::string& anchor,
-                         std::unique_ptr<Pass> pass)
-{
-    QISET_REQUIRE(pass != nullptr, "cannot register a null pass");
-    size_t index = indexOf(anchor);
-    if (index == passes_.size())
-        return false;
-    passes_.insert(passes_.begin() + index + 1, std::move(pass));
-    return true;
-}
-
-bool
-PassManager::remove(const std::string& name)
-{
-    size_t index = indexOf(name);
-    if (index == passes_.size())
-        return false;
-    passes_.erase(passes_.begin() + index);
-    return true;
-}
-
-bool
-PassManager::contains(const std::string& name) const
-{
-    return indexOf(name) != passes_.size();
-}
-
 std::vector<std::string>
 PassManager::passNames() const
 {

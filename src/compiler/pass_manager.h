@@ -3,13 +3,14 @@
 
 /**
  * @file
- * Ordered pass registry and runner.
+ * Ordered pass sequence and runner.
  *
  * A PassManager owns a sequence of Pass instances and executes them
  * against one CompilationContext, timing each pass and appending a
- * PassMetric record per run. Pipelines are assembled explicitly
- * (append / insertBefore / insertAfter / remove), so alternative stage
- * orders, ablations and new passes need no changes to the core.
+ * PassMetric record per run. Pipelines are assembled by append() in
+ * execution order; defaultPipeline() builds the Fig. 1 pipeline from
+ * the compile options, and ablations select passes through those
+ * options.
  */
 
 #include <memory>
@@ -31,23 +32,7 @@ class PassManager
     /** Append a pass at the end of the pipeline. */
     PassManager& append(std::unique_ptr<Pass> pass);
 
-    /**
-     * Insert a pass immediately before the named pass.
-     * @return true when the anchor was found (no-op otherwise).
-     */
-    bool insertBefore(const std::string& anchor,
-                      std::unique_ptr<Pass> pass);
-
-    /** Insert a pass immediately after the named pass. */
-    bool insertAfter(const std::string& anchor,
-                     std::unique_ptr<Pass> pass);
-
-    /** Remove the first pass with the given name. */
-    bool remove(const std::string& name);
-
-    bool contains(const std::string& name) const;
-
-    /** Registered pass names, in execution order. */
+    /** Appended pass names, in execution order. */
     std::vector<std::string> passNames() const;
 
     size_t size() const { return passes_.size(); }
@@ -59,8 +44,6 @@ class PassManager
     void run(CompilationContext& context) const;
 
   private:
-    size_t indexOf(const std::string& name) const;
-
     std::vector<std::unique_ptr<Pass>> passes_;
 };
 

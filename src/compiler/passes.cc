@@ -1,6 +1,7 @@
 #include "compiler/passes.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "compiler/mapping.h"
 #include "compiler/routing.h"
 #include "compiler/routing_strategy.h"
-#include "compiler/teleport_router.h"
 #include "compiler/translate.h"
 #include "nuop/decomposition_strategy.h"
 
@@ -94,17 +94,8 @@ class RoutingPass : public Pass
                             const Topology& coupling,
                             const std::string& name) const
     {
-        // The built-in SABRE and teleport routers take their tuning
-        // from the compile options; other names resolve through the
-        // registry (whose factories take no options).
-        std::unique_ptr<RoutingStrategy> router;
-        if (name == "sabre")
-            router = std::make_unique<SabreRouter>(ctx.options().sabre);
-        else if (name == "telesabre")
-            router = std::make_unique<TeleportRouter>(
-                ctx.options().sabre, ctx.options().teleport);
-        else
-            router = makeRoutingStrategy(name);
+        std::unique_ptr<RoutingStrategy> router = makeRoutingStrategy(
+            name, ctx.options().sabre, ctx.options().teleport);
         // Routing scratch (distance tables, DAG, frontier sets) bumps
         // from the compile arena; rewind it per candidate so best-of
         // runs reuse the same warm blocks instead of accumulating.
@@ -157,21 +148,21 @@ class RoutingPass : public Pass
     }
 
     /**
-     * The best-of-N meta-router: route with every registered
-     * strategy and keep the best predicted-fidelity result (ties
-     * break on fewer SWAPs, then registry-name order, so the choice
-     * is deterministic).
+     * The best-of meta-router: route with each distinct router and
+     * keep the best predicted-fidelity result (ties break on fewer
+     * SWAPs, then candidate order, so the choice is deterministic).
+     * It only runs on single-core couplings, where "telesabre" routes
+     * exactly as "sabre", so the candidates are greedy and sabre.
      */
     RoutedCircuit routeBestOf(CompilationContext& ctx,
                               const Topology& coupling,
                               std::string& winner) const
     {
-        std::vector<std::string> names = routingStrategyNames();
-        QISET_REQUIRE(!names.empty(), "no routing strategies registered");
+        static const char* const kCandidates[] = {"greedy", "sabre"};
         RoutedCircuit best;
         double best_fidelity = -1.0;
         std::ostringstream summary;
-        for (const std::string& name : names) {
+        for (const char* name : kCandidates) {
             RoutedCircuit candidate = routeWith(ctx, coupling, name);
             double fidelity = predictedFidelity(ctx, candidate);
             summary << ' ' << name << "=" << candidate.swaps_inserted
@@ -186,7 +177,7 @@ class RoutingPass : public Pass
             }
         }
         ctx.reportCounter("best_of_candidates",
-                          static_cast<double>(names.size()));
+                          static_cast<double>(std::size(kCandidates)));
         ctx.reportCounter("best_of_predicted_fidelity", best_fidelity);
         ctx.diagnostic("routing: best-of candidates:" + summary.str());
         winner = "best-of[" + winner + "]";

@@ -104,7 +104,7 @@ class ProfileCache
         const DecompositionStrategy& strategy,
         LocalCacheCounters* local = nullptr, bool tally_hit = true);
 
-    /** Baseline overload: the "nuop" engine (pre-registry behavior). */
+    /** Baseline overload: the "nuop" engine. */
     std::shared_ptr<const GateProfile>
     get(const Matrix& target, const GateSpec& spec,
         const NuOpDecomposer& decomposer,

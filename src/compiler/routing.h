@@ -48,9 +48,8 @@ struct RoutedCircuit
  * Route a logical circuit onto the given connectivity (the induced
  * subgraph of the chosen physical qubits, in register-position
  * numbering) by greedy nearest-neighbor SWAP chains. Logical qubit l
- * starts at register position l. This is the "greedy" strategy of the
- * RoutingStrategy registry (routing_strategy.h); alternative routers
- * plug in there.
+ * starts at register position l. This is the "greedy" strategy of
+ * routing_strategy.h, next to the "sabre" and "telesabre" routers.
  */
 RoutedCircuit routeCircuit(const Circuit& logical,
                            const Topology& coupling);

@@ -1,137 +1,108 @@
 #include "compiler/routing_strategy.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
-#include "compiler/teleport_router.h"
-#include "qc/gates.h"
 
 namespace qiset {
 
-// ------------------------------------------------------------ registry
-
-namespace {
-
-using Registry = std::map<std::string, RoutingStrategyFactory>;
-
-std::mutex&
-registryMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-/** Lazily-built registry pre-seeded with the built-in strategies. */
-Registry&
-registryMap()
-{
-    static Registry registry = [] {
-        Registry builtins;
-        builtins["greedy"] = [] {
-            return std::unique_ptr<RoutingStrategy>(new GreedyRouter());
-        };
-        builtins["sabre"] = [] {
-            return std::unique_ptr<RoutingStrategy>(new SabreRouter());
-        };
-        builtins["telesabre"] = [] {
-            return std::unique_ptr<RoutingStrategy>(
-                new TeleportRouter());
-        };
-        return builtins;
-    }();
-    return registry;
-}
-
-} // namespace
-
-bool
-registerRoutingStrategy(const std::string& name,
-                        RoutingStrategyFactory factory)
-{
-    QISET_REQUIRE(factory != nullptr,
-                  "cannot register a null routing strategy factory");
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return registryMap().emplace(name, std::move(factory)).second;
-}
+// ------------------------------------------------------------ factory
 
 std::unique_ptr<RoutingStrategy>
-makeRoutingStrategy(const std::string& name)
+makeRoutingStrategy(const std::string& name, const SabreOptions& sabre,
+                    const TeleportOptions& teleport)
 {
-    RoutingStrategyFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(registryMutex());
-        auto it = registryMap().find(name);
-        if (it != registryMap().end())
-            factory = it->second;
-    }
-    if (!factory) {
-        std::ostringstream known;
-        for (const auto& existing : routingStrategyNames())
-            known << ' ' << existing;
-        fatal("unknown routing strategy \"", name,
-              "\"; registered:", known.str());
-    }
-    auto strategy = factory();
-    QISET_REQUIRE(strategy != nullptr, "routing strategy factory for \"",
-                  name, "\" returned null");
-    return strategy;
+    if (name == "greedy")
+        return std::make_unique<GreedyRouter>();
+    if (name == "sabre")
+        return std::make_unique<SabreRouter>(sabre);
+    if (name == "telesabre")
+        return std::make_unique<TeleportRouter>(sabre, teleport);
+    std::ostringstream known;
+    for (const auto& existing : routingStrategyNames())
+        known << ' ' << existing;
+    fatal("unknown routing strategy \"", name, "\"; known:", known.str());
 }
 
 std::vector<std::string>
 routingStrategyNames()
 {
-    std::lock_guard<std::mutex> lock(registryMutex());
-    std::vector<std::string> names;
-    names.reserve(registryMap().size());
-    for (const auto& [name, factory] : registryMap())
-        names.push_back(name);
-    return names;
+    return {"greedy", "sabre", "telesabre"};
 }
 
 // ------------------------------------------------------------- greedy
 
 RoutedCircuit
 GreedyRouter::route(const Circuit& logical, const Topology& coupling,
-                    const Schedule& schedule) const
+                    const Schedule& schedule, MemArena& arena) const
 {
     (void)schedule; // greedy looks one gate ahead only
+    (void)arena;    // and keeps no per-route scratch
     return routeCircuit(logical, coupling);
 }
 
-// -------------------------------------------------------------- sabre
+// ------------------------------------------------- sabre and telesabre
 
 namespace {
 
 /**
- * All-pairs BFS distances on the coupling graph, bump-allocated as a
- * flat n x n row-major table (dist[a * n + b]); the BFS queue is an
- * arena array walked by index.
+ * The teleport links a pass may cross: the coupling's when telesabre
+ * routes a multi-core coupling (`teleport` set), none for SABRE.
  */
-const int*
-allPairsDistance(const Topology& coupling, MemArena& arena)
+const std::vector<TeleportEdge>&
+crossableLinks(const Topology& coupling, const TeleportOptions* teleport)
+{
+    static const std::vector<TeleportEdge> none;
+    return teleport ? coupling.teleportEdges() : none;
+}
+
+/**
+ * All-pairs shortest distances over coupling edges (weight 1) plus
+ * the crossable teleport links (weight teleport_weight),
+ * bump-allocated as a flat n x n row-major table (dist[a * n + b]).
+ * Without links every entry is the exact BFS hop count. Dense
+ * Dijkstra per source — routing couplings are circuit-sized and the
+ * table is built once per route.
+ */
+const double*
+allPairsDistance(const Topology& coupling, const TeleportOptions* teleport,
+                 MemArena& arena)
 {
     int n = coupling.numQubits();
-    int* dist = arena.allocateArray<int>(static_cast<size_t>(n) * n);
-    std::fill(dist, dist + static_cast<size_t>(n) * n, -1);
-    int* frontier = arena.allocateArray<int>(n);
+    double* dist =
+        arena.allocateArray<double>(static_cast<size_t>(n) * n);
+    const double kInf = 1e300;
+    std::fill(dist, dist + static_cast<size_t>(n) * n, kInf);
+    bool* done = arena.allocateArray<bool>(n);
+    const auto& links = crossableLinks(coupling, teleport);
     for (int source = 0; source < n; ++source) {
-        int* row = dist + static_cast<size_t>(source) * n;
-        row[source] = 0;
-        size_t head = 0;
-        size_t tail = 0;
-        frontier[tail++] = source;
-        while (head < tail) {
-            int node = frontier[head++];
-            for (int next : coupling.neighbors(node)) {
-                if (row[next] >= 0)
-                    continue;
-                row[next] = row[node] + 1;
-                frontier[tail++] = next;
+        double* row = dist + static_cast<size_t>(source) * n;
+        std::fill(done, done + n, false);
+        row[source] = 0.0;
+        for (int it = 0; it < n; ++it) {
+            int u = -1;
+            for (int v = 0; v < n; ++v)
+                if (!done[v] && (u < 0 || row[v] < row[u]))
+                    u = v;
+            if (u < 0 || row[u] >= kInf)
+                break;
+            done[u] = true;
+            for (int v : coupling.neighbors(u))
+                row[v] = std::min(row[v], row[u] + 1.0);
+            for (const TeleportEdge& link : links) {
+                if (link.comm_a == u)
+                    row[link.comm_b] =
+                        std::min(row[link.comm_b],
+                                 row[u] + teleport->teleport_weight);
+                else if (link.comm_b == u)
+                    row[link.comm_a] =
+                        std::min(row[link.comm_a],
+                                 row[u] + teleport->teleport_weight);
             }
         }
     }
@@ -207,17 +178,28 @@ using ArenaRankSet = std::set<std::pair<int, int>,
 /**
  * One SABRE pass over `order`. Starts from `position` (position[l] =
  * register slot of logical qubit l), returns the final mapping. When
- * `out` is given, mapped ops and inserted SWAPs are emitted into it
- * and *swaps_out counts the insertions; refinement passes leave both
- * null and only advance the mapping. Fully deterministic: ties break
- * on op/edge order, never on randomness.
+ * `out` is given, mapped ops and inserted moves are emitted into its
+ * circuit and counted in its counters; refinement passes leave it
+ * null and only advance the mapping.
+ *
+ * With `teleport` set (telesabre on a multi-core coupling) the pass
+ * adds the link-only parts: exchange teleportations across the
+ * coupling's links are candidate moves next to intra-core SWAPs, each
+ * crossing is emitted under a CommQubitLedger reservation, the exact
+ * inverse of the previous move is skipped, and the progress fallback
+ * walks the weighted distance table through links.
+ *
+ * Fully deterministic: ties break on op/edge order, never on
+ * randomness, and intra-core SWAPs win score ties against link
+ * crossings (links are the expensive move).
  */
 std::vector<int>
 runSabrePass(const Circuit& logical, const std::vector<int>& order,
              const std::vector<int>& lookahead_rank,
-             const Topology& coupling, const int* dist,
-             const SabreOptions& opt, std::vector<int> position,
-             Circuit* out, int* swaps_out, MemArena& arena)
+             const Topology& coupling, const double* dist,
+             const SabreOptions& opt, const TeleportOptions* teleport,
+             std::vector<int> position, RoutedCircuit* out,
+             MemArena& arena)
 {
     int n = coupling.numQubits();
     RoutingState state(std::move(position));
@@ -226,6 +208,14 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     // annotations are only touched when an executed op is emitted
     // (and then column-copied without re-interning or re-allocating).
     const std::vector<Qubits>& op_qubits = logical.opQubits();
+    const std::vector<TeleportEdge>& links =
+        crossableLinks(coupling, teleport);
+
+    // Comm-qubit occupancy: both endpoints of a link are reserved
+    // exclusively for the duration of each crossing.
+    std::optional<CommQubitLedger> ledger;
+    if (teleport)
+        ledger.emplace(coupling);
 
     Dag dag = buildDag(op_qubits, order, n, arena);
     ArenaIntSet front{ArenaAllocator<int>(arena)};
@@ -244,26 +234,139 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     double* decay = arena.allocateArray<double>(n);
     std::fill(decay, decay + n, 1.0);
 
+    // Link edges incident to each slot, for candidate collection and
+    // the link-aware fallback.
+    auto links_at = makeArenaVector<std::pair<int, int>>(arena);
+    for (size_t e = 0; e < links.size(); ++e) {
+        links_at.emplace_back(links[e].comm_a, static_cast<int>(e));
+        links_at.emplace_back(links[e].comm_b, static_cast<int>(e));
+    }
+    std::sort(links_at.begin(), links_at.end());
+
     // Per-iteration worklists, hoisted so each keeps its high-water
     // capacity across the whole pass (one arena bump each).
     auto executable = makeArenaVector<int>(arena);
     auto extended = makeArenaVector<int>(arena);
     auto front_gates = makeArenaVector<int>(arena);
-    auto candidates =
-        makeArenaVector<std::pair<int, int>>(arena);
+    auto swap_candidates = makeArenaVector<std::pair<int, int>>(arena);
+    auto link_candidates = makeArenaVector<int>(arena);
     int swaps_since_reset = 0;
     int swaps_since_progress = 0;
-    // Past this many SWAPs without executing anything, fall back to
-    // deterministic shortest-path SWAPs for the oldest blocked gate —
+    // Past this many moves without executing anything, fall back to
+    // deterministic shortest-path moves for the oldest blocked gate —
     // each strictly shrinks its distance, so the pass always finishes.
     const int stuck_threshold = 10 * std::max(1, n);
+    // The previous move, as an ascending slot pair. With links, its
+    // exact inverse is skipped while no gate has executed in between:
+    // both SWAP and exchange teleportation are involutions, so this
+    // cheaply breaks 2-cycles the pure distance score cannot see (a
+    // comm-pair teleport leaves the score unchanged).
+    std::pair<int, int> last_move{-1, -1};
 
     auto apply_swap = [&](int slot_a, int slot_b) {
         if (out) {
-            addSwapOp(*out, slot_a, slot_b);
-            ++*swaps_out;
+            addSwapOp(out->circuit, slot_a, slot_b);
+            ++out->swaps_inserted;
         }
         state.swapSlots(slot_a, slot_b);
+        last_move = {std::min(slot_a, slot_b), std::max(slot_a, slot_b)};
+    };
+    auto apply_link = [&](int edge_idx) {
+        const TeleportEdge& link = links[static_cast<size_t>(edge_idx)];
+        if (out) {
+            bool a_ok = ledger->reserve(link.comm_a);
+            bool b_ok = ledger->reserve(link.comm_b);
+            QISET_ASSERT(a_ok && b_ok,
+                         "comm qubit reserved twice for one crossing");
+            if (teleport->use_teleport) {
+                addTeleportOp(out->circuit, link.comm_a, link.comm_b,
+                              1.0 - link.epr_fidelity,
+                              link.mean_attempts *
+                                  link.attempt_duration_ns);
+                ++out->teleports_inserted;
+                out->epr_attempts += link.mean_attempts;
+            } else {
+                double pair3 = link.epr_fidelity * link.epr_fidelity *
+                               link.epr_fidelity;
+                addTeleportSwapOp(out->circuit, link.comm_a, link.comm_b,
+                                  1.0 - pair3,
+                                  3.0 * link.mean_attempts *
+                                      link.attempt_duration_ns);
+                ++out->swaps_inserted;
+                out->epr_attempts += 3.0 * link.mean_attempts;
+            }
+            ledger->release(link.comm_a);
+            ledger->release(link.comm_b);
+        }
+        state.swapSlots(link.comm_a, link.comm_b);
+        last_move = {std::min(link.comm_a, link.comm_b),
+                     std::max(link.comm_a, link.comm_b)};
+    };
+
+    // Deterministic progress fallback: one move along a shortest path
+    // from the oldest blocked gate's pair. Without links that is the
+    // first SWAP of a BFS shortest path. With links it is one move
+    // along a weighted shortest path; when the remaining path is a
+    // bare link whose far comm slot holds the partner logical (an
+    // exchange teleport would only swap the pair), the far comm slot
+    // is vacated with an intra-core SWAP first.
+    auto fallback_move = [&] {
+        Qubits qs = op_qubits[static_cast<size_t>(*front.begin())];
+        int pa = state.position[qs[0]];
+        int pb = state.position[qs[1]];
+        if (!teleport) {
+            auto path = coupling.shortestPath(pa, pb);
+            QISET_ASSERT(path.size() >= 3, "non-adjacent pair with a "
+                                           "path shorter than 3 nodes");
+            apply_swap(path[0], path[1]);
+            return;
+        }
+        double here = dist[static_cast<size_t>(pa) * n + pb];
+        int hop = -1;
+        bool hop_is_link = false;
+        int hop_edge = -1;
+        const double eps = 1e-9;
+        for (int v : coupling.neighbors(pa)) {
+            if (v == pb)
+                continue; // adjacent pairs never reach the fallback
+            if (std::abs(1.0 + dist[static_cast<size_t>(v) * n + pb] -
+                         here) <= eps &&
+                (hop < 0 || v < hop)) {
+                hop = v;
+                hop_is_link = false;
+            }
+        }
+        for (const auto& [slot, e] : links_at) {
+            if (slot != pa)
+                continue;
+            const TeleportEdge& link = links[static_cast<size_t>(e)];
+            int far = link.comm_a == pa ? link.comm_b : link.comm_a;
+            if (far == pb)
+                continue;
+            if (std::abs(teleport->teleport_weight +
+                         dist[static_cast<size_t>(far) * n + pb] -
+                         here) <= eps &&
+                (hop < 0 || far < hop)) {
+                hop = far;
+                hop_is_link = true;
+                hop_edge = e;
+            }
+        }
+        if (hop < 0) {
+            // Shortest route ends with the link whose far slot is pb:
+            // move the partner one coupling hop off the comm slot so
+            // the crossing becomes productive.
+            const auto& away = coupling.neighbors(pb);
+            QISET_ASSERT(!away.empty(),
+                         "blocked gate on an isolated comm qubit");
+            int lowest = *std::min_element(away.begin(), away.end());
+            apply_swap(pb, lowest);
+            return;
+        }
+        if (hop_is_link)
+            apply_link(hop_edge);
+        else
+            apply_swap(pa, hop);
     };
 
     while (!front.empty()) {
@@ -285,7 +388,7 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
                             ? Qubits(state.position[qs[0]],
                                      state.position[qs[1]])
                             : Qubits(state.position[qs[0]]);
-                    out->add(
+                    out->circuit.add(
                         logical.ops()[static_cast<size_t>(id)], moved);
                 }
                 if (qs.isTwoQubit())
@@ -299,46 +402,53 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             std::fill(decay, decay + n, 1.0);
             swaps_since_reset = 0;
             swaps_since_progress = 0;
+            last_move = {-1, -1};
             continue;
         }
 
         // Everything in the front layer is a blocked 2Q gate.
         if (++swaps_since_progress > stuck_threshold) {
-            Qubits qs = op_qubits[static_cast<size_t>(*front.begin())];
-            auto path = coupling.shortestPath(state.position[qs[0]],
-                                              state.position[qs[1]]);
-            QISET_ASSERT(path.size() >= 3, "non-adjacent pair with a "
-                                           "path shorter than 3 nodes");
-            apply_swap(path[0], path[1]);
+            fallback_move();
             continue;
         }
 
-        // Extended set: the next lookahead gates by schedule order.
+        // Extended set: the next lookahead gates by schedule order,
+        // at most extended_set_size of them.
         extended.clear();
         for (const auto& [rank, id] : pending_2q) {
-            if (front.count(id))
-                continue;
-            extended.push_back(id);
             if (static_cast<int>(extended.size()) >=
                 opt.extended_set_size)
                 break;
+            if (!front.count(id))
+                extended.push_back(id);
         }
 
-        // Candidate SWAPs: every coupling edge touching a position
-        // that holds a front-layer logical qubit. Collected into the
-        // reused worklist and deduped by sort+unique (same ascending
-        // order a std::set would yield, without per-node churn).
-        candidates.clear();
-        for (int id : front)
-            for (int l : op_qubits[static_cast<size_t>(id)])
-                for (int neighbor : coupling.neighbors(state.position[l]))
-                    candidates.emplace_back(
-                        std::min(state.position[l], neighbor),
-                        std::max(state.position[l], neighbor));
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end()),
-            candidates.end());
+        // Candidate moves: every coupling edge touching a position
+        // that holds a front-layer logical, plus the link crossings
+        // whose comm slot holds one. Collected into the reused
+        // worklists and deduped by sort+unique (same ascending order
+        // a std::set would yield, without per-node churn).
+        swap_candidates.clear();
+        link_candidates.clear();
+        for (int id : front) {
+            for (int l : op_qubits[static_cast<size_t>(id)]) {
+                int p = state.position[l];
+                for (int neighbor : coupling.neighbors(p))
+                    swap_candidates.emplace_back(std::min(p, neighbor),
+                                                 std::max(p, neighbor));
+                for (const auto& [slot, e] : links_at)
+                    if (slot == p)
+                        link_candidates.push_back(e);
+            }
+        }
+        std::sort(swap_candidates.begin(), swap_candidates.end());
+        swap_candidates.erase(
+            std::unique(swap_candidates.begin(), swap_candidates.end()),
+            swap_candidates.end());
+        std::sort(link_candidates.begin(), link_candidates.end());
+        link_candidates.erase(
+            std::unique(link_candidates.begin(), link_candidates.end()),
+            link_candidates.end());
 
         auto scored_distance = [&](const ArenaVector<int>& gate_ids,
                                    int slot_a, int slot_b) {
@@ -359,27 +469,55 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             }
             return total / static_cast<double>(gate_ids.size());
         };
-
-        front_gates.assign(front.begin(), front.end());
-        double best_score = 0.0;
-        std::pair<int, int> best_edge{-1, -1};
-        for (const auto& [slot_a, slot_b] : candidates) {
+        auto move_score = [&](int slot_a, int slot_b) {
             double score = scored_distance(front_gates, slot_a, slot_b);
             if (!extended.empty())
                 score += opt.extended_set_weight *
                          scored_distance(extended, slot_a, slot_b);
-            score *= std::max(decay[slot_a], decay[slot_b]);
-            if (best_edge.first < 0 || score < best_score) {
+            return score * std::max(decay[slot_a], decay[slot_b]);
+        };
+
+        front_gates.assign(front.begin(), front.end());
+        double best_score = 0.0;
+        std::pair<int, int> best_move{-1, -1};
+        int best_link = -1; // index into links when a crossing wins
+        for (const auto& move : swap_candidates) {
+            if (teleport && move == last_move)
+                continue;
+            double score = move_score(move.first, move.second);
+            if (best_move.first < 0 || score < best_score) {
                 best_score = score;
-                best_edge = {slot_a, slot_b};
+                best_move = move;
             }
         }
-        QISET_ASSERT(best_edge.first >= 0,
-                     "blocked front layer with no candidate SWAPs");
+        for (int e : link_candidates) {
+            const TeleportEdge& link = links[static_cast<size_t>(e)];
+            std::pair<int, int> move{std::min(link.comm_a, link.comm_b),
+                                     std::max(link.comm_a, link.comm_b)};
+            if (move == last_move)
+                continue;
+            double score = move_score(link.comm_a, link.comm_b);
+            if (best_move.first < 0 || score < best_score) {
+                best_score = score;
+                best_move = move;
+                best_link = e;
+            }
+        }
+        if (best_move.first < 0) {
+            // Every candidate was the previous move's inverse; force
+            // progress along the shortest path instead of oscillating.
+            QISET_ASSERT(teleport != nullptr,
+                         "blocked front layer with no candidate SWAPs");
+            fallback_move();
+            continue;
+        }
 
-        apply_swap(best_edge.first, best_edge.second);
-        decay[best_edge.first] += opt.decay_increment;
-        decay[best_edge.second] += opt.decay_increment;
+        if (best_link >= 0)
+            apply_link(best_link);
+        else
+            apply_swap(best_move.first, best_move.second);
+        decay[best_move.first] += opt.decay_increment;
+        decay[best_move.second] += opt.decay_increment;
         if (++swaps_since_reset >= opt.decay_reset_interval) {
             std::fill(decay, decay + n, 1.0);
             swaps_since_reset = 0;
@@ -388,43 +526,20 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     return state.position;
 }
 
-} // namespace
-
-SabreRouter::SabreRouter(SabreOptions options) : options_(options)
-{
-    QISET_REQUIRE(options_.extended_set_size >= 0,
-                  "extended set size must be >= 0");
-    QISET_REQUIRE(options_.decay_reset_interval >= 1,
-                  "decay reset interval must be >= 1");
-    QISET_REQUIRE(options_.refinement_rounds >= 0,
-                  "refinement rounds must be >= 0");
-}
-
+/**
+ * The refine-then-emit driver of both lookahead routers: refinement
+ * passes shape the start layout, then one forward pass emits the
+ * routed circuit. `teleport` enables the link moves (see
+ * runSabrePass).
+ */
 RoutedCircuit
-SabreRouter::route(const Circuit& logical, const Topology& coupling,
-                   const Schedule& schedule) const
+routeSabre(const Circuit& logical, const Topology& coupling,
+           const Schedule& schedule, const SabreOptions& options,
+           const TeleportOptions* teleport, MemArena& arena)
 {
-    // No caller arena (direct router use, e.g. tests/benches): scratch
-    // lives in a route-local arena discarded wholesale on return.
-    MemArena arena;
-    return route(logical, coupling, schedule, arena);
-}
-
-RoutedCircuit
-SabreRouter::route(const Circuit& logical, const Topology& coupling,
-                   const Schedule& schedule, MemArena& arena) const
-{
-    QISET_REQUIRE(coupling.numQubits() == logical.numQubits(),
-                  "coupling graph width must match the circuit");
-    QISET_REQUIRE(coupling.connected() || logical.numQubits() == 1,
-                  "coupling graph must be connected");
-    QISET_REQUIRE(schedule.consistentWith(logical),
-                  "sabre routing needs the schedule of the logical "
-                  "circuit being routed");
-
     int n = logical.numQubits();
     size_t count = logical.size();
-    const int* dist = allPairsDistance(coupling, arena);
+    const double* dist = allPairsDistance(coupling, teleport, arena);
 
     std::vector<int> forward_order(count);
     std::vector<int> reverse_order(count);
@@ -450,26 +565,81 @@ SabreRouter::route(const Circuit& logical, const Topology& coupling,
     // alternating directions and hands its final mapping to the next,
     // so the emitting pass starts from a layout already shaped by the
     // whole circuit.
-    for (int round = 0; round < options_.refinement_rounds; ++round) {
+    for (int round = 0; round < options.refinement_rounds; ++round) {
         bool forward = (round % 2 == 0);
         position = runSabrePass(
             logical, forward ? forward_order : reverse_order,
             forward ? forward_rank : reverse_rank, coupling, dist,
-            options_, std::move(position), nullptr, nullptr, arena);
+            options, teleport, std::move(position), nullptr, arena);
     }
 
     RoutedCircuit out;
     out.circuit = Circuit(n);
-    // Emitted ops = every logical op plus the inserted SWAPs; reserve
-    // for the former so only an unusually SWAP-heavy route regrows.
+    // Emitted ops = every logical op plus the inserted moves; reserve
+    // for the former so only an unusually move-heavy route regrows.
     out.circuit.reserveOps(count);
     out.initial_positions = position;
-    out.swaps_inserted = 0;
     out.final_positions =
         runSabrePass(logical, forward_order, forward_rank, coupling,
-                     dist, options_, std::move(position), &out.circuit,
-                     &out.swaps_inserted, arena);
+                     dist, options, teleport, std::move(position), &out,
+                     arena);
     return out;
+}
+
+} // namespace
+
+SabreRouter::SabreRouter(SabreOptions options) : options_(options)
+{
+    QISET_REQUIRE(options_.extended_set_size >= 0,
+                  "extended set size must be >= 0");
+    QISET_REQUIRE(options_.decay_reset_interval >= 1,
+                  "decay reset interval must be >= 1");
+    QISET_REQUIRE(options_.refinement_rounds >= 0,
+                  "refinement rounds must be >= 0");
+}
+
+RoutedCircuit
+SabreRouter::route(const Circuit& logical, const Topology& coupling,
+                   const Schedule& schedule, MemArena& arena) const
+{
+    QISET_REQUIRE(coupling.numQubits() == logical.numQubits(),
+                  "coupling graph width must match the circuit");
+    QISET_REQUIRE(coupling.connected() || logical.numQubits() == 1,
+                  "coupling graph must be connected");
+    QISET_REQUIRE(schedule.consistentWith(logical),
+                  "sabre routing needs the schedule of the logical "
+                  "circuit being routed");
+    return routeSabre(logical, coupling, schedule, options_, nullptr,
+                      arena);
+}
+
+TeleportRouter::TeleportRouter(SabreOptions sabre, TeleportOptions teleport)
+    : SabreRouter(sabre), teleport_(teleport)
+{
+    QISET_REQUIRE(teleport_.teleport_weight > 0.0,
+                  "teleport weight must be positive");
+}
+
+RoutedCircuit
+TeleportRouter::route(const Circuit& logical, const Topology& coupling,
+                      const Schedule& schedule, MemArena& arena) const
+{
+    // Single-core (or core-less) couplings cannot teleport: route as
+    // SABRE outright so "telesabre" is bit-identical to "sabre" on
+    // every monolithic device.
+    if (coupling.numCores() <= 1)
+        return SabreRouter::route(logical, coupling, schedule, arena);
+
+    QISET_REQUIRE(coupling.numQubits() == logical.numQubits(),
+                  "coupling graph width must match the circuit");
+    QISET_REQUIRE(coupling.connectedWithTeleport(),
+                  "chiplet coupling must be connected through its "
+                  "teleport links");
+    QISET_REQUIRE(schedule.consistentWith(logical),
+                  "telesabre routing needs the schedule of the logical "
+                  "circuit being routed");
+    return routeSabre(logical, coupling, schedule, options(), &teleport_,
+                      arena);
 }
 
 } // namespace qiset

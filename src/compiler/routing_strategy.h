@@ -3,12 +3,11 @@
 
 /**
  * @file
- * Pluggable SWAP-routing strategies.
+ * SWAP-routing strategies: a fixed set of three routers.
  *
- * Routing is a policy, not a fixed algorithm: the RoutingPass
- * resolves CompileOptions::routing through this registry, so new
- * routers drop in without touching the pass pipeline. Two strategies
- * ship built in:
+ * The RoutingPass builds its router with makeRoutingStrategy() from
+ * CompileOptions::routing plus the compile's SabreOptions and
+ * TeleportOptions:
  *
  *  - "greedy": the paper's baseline — walk the op list and close each
  *    non-adjacent 2Q gate with SWAPs along a shortest path
@@ -22,18 +21,17 @@
  *    forward/reverse refinement passes whose final mapping seeds the
  *    emitting pass (so the start layout may be a permutation; see
  *    RoutedCircuit::initial_positions).
- *  - "telesabre": the chiplet-aware extension (teleport_router.h).
- *    On couplings carrying a multi-core structure it weighs intra-core
+ *  - "telesabre": the chiplet-aware extension (TeleportRouter). On
+ *    couplings carrying a multi-core structure it weighs intra-core
  *    SWAP chains against inter-core exchange teleportations; on
- *    single-core couplings it delegates to "sabre" bit-identically.
+ *    single-core couplings it routes exactly as "sabre".
  *
- * Extension point: implement RoutingStrategy, then
- * registerRoutingStrategy("name", factory) once at startup;
- * CompileOptions::routing = "name" selects it everywhere (see
- * src/compiler/README.md).
+ * "sabre" and "telesabre" run one engine (routing_strategy.cc): one
+ * dependency-DAG builder, one all-pairs distance table, one pass loop
+ * and one refine-then-emit driver. The link moves are the only part
+ * telesabre adds, and they run only on multi-core couplings.
  */
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,7 +48,7 @@ class RoutingStrategy
   public:
     virtual ~RoutingStrategy() = default;
 
-    /** Registry name (stable identifier, e.g. "greedy", "sabre"). */
+    /** Stable identifier ("greedy", "sabre", "telesabre"). */
     virtual std::string name() const = 0;
 
     /**
@@ -67,27 +65,26 @@ class RoutingStrategy
      * false. Must satisfy the RoutedCircuit contract: every emitted
      * 2Q op on a coupled pair, positions tracked in
      * initial_positions/final_positions, SWAPs emitted via
-     * addSwapOp().
-     */
-    virtual RoutedCircuit route(const Circuit& logical,
-                                const Topology& coupling,
-                                const Schedule& schedule) const = 0;
-
-    /**
-     * Arena-aware overload: strategies rebuilding large scratch per
-     * route (distance tables, dependency DAGs, frontier sets) may
-     * bump-allocate it from `arena` instead of the heap. Contract:
+     * addSwapOp(). Scratch rebuilt per route (distance tables,
+     * dependency DAGs, frontier sets) bump-allocates from `arena`:
      * every arena allocation is dead by return — the caller resets
      * the arena right after — and the returned RoutedCircuit holds
-     * only regular heap state. The default ignores the arena.
+     * only regular heap state.
      */
     virtual RoutedCircuit route(const Circuit& logical,
                                 const Topology& coupling,
                                 const Schedule& schedule,
-                                MemArena& arena) const
+                                MemArena& arena) const = 0;
+
+    /**
+     * No caller arena (direct router use, e.g. tests/benches):
+     * scratch lives in a route-local arena discarded on return.
+     */
+    RoutedCircuit route(const Circuit& logical, const Topology& coupling,
+                        const Schedule& schedule) const
     {
-        (void)arena;
-        return route(logical, coupling, schedule);
+        MemArena arena;
+        return route(logical, coupling, schedule, arena);
     }
 
     /** Convenience overload building the schedule internally. */
@@ -98,26 +95,6 @@ class RoutingStrategy
                      wantsSchedule() ? Schedule(logical) : Schedule());
     }
 };
-
-using RoutingStrategyFactory =
-    std::function<std::unique_ptr<RoutingStrategy>()>;
-
-/**
- * Register a strategy under `name`.
- * @return false when the name is already taken (registration ignored).
- */
-bool registerRoutingStrategy(const std::string& name,
-                             RoutingStrategyFactory factory);
-
-/**
- * Instantiate the strategy registered under `name`.
- * Throws FatalError for unknown names (message lists what exists).
- */
-std::unique_ptr<RoutingStrategy>
-makeRoutingStrategy(const std::string& name);
-
-/** Registered strategy names, sorted. */
-std::vector<std::string> routingStrategyNames();
 
 /** The baseline greedy nearest-neighbor router (wraps routeCircuit). */
 class GreedyRouter : public RoutingStrategy
@@ -130,7 +107,8 @@ class GreedyRouter : public RoutingStrategy
     bool wantsSchedule() const override { return false; }
 
     RoutedCircuit route(const Circuit& logical, const Topology& coupling,
-                        const Schedule& schedule) const override;
+                        const Schedule& schedule,
+                        MemArena& arena) const override;
 };
 
 /** Tuning knobs of the SABRE-style router. */
@@ -172,7 +150,7 @@ struct TeleportOptions
     double teleport_weight = 2.0;
 };
 
-/** SABRE-style lookahead router ("sabre" in the registry). */
+/** SABRE-style lookahead router ("sabre"). */
 class SabreRouter : public RoutingStrategy
 {
   public:
@@ -182,11 +160,6 @@ class SabreRouter : public RoutingStrategy
 
     std::string name() const override { return "sabre"; }
 
-    /** Routes via a private arena (scratch discarded on return). */
-    RoutedCircuit route(const Circuit& logical, const Topology& coupling,
-                        const Schedule& schedule) const override;
-
-    /** Bump-allocates all routing scratch from `arena`. */
     RoutedCircuit route(const Circuit& logical, const Topology& coupling,
                         const Schedule& schedule,
                         MemArena& arena) const override;
@@ -196,6 +169,61 @@ class SabreRouter : public RoutingStrategy
   private:
     SabreOptions options_;
 };
+
+/**
+ * TeleSABRE-style router for modular (chiplet) devices ("telesabre").
+ *
+ * It extends the SABRE lookahead loop to couplings that carry a core
+ * structure (Topology::setCores / gridOfGrids): per blocked frontier
+ * gate it weighs intra-core SWAP chains against inter-core *exchange
+ * teleportations* — SWAP-semantics moves across a TeleportEdge's comm
+ * qubit pair, each consuming one EPR pair under the edge's attempt
+ * model — over a weighted all-pairs distance table (coupling hop = 1,
+ * link hop = TeleportOptions::teleport_weight). Chosen teleports are
+ * emitted as explicit "TELEPORT" ops (addTeleportOp) that the rest of
+ * the pipeline passes through as native link operations; comm-qubit
+ * occupancy is modeled through a CommQubitLedger reservation around
+ * every link crossing.
+ *
+ * With TeleportOptions::use_teleport = false the router routes
+ * identically but crosses links with "TELESWAP" ops — the SWAP-only
+ * gate-teleportation baseline at three EPR pairs per crossing — which
+ * is exactly the comparison bench_chiplet gates on.
+ *
+ * On couplings with at most one core it routes as SabreRouter with
+ * the same SabreOptions, bit-identically — single-core devices cannot
+ * tell "telesabre" from "sabre".
+ */
+class TeleportRouter : public SabreRouter
+{
+  public:
+    using SabreRouter::route;
+
+    explicit TeleportRouter(SabreOptions sabre = SabreOptions(),
+                            TeleportOptions teleport = TeleportOptions());
+
+    std::string name() const override { return "telesabre"; }
+
+    RoutedCircuit route(const Circuit& logical, const Topology& coupling,
+                        const Schedule& schedule,
+                        MemArena& arena) const override;
+
+  private:
+    TeleportOptions teleport_;
+};
+
+/**
+ * Build the router called `name` ("greedy", "sabre" or "telesabre")
+ * with the given tuning; greedy takes none. Throws FatalError for
+ * any other name (the message lists the known ones).
+ */
+std::unique_ptr<RoutingStrategy>
+makeRoutingStrategy(const std::string& name,
+                    const SabreOptions& sabre = SabreOptions(),
+                    const TeleportOptions& teleport = TeleportOptions());
+
+/** The names makeRoutingStrategy() accepts, sorted. */
+std::vector<std::string> routingStrategyNames();
 
 } // namespace qiset
 

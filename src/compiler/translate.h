@@ -121,7 +121,7 @@ TranslateResult translateCircuit(const Circuit& routed,
                                  ThreadPool* pool = nullptr,
                                  size_t max_parallelism = 0);
 
-/** Baseline overload: the "nuop" engine (pre-registry behavior). */
+/** Baseline overload: the "nuop" engine. */
 TranslateResult translateCircuit(const Circuit& routed,
                                  const std::vector<int>& physical,
                                  const Device& device,

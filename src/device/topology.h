@@ -11,7 +11,8 @@
  * bounded capacity, and cores are linked by TeleportEdges between
  * designated communication qubits. Coupling edges never cross cores on
  * such devices; the only inter-core channel is EPR-mediated
- * teleportation, which the TeleportRouter ("telesabre") models.
+ * teleportation, which the "telesabre" router (TeleportRouter in
+ * compiler/routing_strategy.h) models.
  * Topologies without cores behave exactly as before.
  */
 
@@ -175,8 +176,9 @@ class Topology
     /**
      * True when every qubit reaches every other via coupling edges
      * plus teleport links. This is the connectivity contract the
-     * TeleportRouter requires (multi-core topologies fail the plain
-     * connected() check because coupling never crosses cores).
+     * "telesabre" router requires on multi-core couplings (they fail
+     * the plain connected() check because coupling never crosses
+     * cores).
      */
     bool connectedWithTeleport() const;
 

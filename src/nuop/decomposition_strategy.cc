@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
@@ -281,14 +278,6 @@ appendWeylKey(std::string& out, const Matrix& target)
     out.append(buffer, static_cast<size_t>(len));
 }
 
-std::string
-weylKey(const Matrix& target)
-{
-    std::string out;
-    appendWeylKey(out, target);
-    return out;
-}
-
 /**
  * The historical BFGS profile ladder: fits for layer counts 0..max
  * until the exact threshold is reached. The "nuop" engine (and the
@@ -465,12 +454,6 @@ class NuOpStrategy : public DecompositionStrategy
   public:
     std::string name() const override { return "nuop"; }
 
-    std::string cacheKey(const Matrix& target,
-                         const GateSpec& spec) const override
-    {
-        return "nuop|" + profileKeyCore(target, spec);
-    }
-
     void cacheKeyInto(std::string& out, const Matrix& target,
                       const GateSpec& spec) const override
     {
@@ -496,12 +479,6 @@ class KakStrategy : public DecompositionStrategy
     Matrix profileTarget(const Matrix& target) const override
     {
         return canonicalGate(canonicalWeylCoordinates(target));
-    }
-
-    std::string cacheKey(const Matrix& target,
-                         const GateSpec& spec) const override
-    {
-        return "kak|" + spec.type_name + '|' + weylKey(target);
     }
 
     void cacheKeyInto(std::string& out, const Matrix& target,
@@ -538,12 +515,6 @@ class AutoStrategy : public DecompositionStrategy
         return canonicalGate(canonicalWeylCoordinates(target));
     }
 
-    std::string cacheKey(const Matrix& target,
-                         const GateSpec& spec) const override
-    {
-        return "auto|" + spec.type_name + '|' + weylKey(target);
-    }
-
     void cacheKeyInto(std::string& out, const Matrix& target,
                       const GateSpec& spec) const override
     {
@@ -574,83 +545,19 @@ class AutoStrategy : public DecompositionStrategy
     }
 };
 
-using Registry = std::map<std::string, DecompositionStrategyFactory>;
-
-std::mutex&
-registryMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-/** Lazily-built registry pre-seeded with the built-in engines. */
-Registry&
-registryMap()
-{
-    static Registry registry = [] {
-        Registry builtins;
-        builtins["nuop"] = [] {
-            return std::unique_ptr<DecompositionStrategy>(
-                new NuOpStrategy());
-        };
-        builtins["kak"] = [] {
-            return std::unique_ptr<DecompositionStrategy>(
-                new KakStrategy());
-        };
-        builtins["auto"] = [] {
-            return std::unique_ptr<DecompositionStrategy>(
-                new AutoStrategy());
-        };
-        return builtins;
-    }();
-    return registry;
-}
-
 } // namespace
-
-bool
-registerDecompositionStrategy(const std::string& name,
-                              DecompositionStrategyFactory factory)
-{
-    QISET_REQUIRE(factory != nullptr,
-                  "cannot register a null decomposition strategy factory");
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return registryMap().emplace(name, std::move(factory)).second;
-}
 
 std::unique_ptr<DecompositionStrategy>
 makeDecompositionStrategy(const std::string& name)
 {
-    DecompositionStrategyFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(registryMutex());
-        auto it = registryMap().find(name);
-        if (it != registryMap().end())
-            factory = it->second;
-    }
-    if (!factory) {
-        std::ostringstream known;
-        for (const auto& existing : decompositionStrategyNames())
-            known << ' ' << existing;
-        fatal("unknown decomposition strategy \"", name,
-              "\"; registered:", known.str());
-    }
-    auto strategy = factory();
-    QISET_REQUIRE(strategy != nullptr,
-                  "decomposition strategy factory for \"", name,
-                  "\" returned null");
-    return strategy;
-}
-
-std::vector<std::string>
-decompositionStrategyNames()
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    std::vector<std::string> names;
-    names.reserve(registryMap().size());
-    for (const auto& [name, factory] : registryMap())
-        names.push_back(name);
-    return names;
+    if (name == "nuop")
+        return std::make_unique<NuOpStrategy>();
+    if (name == "kak")
+        return std::make_unique<KakStrategy>();
+    if (name == "auto")
+        return std::make_unique<AutoStrategy>();
+    fatal("unknown decomposition strategy \"", name,
+          "\"; known: auto kak nuop");
 }
 
 const DecompositionStrategy&

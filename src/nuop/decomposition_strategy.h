@@ -7,9 +7,9 @@
  *
  * Translation is a policy, not a fixed algorithm: how a (target
  * unitary, hardware gate type) pair turns into a fidelity profile is
- * delegated to a DecompositionStrategy resolved from a name registry
- * (mirroring RoutingStrategy for SWAP routing). Three engines ship
- * built in:
+ * delegated to a DecompositionStrategy that makeDecompositionStrategy()
+ * builds from CompileOptions::decomposition (mirroring RoutingStrategy
+ * for SWAP routing). The set of engines is fixed:
  *
  *  - "nuop": the paper's numerical engine — BFGS multistarts over
  *    layered templates (Section V). Bit-identical to the historical
@@ -30,14 +30,8 @@
  * consolidation dress them with 1Q factors) share one profile entry,
  * and the translator re-dresses the cached circuit with the exact
  * local factors at emission time (localFactorsBetween).
- *
- * Extension point: implement DecompositionStrategy, then
- * registerDecompositionStrategy("name", factory) once at startup;
- * CompileOptions::decomposition = "name" selects it everywhere (see
- * src/compiler/README.md).
  */
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,7 +95,7 @@ class DecompositionStrategy
   public:
     virtual ~DecompositionStrategy() = default;
 
-    /** Registry name ("nuop", "kak", "auto"). */
+    /** Engine name ("nuop", "kak", "auto"). */
     virtual std::string name() const = 0;
 
     /**
@@ -123,26 +117,15 @@ class DecompositionStrategy
     }
 
     /**
-     * Cache key of (target, spec). Embeds the engine tag (and the
-     * canonicalized class for canonicalizing engines) so different
-     * strategies never collide inside one shared ProfileCache.
-     */
-    virtual std::string cacheKey(const Matrix& target,
-                                 const GateSpec& spec) const = 0;
-
-    /**
-     * Append cacheKey(target, spec) to `out`. The profile cache calls
-     * this with a reused buffer so warm lookups build their key
-     * without touching the heap; the built-in engines override it
-     * with append-only implementations, and the default simply
-     * delegates to cacheKey() so external strategies stay correct
-     * (just not allocation-free) without changes.
+     * Append the cache key of (target, spec) to `out`. The key embeds
+     * the engine tag (and the canonicalized class for canonicalizing
+     * engines) so different strategies never collide inside one
+     * shared ProfileCache. The profile cache calls this with a reused
+     * buffer so warm lookups build their key without touching the
+     * heap.
      */
     virtual void cacheKeyInto(std::string& out, const Matrix& target,
-                              const GateSpec& spec) const
-    {
-        out += cacheKey(target, spec);
-    }
+                              const GateSpec& spec) const = 0;
 
     /**
      * Compute the full layer-fit profile of decomposing
@@ -155,29 +138,16 @@ class DecompositionStrategy
                    const NuOpDecomposer& decomposer) const = 0;
 };
 
-using DecompositionStrategyFactory =
-    std::function<std::unique_ptr<DecompositionStrategy>()>;
-
 /**
- * Register an engine under `name`.
- * @return false when the name is already taken (registration ignored).
- */
-bool registerDecompositionStrategy(const std::string& name,
-                                   DecompositionStrategyFactory factory);
-
-/**
- * Instantiate the engine registered under `name`.
- * Throws FatalError for unknown names (message lists what exists).
+ * Build the engine called `name` ("nuop", "kak" or "auto"). Throws
+ * FatalError for any other name (the message lists the known ones).
  */
 std::unique_ptr<DecompositionStrategy>
 makeDecompositionStrategy(const std::string& name);
 
-/** Registered engine names, sorted. */
-std::vector<std::string> decompositionStrategyNames();
-
 /**
  * Shared immutable instance of the baseline "nuop" engine — the
- * default for legacy entry points that predate the registry.
+ * default for entry points that take no engine name.
  */
 const DecompositionStrategy& nuopDecompositionStrategy();
 

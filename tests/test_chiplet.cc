@@ -22,7 +22,6 @@
 #include "compiler/routing_strategy.h"
 #include "compiler/service.h"
 #include "compiler/shard.h"
-#include "compiler/teleport_router.h"
 #include "device/device.h"
 #include "isa/gate_set.h"
 #include "metrics/trace_export.h"

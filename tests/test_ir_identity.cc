@@ -24,7 +24,6 @@
 #include "compiler/mapping.h"
 #include "compiler/pipeline.h"
 #include "compiler/routing_strategy.h"
-#include "compiler/teleport_router.h"
 #include "device/device.h"
 #include "isa/gate_set.h"
 #include "qc/gates.h"

@@ -284,10 +284,11 @@ TEST(Pipeline, UnknownRoutingStrategyFailsLoudly)
 
 TEST(Pipeline, BestOfMetaRouterMatchesBestStrategy)
 {
-    // options.routing = "best-of" routes with every registered
-    // strategy and keeps the best predicted-fidelity result — on a
-    // QFT workload that must be bit-identical to one of the
-    // individual strategies, and deterministic across runs.
+    // options.routing = "best-of" routes with greedy and sabre (the
+    // distinct routers on a single-core coupling) and keeps the best
+    // predicted-fidelity result — on a QFT workload that must be
+    // bit-identical to one of the individual strategies, and
+    // deterministic across runs.
     Rng rng(93);
     Device d = makeSycamore(rng);
     Circuit app = makeQftCircuit(6);
@@ -300,6 +301,14 @@ TEST(Pipeline, BestOfMetaRouterMatchesBestStrategy)
         compileCircuit(app, d, isa::googleSet(3), cache, opts);
     EXPECT_EQ(best.swaps_inserted, best_again.swaps_inserted);
     EXPECT_EQ(best.estimated_fidelity, best_again.estimated_fidelity);
+    int routing_rows = 0;
+    for (const PassMetric& metric : best.pass_metrics) {
+        if (metric.pass != "routing")
+            continue;
+        ++routing_rows;
+        EXPECT_EQ(metric.counters.at("best_of_candidates"), 2.0);
+    }
+    EXPECT_EQ(routing_rows, 1);
 
     std::vector<int> candidate_swaps;
     for (const char* name : {"greedy", "sabre"}) {

@@ -1,4 +1,4 @@
-// SWAP-routing tests: the greedy baseline, the strategy registry and
+// SWAP-routing tests: the greedy baseline, the fixed strategy set and
 // the SABRE-style lookahead router.
 
 #include <algorithm>
@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/qft.h"
+#include "apps/qv.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "compiler/routing.h"
 #include "compiler/routing_strategy.h"
 #include "qc/gates.h"
@@ -185,7 +187,7 @@ TEST(Routing, WidthMismatchThrows)
     EXPECT_THROW(routeCircuit(logical, Topology::line(4)), FatalError);
 }
 
-// ----------------------------------------------------------- registry
+// ------------------------------------------------------- strategy set
 
 TEST(RoutingStrategy, RegistryHasBuiltins)
 {
@@ -201,23 +203,6 @@ TEST(RoutingStrategy, RegistryHasBuiltins)
 TEST(RoutingStrategy, UnknownNameThrows)
 {
     EXPECT_THROW(makeRoutingStrategy("no-such-router"), FatalError);
-}
-
-TEST(RoutingStrategy, CustomStrategyRegisters)
-{
-    // A project-specific router plugs in by name; duplicate names are
-    // rejected so builtins cannot be silently shadowed.
-    bool registered = registerRoutingStrategy("test-custom", [] {
-        return std::unique_ptr<RoutingStrategy>(new GreedyRouter());
-    });
-    EXPECT_TRUE(registered);
-    EXPECT_FALSE(registerRoutingStrategy("test-custom", [] {
-        return std::unique_ptr<RoutingStrategy>(new GreedyRouter());
-    }));
-    EXPECT_FALSE(registerRoutingStrategy("greedy", [] {
-        return std::unique_ptr<RoutingStrategy>(new GreedyRouter());
-    }));
-    EXPECT_EQ(makeRoutingStrategy("test-custom")->name(), "greedy");
 }
 
 TEST(RoutingStrategy, GreedyStrategyMatchesRouteCircuit)
@@ -320,6 +305,53 @@ TEST(SabreRouter, FewerSwapsThanGreedyOnQft16)
             SabreRouter().route(qft, coupling, schedule);
         expectWellFormedRouting(sabre, coupling);
         EXPECT_LT(sabre.swaps_inserted, greedy.swaps_inserted);
+    }
+}
+
+TEST(SabreRouter, EmptyExtendedSetIgnoresItsWeight)
+{
+    // extended_set_size = 0 scores the front layer alone, so the
+    // lookahead weight must not change the route. Covers both routers:
+    // SABRE on lines, telesabre on a two-core chiplet.
+    Rng rng(5);
+    struct Case
+    {
+        Circuit circuit;
+        Topology coupling;
+        bool teleport;
+    };
+    std::vector<Case> cases;
+    for (int n = 5; n <= 10; ++n) {
+        cases.push_back({makeQftCircuit(n), Topology::line(n), false});
+        cases.push_back(
+            {makeQuantumVolumeCircuit(n, rng), Topology::line(n), false});
+    }
+    cases.push_back(
+        {makeQftCircuit(12), Topology::gridOfGrids(1, 2, 2, 3), true});
+
+    for (size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE("case " + std::to_string(i));
+        const Case& c = cases[i];
+        SabreOptions unweighted;
+        unweighted.extended_set_size = 0;
+        unweighted.extended_set_weight = 0.0;
+        SabreOptions weighted = unweighted;
+        weighted.extended_set_weight = 1.0;
+        auto route = [&](const SabreOptions& options) {
+            return makeRoutingStrategy(c.teleport ? "telesabre" : "sabre",
+                                       options)
+                ->route(c.circuit, c.coupling);
+        };
+        RoutedCircuit a = route(unweighted);
+        RoutedCircuit b = route(weighted);
+        EXPECT_EQ(a.initial_positions, b.initial_positions);
+        EXPECT_EQ(a.final_positions, b.final_positions);
+        EXPECT_EQ(a.swaps_inserted, b.swaps_inserted);
+        EXPECT_EQ(a.teleports_inserted, b.teleports_inserted);
+        ASSERT_EQ(a.circuit.size(), b.circuit.size());
+        for (size_t op = 0; op < a.circuit.size(); ++op)
+            EXPECT_EQ(a.circuit.ops()[op].qubits(),
+                      b.circuit.ops()[op].qubits());
     }
 }
 
