@@ -24,6 +24,7 @@
 #include "compiler/mapping.h"
 #include "compiler/pipeline.h"
 #include "compiler/routing_strategy.h"
+#include "compiler/translate.h"
 #include "device/device.h"
 #include "isa/gate_set.h"
 #include "qc/gates.h"
@@ -140,6 +141,30 @@ goldenApp(const std::string& name)
     }
     Rng rng(123);
     return makeRandomQaoaCircuit(8, rng);
+}
+
+/**
+ * Two-qubit blocks where cphase(pi/2^22) repeats, on both qubit
+ * orders, among a dressed controlled-phase, a random SU(4) and 1Q ops.
+ */
+Circuit
+dressingFallbackCircuit()
+{
+    Matrix tiny = gates::cphase(gates::kPi / (1 << 22));
+    Rng rng(2022);
+    Circuit logical(2);
+    logical.add2q(0, 1, tiny, "CP22");
+    logical.add2q(0, 1, gates::zz(0.3), "ZZ");
+    logical.add1q(0, gates::hadamard(), "H");
+    logical.add2q(0, 1, tiny, "CP22");
+    logical.add2q(0, 1, randomSu4(rng), "SU4");
+    logical.add2q(1, 0, tiny, "CP22");
+    logical.add2q(0, 1,
+                  gates::rz(0.4).kron(gates::hadamard()) *
+                      gates::cphase(gates::kPi / 8),
+                  "CP8");
+    logical.add2q(0, 1, tiny, "CP22");
+    return logical;
 }
 
 TEST(IrIdentity, GeneratorsAndPipelineMatchPreSoaGoldens)
@@ -266,6 +291,70 @@ TEST(IrIdentity, BestOfCompileMatchesGolden)
                                           isa::singleTypeSet(3), cache,
                                           options);
     EXPECT_EQ(resultHash(result), 0x3c3d5c368ef63a7cull);
+}
+
+// Compiles through the canonicalizing engines ("kak", "auto"), whose
+// cached profiles implement a Weyl-chamber representative that
+// translation re-dresses per concrete block. Captured before each
+// distinct block was resolved once per compile; must never drift.
+TEST(IrIdentity, CanonicalEngineCompilesMatchGoldens)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    GateSet set = isa::googleSet(3);
+    Circuit qft16 = makeQftCircuit(16);
+    struct Case
+    {
+        const char* engine;
+        uint64_t cold;
+        uint64_t warm;
+    };
+    const Case cases[] = {
+        {"kak", 0xc45b47d4b387eccfull, 0xc45b47d4b387eccfull},
+        {"auto", 0x238c8a46ccb69ed4ull, 0x238c8a46ccb69ed4ull},
+    };
+    for (const Case& c : cases) {
+        CompileOptions options = goldenOptions();
+        options.decomposition = c.engine;
+        ProfileCache cache;
+        EXPECT_EQ(resultHash(compileCircuit(qft16, device, set, cache,
+                                            options)),
+                  c.cold)
+            << c.engine << " cold";
+        EXPECT_EQ(resultHash(compileCircuit(qft16, device, set, cache,
+                                            options)),
+                  c.warm)
+            << c.engine << " warm";
+    }
+}
+
+TEST(IrIdentity, DressingFallbackTranslationMatchesGolden)
+{
+    // cphase(pi/2^22) is so close to the identity that its canonical
+    // dressing fails and "auto" re-selects against raw NuOp profiles
+    // for every such block. The repeats share one cache entry; the
+    // other blocks dress normally.
+    Device pair("pair", Topology::line(2));
+    for (const char* type : {"S1", "S2", "S3", "S4"})
+        pair.setEdgeFidelity(0, 1, type, 0.99);
+    pair.setOneQubitError(0, 0.001);
+    pair.setOneQubitError(1, 0.002);
+    Circuit logical = dressingFallbackCircuit();
+    CompileOptions options = goldenOptions();
+    NuOpDecomposer decomposer(options.nuop);
+    auto automatic = makeDecompositionStrategy("auto");
+    ProfileCache cache;
+    for (const char* pass : {"cold", "warm"}) {
+        TranslateResult result = translateCircuit(
+            logical, {0, 1}, pair, isa::googleSet(3), decomposer,
+            *automatic, cache, options.approximate);
+        EXPECT_EQ(circuitContentHash(result.circuit),
+                  0x379b95db88382c4eull)
+            << pass;
+        EXPECT_EQ(fnvDouble(0, result.estimated_fidelity),
+                  0x118d8f718eadd317ull)
+            << pass;
+    }
 }
 
 TEST(IrIdentity, RenderedTextMatchesPreSoaGoldens)

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/qft.h"
 #include "apps/qv.h"
 #include "common/error.h"
+#include "compiler/pipeline.h"
 #include "compiler/translate.h"
 #include "qc/gates.h"
 
@@ -339,6 +341,142 @@ TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
               uncapped.cache_hits + uncapped.cache_misses);
     EXPECT_EQ(serial.cache_hits, forced_serial.cache_hits);
     EXPECT_EQ(serial.cache_misses, forced_serial.cache_misses);
+}
+
+/** Settings of the compile goldens in test_ir_identity.cc. */
+CompileOptions
+goldenOptions()
+{
+    CompileOptions options;
+    options.approximate = true;
+    options.nuop.max_layers = 5;
+    options.nuop.multistarts = 3;
+    options.nuop.exact_threshold = 1.0 - 1e-6;
+    options.nuop.bfgs.max_iterations = 150;
+    return options;
+}
+
+/** Per-compile translation counters plus the cache's global tallies. */
+struct CacheTraffic
+{
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    int analytic_ops = 0;
+    int dressing_fallbacks = 0;
+    uint64_t global_hits = 0;
+    uint64_t global_misses = 0;
+};
+
+void
+expectTraffic(const CacheTraffic& got, const CacheTraffic& want,
+              const std::string& where)
+{
+    EXPECT_EQ(got.hits, want.hits) << where;
+    EXPECT_EQ(got.misses, want.misses) << where;
+    EXPECT_EQ(got.analytic_ops, want.analytic_ops) << where;
+    EXPECT_EQ(got.dressing_fallbacks, want.dressing_fallbacks) << where;
+    EXPECT_EQ(got.global_hits, want.global_hits) << where;
+    EXPECT_EQ(got.global_misses, want.global_misses) << where;
+}
+
+CacheTraffic
+compileTraffic(const CompileResult& result, const ProfileCache& cache)
+{
+    CacheTraffic traffic;
+    for (const PassMetric& metric : result.pass_metrics) {
+        if (metric.pass != "translation")
+            continue;
+        auto read = [&metric](const char* name) {
+            auto it = metric.counters.find(name);
+            return it == metric.counters.end() ? 0.0 : it->second;
+        };
+        traffic.hits = static_cast<uint64_t>(read("cache_hits"));
+        traffic.misses = static_cast<uint64_t>(read("cache_misses"));
+        traffic.analytic_ops = static_cast<int>(read("analytic_ops"));
+        traffic.dressing_fallbacks =
+            static_cast<int>(read("dressing_fallbacks"));
+    }
+    traffic.global_hits = cache.stats().hits;
+    traffic.global_misses = cache.stats().misses;
+    return traffic;
+}
+
+TEST(Translate, CanonicalEngineCacheTrafficMatchesGoldens)
+{
+    // The QFT-16 compiles of IrIdentity.CanonicalEngineCompilesMatchGoldens:
+    // serial, cold then warm on one cache. Every 2Q block counts one
+    // lookup per gate spec, however translation groups them.
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    GateSet set = isa::googleSet(3);
+    Circuit qft16 = makeQftCircuit(16);
+    struct Case
+    {
+        const char* engine;
+        CacheTraffic cold;
+        CacheTraffic warm;
+    };
+    const Case cases[] = {
+        {"kak", {1428, 64, 373, 0, 1428, 64}, {1492, 0, 373, 0, 2920, 64}},
+        {"auto", {1428, 64, 98, 0, 1428, 64}, {1492, 0, 98, 0, 2920, 64}},
+    };
+    for (const Case& c : cases) {
+        CompileOptions options = goldenOptions();
+        options.decomposition = c.engine;
+        ProfileCache cache;
+        CompileResult cold = compileCircuit(qft16, device, set, cache,
+                                            options);
+        expectTraffic(compileTraffic(cold, cache), c.cold,
+                      std::string(c.engine) + " cold");
+        CompileResult warm = compileCircuit(qft16, device, set, cache,
+                                            options);
+        expectTraffic(compileTraffic(warm, cache), c.warm,
+                      std::string(c.engine) + " warm");
+    }
+}
+
+TEST(Translate, DressingFallbackCacheTrafficMatchesGolden)
+{
+    // The circuit of IrIdentity.DressingFallbackTranslationMatchesGolden:
+    // four cphase(pi/2^22) blocks that each take the dressing fallback
+    // among blocks that dress normally, translated cold then warm.
+    Device pair("pair", Topology::line(2));
+    for (const char* type : {"S1", "S2", "S3", "S4"})
+        pair.setEdgeFidelity(0, 1, type, 0.99);
+    pair.setOneQubitError(0, 0.001);
+    pair.setOneQubitError(1, 0.002);
+    Matrix tiny = cphase(kPi / (1 << 22));
+    Rng rng(2022);
+    Circuit logical(2);
+    logical.add2q(0, 1, tiny, "CP22");
+    logical.add2q(0, 1, zz(0.3), "ZZ");
+    logical.add1q(0, hadamard(), "H");
+    logical.add2q(0, 1, tiny, "CP22");
+    logical.add2q(0, 1, randomSu4(rng), "SU4");
+    logical.add2q(1, 0, tiny, "CP22");
+    logical.add2q(0, 1, rz(0.4).kron(hadamard()) * cphase(kPi / 8),
+                  "CP8");
+    logical.add2q(0, 1, tiny, "CP22");
+
+    CompileOptions options = goldenOptions();
+    NuOpDecomposer decomposer(options.nuop);
+    auto automatic = makeDecompositionStrategy("auto");
+    ProfileCache cache;
+    auto traffic = [&] {
+        TranslateResult result = translateCircuit(
+            logical, {0, 1}, pair, isa::googleSet(3), decomposer,
+            *automatic, cache, options.approximate);
+        CacheTraffic t;
+        t.hits = result.cache_hits;
+        t.misses = result.cache_misses;
+        t.analytic_ops = result.analytic_ops;
+        t.dressing_fallbacks = result.dressing_fallbacks;
+        t.global_hits = cache.stats().hits;
+        t.global_misses = cache.stats().misses;
+        return t;
+    };
+    expectTraffic(traffic(), {12, 20, 2, 4, 12, 20}, "cold");
+    expectTraffic(traffic(), {28, 0, 2, 4, 40, 20}, "warm");
 }
 
 TEST(Translate, TypeUsageAccounting)
