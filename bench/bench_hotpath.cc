@@ -8,9 +8,12 @@
  * so the arena/SBO savings are measured, not asserted.
  *
  * QFT-32's controlled-phase ladder canonicalizes to a few dozen
- * distinct profiles (cache-bound, allocation-sensitive); QV-32's
- * random SU(4)s need ~500 independent BFGS profile optimizations
- * (compute-bound, where the intra-circuit fan-out pays off). The
+ * distinct profiles (cache-bound, allocation-sensitive), and its warm
+ * compile runs once more under the "auto" engine, whose per-block
+ * cost should stay near "nuop"'s; warm legs also report each pass's
+ * p50 wall-clock. QV-32's random SU(4)s need ~500 independent BFGS
+ * profile optimizations (compute-bound, where the intra-circuit
+ * fan-out pays off). The
  * parallel path must be bit-identical to serial — checked here and
  * gated in CI alongside the latency/speedup baselines
  * (scripts/check_bench_regression.py).
@@ -259,6 +262,55 @@ histReport(const std::string& label, const HistSnapshot& before)
     }
 }
 
+/** Serial warm-cache compiles: latency and per-pass wall-clock. */
+struct WarmLeg
+{
+    std::vector<double> ms;
+    /** Pass name -> wall_ms of every rep, in pipeline order. */
+    std::vector<std::pair<std::string, std::vector<double>>> passes;
+    AllocDelta alloc;
+};
+
+/**
+ * One shared cache, warmed by an untimed compile, then `reps` timed
+ * compiles; rep 0's allocation delta is the reported counter.
+ */
+WarmLeg
+runWarmLeg(const std::string& name, const Circuit& app,
+           const Device& device, const GateSet& set,
+           const CompileOptions& options, int reps)
+{
+    WarmLeg leg;
+    ProfileCache cache;
+    timedCompile(app, device, set, options, cache, nullptr);
+    for (int rep = 0; rep < reps; ++rep) {
+        std::uint64_t c0 = g_alloc_count.load();
+        std::uint64_t b0 = g_alloc_bytes.load();
+        HistSnapshot h0;
+        if (rep == 0 && g_hist_enabled)
+            h0 = histSnapshot();
+        TimedCompile timed =
+            timedCompile(app, device, set, options, cache, nullptr);
+        if (rep == 0) {
+            leg.alloc.count = g_alloc_count.load() - c0;
+            leg.alloc.bytes = g_alloc_bytes.load() - b0;
+            if (g_hist_enabled)
+                histReport(name + " warm", h0);
+        }
+        leg.ms.push_back(timed.ms);
+        for (const PassMetric& metric : timed.result.pass_metrics) {
+            auto it = std::find_if(
+                leg.passes.begin(), leg.passes.end(),
+                [&](const auto& row) { return row.first == metric.pass; });
+            if (it == leg.passes.end())
+                it = leg.passes.insert(leg.passes.end(),
+                                       {metric.pass, {}});
+            it->second.push_back(metric.wall_ms);
+        }
+    }
+    return leg;
+}
+
 struct WorkloadReport
 {
     std::string name;
@@ -267,6 +319,8 @@ struct WorkloadReport
     double parallel_p50 = 0.0, parallel_p95 = 0.0;
     double speedup = 0.0;
     AllocDelta cold_alloc, warm_alloc;
+    /** Warm p50 wall-clock per pass ("-" in pass names becomes "_"). */
+    std::vector<std::pair<std::string, double>> warm_pass_p50;
     bool bit_identical = false;
 };
 
@@ -298,27 +352,12 @@ runWorkload(const std::string& name, const Circuit& app,
         cold_ms.push_back(timed.ms);
     }
 
-    // Serial warm: one shared cache, warmed by an untimed compile.
-    std::vector<double> warm_ms;
-    {
-        ProfileCache cache;
-        timedCompile(app, device, set, options, cache, nullptr);
-        for (int rep = 0; rep < warm_reps; ++rep) {
-            std::uint64_t c0 = g_alloc_count.load();
-            std::uint64_t b0 = g_alloc_bytes.load();
-            HistSnapshot h0;
-            if (rep == 0 && g_hist_enabled)
-                h0 = histSnapshot();
-            warm_ms.push_back(
-                timedCompile(app, device, set, options, cache, nullptr)
-                    .ms);
-            if (rep == 0) {
-                report.warm_alloc.count = g_alloc_count.load() - c0;
-                report.warm_alloc.bytes = g_alloc_bytes.load() - b0;
-                if (g_hist_enabled)
-                    histReport(name + " warm", h0);
-            }
-        }
+    WarmLeg warm = runWarmLeg(name, app, device, set, options, warm_reps);
+    report.warm_alloc = warm.alloc;
+    for (const auto& [pass, ms] : warm.passes) {
+        std::string key = pass;
+        std::replace(key.begin(), key.end(), '-', '_');
+        report.warm_pass_p50.emplace_back(key, percentile(ms, 0.50));
     }
 
     // Parallel cold: the worker pool fans the circuit's independent
@@ -336,8 +375,8 @@ runWorkload(const std::string& name, const Circuit& app,
 
     report.cold_p50 = percentile(cold_ms, 0.50);
     report.cold_p95 = percentile(cold_ms, 0.95);
-    report.warm_p50 = percentile(warm_ms, 0.50);
-    report.warm_p95 = percentile(warm_ms, 0.95);
+    report.warm_p50 = percentile(warm.ms, 0.50);
+    report.warm_p95 = percentile(warm.ms, 0.95);
     report.parallel_p50 = percentile(parallel_ms, 0.50);
     report.parallel_p95 = percentile(parallel_ms, 0.95);
     report.speedup = report.parallel_p50 > 0.0
@@ -365,6 +404,12 @@ emitWorkload(const WorkloadReport& r, bool last)
               << ", \"cold_bytes\": " << r.cold_alloc.bytes
               << ", \"warm_count\": " << r.warm_alloc.count
               << ", \"warm_bytes\": " << r.warm_alloc.bytes << "},\n"
+              << "      \"passes\": {";
+    for (size_t i = 0; i < r.warm_pass_p50.size(); ++i)
+        std::cout << (i == 0 ? "" : ", ") << '"'
+                  << r.warm_pass_p50[i].first
+                  << "_ms\": " << r.warm_pass_p50[i].second;
+    std::cout << "},\n"
               << "      \"bit_identical\": "
               << (r.bit_identical ? "true" : "false") << "\n    }"
               << (last ? "" : ",") << '\n';
@@ -479,6 +524,33 @@ main(int argc, char** argv)
     bool bit_identical =
         qft_report.bit_identical && qv_report.bit_identical;
 
+    // Warm "auto" against warm "nuop" on the same circuit, device and
+    // set: "auto" canonicalizes keys and re-dresses each distinct
+    // block. Reps alternate the engines, each on its own warmed cache,
+    // so host drift hits both alike; the p50 ratio is serial and
+    // same-host, so it is gated on every runner.
+    CompileOptions auto_options = options;
+    auto_options.decomposition = "auto";
+    std::vector<double> paired_nuop_ms, auto_ms;
+    {
+        ProfileCache nuop_cache, auto_cache;
+        timedCompile(qft, device, set, options, nuop_cache, nullptr);
+        timedCompile(qft, device, set, auto_options, auto_cache, nullptr);
+        for (int rep = 0; rep < 15; ++rep) {
+            paired_nuop_ms.push_back(
+                timedCompile(qft, device, set, options, nuop_cache,
+                             nullptr)
+                    .ms);
+            auto_ms.push_back(timedCompile(qft, device, set, auto_options,
+                                           auto_cache, nullptr)
+                                  .ms);
+        }
+    }
+    double auto_warm_p50 = percentile(auto_ms, 0.50);
+    double paired_nuop_p50 = percentile(paired_nuop_ms, 0.50);
+    double auto_over_nuop =
+        paired_nuop_p50 > 0.0 ? auto_warm_p50 / paired_nuop_p50 : 0.0;
+
     // SIMD-vs-scalar A/B leg: rerun the QV serial cold compiles with
     // the dispatch tier pinned to scalar, then restore. Same circuit,
     // same seeds, bit-identical results (the kernel contract) — the
@@ -518,11 +590,17 @@ main(int argc, char** argv)
     emitWorkload(qv_report, true);
     // Headline figures the CI gate reads: QFT-32 serial latency and
     // allocation counters (the deterministic cache-bound path), the
-    // QV intra-circuit parallel speedup (the compute-bound path that
-    // needs the cores), and the QV cold p50 plus its ratio against
-    // the forced-scalar leg (the SIMD kernel payoff).
+    // warm "auto"/"nuop" ratio (per-block canonical dressing would
+    // show here), the QV intra-circuit parallel speedup (the
+    // compute-bound path that needs the cores), and the QV cold p50
+    // plus its ratio against the forced-scalar leg (the SIMD kernel
+    // payoff).
     std::cout << "  ],\n"
               << "  \"qft32_cold_p95_ms\": " << qft_report.cold_p95
+              << ",\n"
+              << "  \"qft32_warm_auto_p50_ms\": " << auto_warm_p50
+              << ",\n"
+              << "  \"qft32_warm_auto_over_nuop\": " << auto_over_nuop
               << ",\n"
               << "  \"qv24_cold_p50_ms\": " << qv_report.cold_p50
               << ",\n"

@@ -31,7 +31,11 @@ regresses beyond the baseline tolerance:
     (1 + hotpath_alloc_tolerance) * baseline. The allocation counters
     are serial, seeded and mode-invariant (--quick shrinks only the
     QV leg), so — like the SWAP-count gate — they are enforced on
-    every runner regardless of thread count. On AVX2 hosts the QV
+    every runner regardless of thread count. So is the QFT-32 warm
+    "auto"/"nuop" p50 ratio (qft32_warm_auto_over_nuop, a serial
+    same-host ratio), which must stay at or below
+    hotpath_auto_warm_ratio: per-block canonical dressing would push
+    it back to about 2. On AVX2 hosts the QV
     cold p50 speedup of the SIMD kernels over the forced-scalar leg
     (cold_speedup_vs_scalar) must also hold its floor
     (min_hotpath_simd_speedup); other dispatch tiers skip that gate
@@ -243,6 +247,20 @@ def main() -> None:
                 f"hot-path warm-compile {metric} regressed: "
                 f"{measured} > {alloc_limit:.0f}"
             )
+
+    # Warm "auto" over warm "nuop": alternating reps on one host, so
+    # the ratio holds across runners and is always enforced.
+    auto_ratio = hotpath["qft32_warm_auto_over_nuop"]
+    auto_limit = baseline["hotpath_auto_warm_ratio"]
+    print(
+        f"qft32 warm auto/nuop p50 ratio: {auto_ratio:.2f} "
+        f"(limit {auto_limit})"
+    )
+    if auto_ratio > auto_limit:
+        fail(
+            f'warm "auto" compiles regressed against "nuop": '
+            f"{auto_ratio:.2f}x > {auto_limit}x"
+        )
 
     hotpath_threads = hotpath.get("threads", 1)
     p95 = hotpath["qft32_cold_p95_ms"]

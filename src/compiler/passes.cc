@@ -217,11 +217,12 @@ class TranslationPass : public Pass
         NuOpDecomposer decomposer(ctx.options().nuop);
         std::unique_ptr<DecompositionStrategy> strategy =
             makeDecompositionStrategy(ctx.options().decomposition);
+        ArenaResetGuard scratch(ctx.arena());
         TranslateResult translated = translateCircuit(
             ctx.circuit, ctx.physical, ctx.device(), ctx.gateSet(),
             decomposer, *strategy, ctx.profileCache(),
             ctx.options().approximate, ctx.threadPool(),
-            ctx.options().intra_circuit_parallelism);
+            ctx.options().intra_circuit_parallelism, &ctx.arena());
         ctx.circuit = std::move(translated.circuit);
         ctx.schedule.invalidate(); // native gates rewrote the circuit
         ctx.two_qubit_count = translated.two_qubit_count;
@@ -233,8 +234,8 @@ class TranslationPass : public Pass
         ctx.reportCounter("analytic_ops",
                           static_cast<double>(translated.analytic_ops));
         if (translated.dressing_fallbacks > 0) {
-            // Canonical dressing failed somewhere: each such op paid
-            // a cold BFGS serially — surface it loudly.
+            // Canonical dressing failed somewhere: each distinct such
+            // unitary paid cold BFGS solves — surface it loudly.
             ctx.reportCounter(
                 "dressing_fallbacks",
                 static_cast<double>(translated.dressing_fallbacks));

@@ -86,7 +86,7 @@ std::shared_ptr<const GateProfile>
 ProfileCache::get(const Matrix& target, const GateSpec& spec,
                   const NuOpDecomposer& decomposer,
                   const DecompositionStrategy& strategy,
-                  LocalCacheCounters* local, bool tally_hit)
+                  LocalCacheCounters* local, uint64_t blocks)
 {
     // Warm lookups are the pass-sweep hot path: build the key in a
     // reused per-thread buffer so a cache hit performs zero heap
@@ -108,17 +108,24 @@ ProfileCache::get(const Matrix& target, const GateSpec& spec,
                 stripe.clock.fetch_add(1, std::memory_order_relaxed) +
                     1,
                 std::memory_order_relaxed);
-            if (tally_hit) {
-                stripe.hits.fetch_add(1, std::memory_order_relaxed);
+            if (blocks > 0) {
+                stripe.hits.fetch_add(blocks, std::memory_order_relaxed);
                 if (local)
-                    local->hits.fetch_add(1,
+                    local->hits.fetch_add(blocks,
                                           std::memory_order_relaxed);
             }
             return it->second.profile;
         }
+        // The first block computes; the rest would have hit its entry.
         stripe.misses.fetch_add(1, std::memory_order_relaxed);
         if (local)
             local->misses.fetch_add(1, std::memory_order_relaxed);
+        if (blocks > 1) {
+            stripe.hits.fetch_add(blocks - 1, std::memory_order_relaxed);
+            if (local)
+                local->hits.fetch_add(blocks - 1,
+                                      std::memory_order_relaxed);
+        }
     }
 
     // Compute outside any lock (the expensive part); duplicated work
@@ -137,10 +144,10 @@ ProfileCache::get(const Matrix& target, const GateSpec& spec,
 std::shared_ptr<const GateProfile>
 ProfileCache::get(const Matrix& target, const GateSpec& spec,
                   const NuOpDecomposer& decomposer,
-                  LocalCacheCounters* local, bool tally_hit)
+                  LocalCacheCounters* local, uint64_t blocks)
 {
     return get(target, spec, decomposer, nuopDecompositionStrategy(),
-               local, tally_hit);
+               local, blocks);
 }
 
 size_t

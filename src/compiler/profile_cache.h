@@ -48,7 +48,10 @@ struct NuOpOptions;
 /** Counters describing cache effectiveness (monotonic since reset). */
 struct ProfileCacheStats
 {
-    /** get() calls answered from the map (no BFGS run). */
+    /**
+     * Lookups answered from the map (no BFGS run), counted per block
+     * served (see get()).
+     */
     uint64_t hits = 0;
     /** get() calls that computed a new profile (BFGS runs). */
     uint64_t misses = 0;
@@ -90,25 +93,27 @@ class ProfileCache
      * strategy's choice (strategies embed their tag in the key, so one
      * cache safely serves mixed engines). The returned profile stays
      * valid even if the entry is later evicted. When `local` is given,
-     * the call is additionally tallied there (hit or miss).
+     * the call is additionally tallied there.
      *
-     * `tally_hit=false` suppresses hit counting (global and local) —
-     * used by the translator when re-fetching profiles it warmed
-     * moments earlier, so "hits" measures genuine reuse rather than
-     * the pipeline's own bookkeeping. Misses (profile computations)
-     * are always counted.
+     * `blocks` is the number of circuit blocks the lookup serves: the
+     * translator resolves each distinct block unitary once and counts
+     * the lookup for every block that carries it, as if they had
+     * looked up one after another. A hit counts `blocks` hits; a miss
+     * counts one miss (the profile computation) and `blocks - 1` hits.
+     * `blocks = 0` counts a miss but no hit — for re-fetches that are
+     * the pipeline's own bookkeeping rather than genuine reuse.
      */
     std::shared_ptr<const GateProfile>
     get(const Matrix& target, const GateSpec& spec,
         const NuOpDecomposer& decomposer,
         const DecompositionStrategy& strategy,
-        LocalCacheCounters* local = nullptr, bool tally_hit = true);
+        LocalCacheCounters* local = nullptr, uint64_t blocks = 1);
 
     /** Baseline overload: the "nuop" engine. */
     std::shared_ptr<const GateProfile>
     get(const Matrix& target, const GateSpec& spec,
         const NuOpDecomposer& decomposer,
-        LocalCacheCounters* local = nullptr, bool tally_hit = true);
+        LocalCacheCounters* local = nullptr, uint64_t blocks = 1);
 
     size_t size() const;
 

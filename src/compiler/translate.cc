@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
-#include <set>
 
 #include "common/error.h"
 #include "nuop/template_circuit.h"
@@ -47,30 +47,225 @@ gateSpecs(const GateSet& gate_set)
     return specs;
 }
 
-void
-precomputeProfiles(const Circuit& circuit,
-                   const std::vector<GateSpec>& specs,
-                   const NuOpDecomposer& decomposer,
-                   const DecompositionStrategy& strategy,
-                   ProfileCache& cache, ThreadPool* pool,
-                   LocalCacheCounters* local, size_t max_parallelism)
-{
-    // Collect distinct (op, spec) jobs; the cache key dedups repeats.
-    // Only the unitary column matters here — pointers into it stay
-    // valid for the whole sweep (the circuit is not mutated).
-    std::vector<const Matrix*> two_q_unitaries;
-    const auto& op_qubits = circuit.opQubits();
-    const auto& op_unitaries = circuit.opUnitaries();
-    for (size_t i = 0; i < op_qubits.size(); ++i)
-        if (op_qubits[i].isTwoQubit())
-            two_q_unitaries.push_back(&op_unitaries[i]);
+namespace {
 
-    size_t total = two_q_unitaries.size() * specs.size();
+/** op_slot entry of an op that carries no 2Q block. */
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+/**
+ * Inter-core link ops (TELEPORT/TELESWAP) are already native: their
+ * endpoints are not coupling-adjacent, so there is no calibrated edge
+ * to decompose them onto.
+ */
+bool
+isLinkOp(LabelId label)
+{
+    static const LabelId teleport_label = internLabel("TELEPORT");
+    static const LabelId teleswap_label = internLabel("TELESWAP");
+    return label == teleport_label || label == teleswap_label;
+}
+
+/** Hash of a matrix's exact bytes. */
+uint64_t
+bytesHash(const Matrix& m)
+{
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+    uint64_t hash = 0x9e3779b97f4a7c15ull ^ m.size();
+    for (size_t at = 0; at < m.size() * sizeof(cplx);
+         at += sizeof(uint64_t)) {
+        uint64_t word = 0;
+        std::memcpy(&word, bytes + at, sizeof(word));
+        hash = (hash ^ word) * 0xff51afd7ed558ccdull;
+        hash ^= hash >> 32;
+    }
+    return hash;
+}
+
+bool
+sameBytes(const Matrix& a, const Matrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+/**
+ * Local factors re-dressing a canonical-representative circuit into
+ * the concrete target: target == phase * left * representative *
+ * right, split into per-qubit U3 corrections. `fallback` marks a
+ * target whose factors could not be recovered; its blocks select
+ * against raw-keyed NuOp profiles instead.
+ */
+struct TargetDressing
+{
+    bool active = false;
+    bool fallback = false;
+    Matrix pre_a, pre_b;   // merged into the first U3 pair
+    Matrix post_a, post_b; // merged into the last U3 pair
+};
+
+/** One distinct 2Q block unitary of a circuit. */
+struct BlockSlot
+{
+    /** The first carrier's unitary; every op of the slot has its bytes. */
+    const Matrix* unitary = nullptr;
+    uint64_t hash = 0;
+    /** 2Q ops carrying these bytes. */
+    uint64_t blocks = 0;
+    /** Some of them are translated (not inter-core link ops). */
+    bool translated = false;
+};
+
+/**
+ * A circuit's 2Q blocks grouped into slots by the exact bytes of their
+ * unitary, each slot resolved once per compile: one profile lookup per
+ * gate spec and, for canonicalizing strategies, one dressing. Ops with
+ * equal bytes have equal cache keys, profiles and local factors, so
+ * every block reads exactly what its own resolution would have given.
+ * All storage bumps from one arena, on the calling thread only.
+ */
+struct BlockSweep
+{
+    using ProfileRef = std::shared_ptr<const GateProfile>;
+
+    explicit BlockSweep(MemArena& arena)
+        : slots(makeArenaVector<BlockSlot>(arena)),
+          op_slot(makeArenaVector<uint32_t>(arena)),
+          profiles(makeArenaVector<ProfileRef>(arena)),
+          raw_profiles(makeArenaVector<ProfileRef>(arena)),
+          dressings(makeArenaVector<TargetDressing>(arena))
+    {
+    }
+
+    ArenaVector<BlockSlot> slots;
+    /** Per op: its slot, or kNoSlot for 1Q ops. */
+    ArenaVector<uint32_t> op_slot;
+    /** [slot * specs + spec]: profiles under the compile's strategy. */
+    ArenaVector<ProfileRef> profiles;
+    /** [slot * specs + spec]: raw NuOp profiles of fallback slots. */
+    ArenaVector<ProfileRef> raw_profiles;
+    /** Per slot, canonicalizing strategies only. */
+    ArenaVector<TargetDressing> dressings;
+};
+
+/**
+ * Assign every 2Q op to its slot — link ops included, so a cold sweep
+ * fills the same cache entries whether or not they are translated.
+ * The open-addressing table holds at least twice as many cells as
+ * there are 2Q ops, so probes stay short and always find a free cell.
+ */
+void
+groupBlocks(const Circuit& circuit, MemArena& arena, BlockSweep& sweep)
+{
+    const auto& op_qubits = circuit.opQubits();
+    const auto& op_labels = circuit.opLabels();
+    const auto& op_unitaries = circuit.opUnitaries();
+    size_t capacity = 16;
+    while (capacity < 2 * static_cast<size_t>(circuit.twoQubitGateCount()))
+        capacity *= 2;
+    ArenaVector<uint32_t> table =
+        makeArenaVector<uint32_t>(arena, capacity, kNoSlot);
+    sweep.op_slot.assign(op_qubits.size(), kNoSlot);
+    for (size_t i = 0; i < op_qubits.size(); ++i) {
+        if (!op_qubits[i].isTwoQubit())
+            continue;
+        const Matrix& unitary = op_unitaries[i];
+        uint64_t hash = bytesHash(unitary);
+        size_t cell = hash & (capacity - 1);
+        for (; table[cell] != kNoSlot; cell = (cell + 1) & (capacity - 1)) {
+            const BlockSlot& slot = sweep.slots[table[cell]];
+            if (slot.hash == hash && sameBytes(*slot.unitary, unitary))
+                break;
+        }
+        if (table[cell] == kNoSlot) {
+            table[cell] = static_cast<uint32_t>(sweep.slots.size());
+            sweep.slots.push_back({&unitary, hash, 0, false});
+        }
+        BlockSlot& slot = sweep.slots[table[cell]];
+        ++slot.blocks;
+        slot.translated = slot.translated || !isLinkOp(op_labels[i]);
+        sweep.op_slot[i] = table[cell];
+    }
+}
+
+/**
+ * Recover the local factors that dress the canonical representative
+ * back into `target`. When they cannot be recovered (a degenerate
+ * solve: it happens on near-identity controlled phases), mark the
+ * fallback and fetch the raw-keyed NuOp profiles the slot's blocks
+ * select against instead. Those fetches are bookkeeping, not reuse,
+ * so they count misses but no hits.
+ */
+void
+dressTarget(const Matrix& target, const std::vector<GateSpec>& specs,
+            const NuOpDecomposer& decomposer,
+            const DecompositionStrategy& strategy, ProfileCache& cache,
+            LocalCacheCounters* local, TargetDressing& dressing,
+            BlockSweep::ProfileRef* raw_profiles)
+{
+    Matrix representative = strategy.profileTarget(target);
+    if (!(representative.maxAbsDiff(target) > 0.0))
+        return; // the target is its own representative.
+    LocalEquivalence equivalence =
+        localFactorsBetween(representative, target);
+    bool usable = equivalence.ok &&
+                  ((equivalence.left * representative * equivalence.right) *
+                   equivalence.phase)
+                          .maxAbsDiff(target) < 1e-6;
+    if (usable) {
+        dressing.active = true;
+        auto post = decomposeLocalUnitary(equivalence.left);
+        auto pre = decomposeLocalUnitary(equivalence.right);
+        dressing.post_a = std::move(post.first);
+        dressing.post_b = std::move(post.second);
+        dressing.pre_a = std::move(pre.first);
+        dressing.pre_b = std::move(pre.second);
+        return;
+    }
+    dressing.fallback = true;
+    for (size_t k = 0; k < specs.size(); ++k)
+        raw_profiles[k] = cache.get(target, specs[k], decomposer,
+                                    nuopDecompositionStrategy(), local,
+                                    /*blocks=*/0);
+}
+
+/**
+ * Resolve every slot: one cache lookup per (slot, gate spec), counted
+ * for all of the slot's blocks, plus the slot's dressing when `dress`.
+ * The jobs fan out over the pool when provided (cooperatively — safe
+ * even when the caller is itself a pool worker); each writes only its
+ * own result cell.
+ */
+void
+resolveBlocks(BlockSweep& sweep, const std::vector<GateSpec>& specs,
+              const NuOpDecomposer& decomposer,
+              const DecompositionStrategy& strategy, bool dress,
+              ProfileCache& cache, ThreadPool* pool,
+              LocalCacheCounters* local, size_t max_parallelism)
+{
+    size_t num_specs = specs.size();
+    size_t num_slots = sweep.slots.size();
+    sweep.profiles.resize(num_slots * num_specs);
+    if (dress) {
+        sweep.raw_profiles.resize(num_slots * num_specs);
+        sweep.dressings.resize(num_slots);
+    }
+    // Per slot: one job per spec, then the dressing job.
+    size_t per_slot = num_specs + (dress ? 1 : 0);
     auto job = [&](size_t index) {
-        const Matrix& unitary = *two_q_unitaries[index / specs.size()];
-        const GateSpec& spec = specs[index % specs.size()];
-        cache.get(unitary, spec, decomposer, strategy, local);
+        size_t s = index / per_slot;
+        size_t k = index % per_slot;
+        const BlockSlot& slot = sweep.slots[s];
+        if (k < num_specs) {
+            sweep.profiles[s * num_specs + k] =
+                cache.get(*slot.unitary, specs[k], decomposer, strategy,
+                          local, slot.blocks);
+        } else if (slot.translated) {
+            dressTarget(*slot.unitary, specs, decomposer, strategy, cache,
+                        local, sweep.dressings[s],
+                        &sweep.raw_profiles[s * num_specs]);
+        }
     };
+    size_t total = num_slots * per_slot;
     // Fan out only when more than one worker can actually run the
     // jobs: with an effective worker count of 1 (a one-thread pool or
     // a parallelism cap of 1) the claim/atomic overhead of the
@@ -87,6 +282,23 @@ precomputeProfiles(const Circuit& circuit,
         for (size_t i = 0; i < total; ++i)
             job(i);
     }
+}
+
+} // namespace
+
+void
+precomputeProfiles(const Circuit& circuit,
+                   const std::vector<GateSpec>& specs,
+                   const NuOpDecomposer& decomposer,
+                   const DecompositionStrategy& strategy,
+                   ProfileCache& cache, ThreadPool* pool,
+                   LocalCacheCounters* local, size_t max_parallelism)
+{
+    MemArena scratch;
+    BlockSweep sweep(scratch);
+    groupBlocks(circuit, scratch, sweep);
+    resolveBlocks(sweep, specs, decomposer, strategy, /*dress=*/false,
+                  cache, pool, local, max_parallelism);
 }
 
 GateChoice
@@ -163,29 +375,13 @@ selectGate(const std::vector<const GateProfile*>& profiles,
     return best;
 }
 
-namespace {
-
-/**
- * Local factors re-dressing a canonical-representative circuit into
- * the concrete target: target == phase * left * representative *
- * right, split into per-qubit U3 corrections.
- */
-struct TargetDressing
-{
-    bool active = false;
-    Matrix pre_a, pre_b;   // merged into the first U3 pair
-    Matrix post_a, post_b; // merged into the last U3 pair
-};
-
-} // namespace
-
 TranslateResult
 translateCircuit(const Circuit& routed, const std::vector<int>& physical,
                  const Device& device, const GateSet& gate_set,
                  const NuOpDecomposer& decomposer,
                  const DecompositionStrategy& strategy,
                  ProfileCache& cache, bool approximate, ThreadPool* pool,
-                 size_t max_parallelism)
+                 size_t max_parallelism, MemArena* arena)
 {
     QISET_REQUIRE(physical.size() ==
                       static_cast<size_t>(routed.numQubits()),
@@ -193,69 +389,61 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
 
     std::vector<GateSpec> specs = gateSpecs(gate_set);
     QISET_REQUIRE(!specs.empty(), "instruction set is empty");
+    size_t num_specs = specs.size();
+
+    // Canonicalizing strategies store profiles against the Weyl-chamber
+    // representative; each slot also recovers the local factors that
+    // dress it back into the exact target.
+    bool dress = strategy.canonicalizesTargets();
+    MemArena own_scratch;
+    MemArena& scratch = arena ? *arena : own_scratch;
     LocalCacheCounters local;
-    precomputeProfiles(routed, specs, decomposer, strategy, cache, pool,
-                       &local, max_parallelism);
+    BlockSweep sweep(scratch);
+    groupBlocks(routed, scratch, sweep);
+    resolveBlocks(sweep, specs, decomposer, strategy, dress, cache, pool,
+                  &local, max_parallelism);
 
     int n = routed.numQubits();
     TranslateResult result;
     result.circuit = Circuit(n);
 
     double f1q_avg = 1.0 - device.averageOneQubitError();
-
     static const LabelId u3_label = internLabel("U3");
-    static const LabelId teleport_label = internLabel("TELEPORT");
-    static const LabelId teleswap_label = internLabel("TELESWAP");
 
-    // Per-2Q-block working sets, hoisted so the selection and emission
-    // loops reuse their capacity (and the U3 matrices' inline storage)
-    // instead of allocating per op.
-    std::vector<std::shared_ptr<const GateProfile>> holders;
-    std::vector<const GateProfile*> profiles;
-    std::vector<double> fidelities;
-    std::vector<Matrix> u3s;
-
-    // Selection pre-pass: resolve every 2Q block's gate choice once,
-    // up front. Each block expands to exactly 2 + 3*layers native ops,
-    // so summing the chosen fits sizes the output columns *exactly* —
-    // one reservation, no growth reallocations while emitting (the
-    // unitary column alone is megabytes on wide circuits, and doubling
-    // it dominated the warm-compile allocation profile). The stored
-    // choices are reused by the emission loop below; `all_holders`
-    // keeps every selected profile alive even if a bounded cache
-    // evicts the entries in between.
-    std::vector<GateChoice> block_choices;
-    std::vector<std::shared_ptr<const GateProfile>> all_holders;
-    size_t routed_2q = static_cast<size_t>(routed.twoQubitGateCount());
-    block_choices.reserve(routed_2q);
-    all_holders.reserve(routed_2q * specs.size());
+    // Selection stays per block — edge fidelities differ per edge — but
+    // reads the block's slot. Each block expands to exactly
+    // 2 + 3*layers native ops, so summing the chosen fits sizes the
+    // output columns *exactly*: one reservation, no growth
+    // reallocations while emitting (the unitary column alone is
+    // megabytes on wide circuits). Emission reads the stored choices;
+    // the slots keep every selected profile alive even if a bounded
+    // cache evicts the entries in between.
+    const auto& op_qubits = routed.opQubits();
+    const auto& op_labels = routed.opLabels();
+    ArenaVector<GateChoice> choices = makeArenaVector<GateChoice>(scratch);
+    choices.reserve(static_cast<size_t>(routed.twoQubitGateCount()));
+    std::vector<const GateProfile*> profiles(num_specs);
+    std::vector<double> fidelities(num_specs);
     size_t exact_ops = 0;
-    for (const auto& op : routed.ops()) {
-        if (!op.isTwoQubit() || op.labelId() == teleport_label ||
-            op.labelId() == teleswap_label) {
+    for (size_t i = 0; i < op_qubits.size(); ++i) {
+        uint32_t s = sweep.op_slot[i];
+        if (s == kNoSlot || isLinkOp(op_labels[i])) {
             ++exact_ops; // passes through as a single op.
             continue;
         }
-        Qubits qs = op.qubits();
-        int pa = physical[qs[0]];
-        int pb = physical[qs[1]];
-        profiles.clear();
-        fidelities.clear();
-        for (const auto& spec : specs) {
-            // Re-fetch of a profile precomputeProfiles just warmed:
-            // don't tally the hit, or a stone-cold compile would
-            // report a warm-looking hit rate.
-            all_holders.push_back(cache.get(op.unitary(), spec,
-                                            decomposer, strategy, &local,
-                                            /*tally_hit=*/false));
-            profiles.push_back(all_holders.back().get());
-            fidelities.push_back(
-                device.edgeFidelity(pa, pb, spec.type_name));
+        const auto& source = dress && sweep.dressings[s].fallback
+                                 ? sweep.raw_profiles
+                                 : sweep.profiles;
+        int pa = physical[op_qubits[i][0]];
+        int pb = physical[op_qubits[i][1]];
+        for (size_t k = 0; k < num_specs; ++k) {
+            profiles[k] = source[s * num_specs + k].get();
+            fidelities[k] = device.edgeFidelity(pa, pb, specs[k].type_name);
         }
-        block_choices.push_back(
-            selectGate(profiles, fidelities, f1q_avg, approximate,
-                       decomposer.options().exact_threshold));
-        exact_ops += 2 + 3 * block_choices.back().fit->layers;
+        choices.push_back(selectGate(profiles, fidelities, f1q_avg,
+                                     approximate,
+                                     decomposer.options().exact_threshold));
+        exact_ops += 2 + 3 * choices.back().fit->layers;
     }
     result.circuit.reserveOps(exact_ops);
 
@@ -266,8 +454,23 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
                              device.oneQubitDurationNs());
     };
 
+    // Blocks of one slot that choose the same fit emit the same gates:
+    // each slot remembers where its last fit's gates went, and a repeat
+    // copies them from the output instead of rebuilding and re-dressing
+    // the template's U3s.
+    struct Emitted
+    {
+        const LayerFit* fit = nullptr;
+        size_t first_op = 0;
+    };
+    ArenaVector<Emitted> emitted =
+        makeArenaVector<Emitted>(scratch, sweep.slots.size());
+    std::vector<Matrix> u3s;
+    std::vector<Matrix> layer_gates;
+    size_t op_index = 0;
     size_t block_index = 0;
     for (const auto& op : routed.ops()) {
+        uint32_t s = sweep.op_slot[op_index++];
         const Matrix& op_unitary = op.unitary();
         Qubits qs = op.qubits();
         if (!op.isTwoQubit()) {
@@ -275,12 +478,9 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
             continue;
         }
 
-        if (op.labelId() == teleport_label ||
-            op.labelId() == teleswap_label) {
-            // Inter-core link ops are already native: their endpoints
-            // are not coupling-adjacent (no calibrated edge to
-            // decompose onto) and they carry the EPR link's error rate
-            // and duration from routing. Pass through untouched.
+        if (isLinkOp(op.labelId())) {
+            // Link ops carry the EPR link's error rate and duration
+            // from routing. Pass through untouched.
             result.circuit.add(op);
             result.estimated_fidelity *= 1.0 - op.errorRate();
             ++result.type_usage[op.label()];
@@ -289,107 +489,68 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
 
         int ra = qs[0];
         int rb = qs[1];
-        int pa = physical[ra];
-        int pb = physical[rb];
+        const TargetDressing* dressing =
+            dress ? &sweep.dressings[s] : nullptr;
+        if (dressing && dressing->fallback)
+            ++result.dressing_fallbacks;
 
-        // Canonicalizing strategies store profiles against the
-        // Weyl-chamber representative; recover the local factors that
-        // dress it back into this exact target. A failed solve (never
-        // observed, but numerically conceivable) falls back to a
-        // raw-keyed NuOp profile for this op.
-        const DecompositionStrategy* op_strategy = &strategy;
-        TargetDressing dressing;
-        if (strategy.canonicalizesTargets()) {
-            Matrix representative = strategy.profileTarget(op_unitary);
-            if (representative.maxAbsDiff(op_unitary) > 0.0) {
-                LocalEquivalence equivalence =
-                    localFactorsBetween(representative, op_unitary);
-                bool usable =
-                    equivalence.ok &&
-                    ((equivalence.left * representative *
-                      equivalence.right) *
-                     equivalence.phase)
-                            .maxAbsDiff(op_unitary) < 1e-6;
-                if (usable) {
-                    dressing.active = true;
-                    auto post = decomposeLocalUnitary(equivalence.left);
-                    auto pre = decomposeLocalUnitary(equivalence.right);
-                    dressing.post_a = std::move(post.first);
-                    dressing.post_b = std::move(post.second);
-                    dressing.pre_a = std::move(pre.first);
-                    dressing.pre_b = std::move(pre.second);
-                } else {
-                    op_strategy = &nuopDecompositionStrategy();
-                    ++result.dressing_fallbacks;
-                }
-            }
-        }
-
-        // The pre-pass already selected this block's gate under the
-        // primary strategy; only the (numerically conceivable, never
-        // observed) dressing fallback re-selects here, against the
-        // raw-keyed profiles its op_strategy switch demands. Holders
-        // keep those profiles alive across selection even if a bounded
-        // cache evicts the entries concurrently.
-        GateChoice choice;
-        if (op_strategy == &strategy) {
-            choice = block_choices[block_index];
-        } else {
-            holders.clear();
-            profiles.clear();
-            fidelities.clear();
-            for (const auto& spec : specs) {
-                holders.push_back(cache.get(op_unitary, spec, decomposer,
-                                            *op_strategy, &local,
-                                            /*tally_hit=*/false));
-                profiles.push_back(holders.back().get());
-                fidelities.push_back(
-                    device.edgeFidelity(pa, pb, spec.type_name));
-            }
-            choice =
-                selectGate(profiles, fidelities, f1q_avg, approximate,
-                           decomposer.options().exact_threshold);
-        }
-        ++block_index;
-
+        const GateChoice& choice = choices[block_index++];
         const GateProfile& profile = *choice.profile;
         const LayerFit& fit = *choice.fit;
         if (profile.engine == "kak")
             ++result.analytic_ops;
 
-        TwoQubitTemplate templ =
-            profile.family == TemplateFamily::Fixed
-                ? TwoQubitTemplate(fit.layers, profile.unitary)
-                : TwoQubitTemplate(fit.layers, profile.family);
-        templ.u3MatricesInto(fit.params, u3s);
-        if (dressing.active) {
-            // C' = post . C . pre implements the target exactly when C
-            // implements the representative (Fd is invariant under
-            // local dressing, so the profiled fidelities carry over).
-            u3s[0] = u3s[0] * dressing.pre_a;
-            u3s[1] = u3s[1] * dressing.pre_b;
-            u3s[2 * fit.layers] = dressing.post_a * u3s[2 * fit.layers];
-            u3s[2 * fit.layers + 1] =
-                dressing.post_b * u3s[2 * fit.layers + 1];
+        Emitted& last = emitted[s];
+        bool repeat = last.fit == &fit;
+        if (!repeat) {
+            last = {&fit, result.circuit.size()};
+            TwoQubitTemplate templ =
+                profile.family == TemplateFamily::Fixed
+                    ? TwoQubitTemplate(fit.layers, profile.unitary)
+                    : TwoQubitTemplate(fit.layers, profile.family);
+            templ.u3MatricesInto(fit.params, u3s);
+            layer_gates.resize(static_cast<size_t>(fit.layers));
+            for (int layer = 0; layer < fit.layers; ++layer)
+                layer_gates[layer] = templ.layerGate(fit.params, layer);
+            if (dressing && dressing->active) {
+                // C' = post . C . pre implements the target exactly
+                // when C implements the representative (Fd is
+                // invariant under local dressing, so the profiled
+                // fidelities carry over).
+                u3s[0] = u3s[0] * dressing->pre_a;
+                u3s[1] = u3s[1] * dressing->pre_b;
+                u3s[2 * fit.layers] =
+                    dressing->post_a * u3s[2 * fit.layers];
+                u3s[2 * fit.layers + 1] =
+                    dressing->post_b * u3s[2 * fit.layers + 1];
+            }
         }
+        // The block's gates in emission order: a U3 pair, then per
+        // layer the native gate and a U3 pair.
+        const std::vector<Matrix>& out = result.circuit.opUnitaries();
+        auto u3 = [&](int k) -> const Matrix& {
+            return repeat ? out[last.first_op + k + k / 2] : u3s[k];
+        };
+        auto layer_gate = [&](int layer) -> const Matrix& {
+            return repeat ? out[last.first_op + 2 + 3 * layer]
+                          : layer_gates[layer];
+        };
 
-        emit_1q(ra, u3s[0], u3_label);
-        emit_1q(rb, u3s[1], u3_label);
+        emit_1q(ra, u3(0), u3_label);
+        emit_1q(rb, u3(1), u3_label);
         // One intern per 2Q block; every layer reuses the id (the
         // common single-type compile hits the LabelTable's shared-lock
         // fast path once per block).
         LabelId type_label = internLabel(profile.type_name);
         for (int layer = 0; layer < fit.layers; ++layer) {
-            result.circuit.add2q(ra, rb,
-                                 templ.layerGate(fit.params, layer),
-                                 type_label,
+            result.circuit.add2q(ra, rb, layer_gate(layer), type_label,
                                  1.0 - choice.edge_fidelity,
                                  device.twoQubitDurationNs());
             result.estimated_fidelity *= choice.edge_fidelity;
             ++result.two_qubit_count;
             ++result.type_usage[profile.type_name];
-            emit_1q(ra, u3s[2 * (layer + 1)], u3_label);
-            emit_1q(rb, u3s[2 * (layer + 1) + 1], u3_label);
+            emit_1q(ra, u3(2 * (layer + 1)), u3_label);
+            emit_1q(rb, u3(2 * (layer + 1) + 1), u3_label);
         }
         result.estimated_fidelity *= fit.fd;
     }

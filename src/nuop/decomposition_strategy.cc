@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/error.h"
@@ -272,10 +271,12 @@ void
 appendWeylKey(std::string& out, const Matrix& target)
 {
     WeylCoordinates c = canonicalWeylCoordinates(target);
-    char buffer[96];
-    int len = std::snprintf(buffer, sizeof(buffer), "w|%.9f|%.9f|%.9f",
-                            c.cx, c.cy, c.cz);
-    out.append(buffer, static_cast<size_t>(len));
+    out += "w|";
+    appendFixed(out, c.cx, 9);
+    out += '|';
+    appendFixed(out, c.cy, 9);
+    out += '|';
+    appendFixed(out, c.cz, 9);
 }
 
 /**

@@ -1,6 +1,7 @@
 #include "qc/matrix.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -364,16 +365,38 @@ quantizedForm(const Matrix& m, int decimals)
 }
 
 void
+appendFixed(std::string& out, double value, int decimals)
+{
+    // std::to_chars in fixed notation is correctly rounded (ties to
+    // even on the exact binary value) and keeps the sign of -0 and of
+    // negatives that round to zero — the bytes printf's "%.*f" gives,
+    // at a fraction of its cost.
+    char buf[64];
+    auto [end, error] = std::to_chars(buf, buf + sizeof(buf), value,
+                                      std::chars_format::fixed, decimals);
+    if (error == std::errc()) {
+        out.append(buf, end);
+        return;
+    }
+    // Wider than the buffer (huge magnitudes or precisions): printf.
+    int len = std::snprintf(nullptr, 0, "%.*f", decimals, value);
+    size_t at = out.size();
+    out.resize(at + static_cast<size_t>(len) + 1);
+    std::snprintf(&out[at], static_cast<size_t>(len) + 1, "%.*f", decimals,
+                  value);
+    out.resize(at + static_cast<size_t>(len));
+}
+
+void
 appendQuantizedForm(std::string& out, const Matrix& m, int decimals)
 {
-    char buf[64];
     for (size_t i = 0; i < m.rows(); ++i)
         for (size_t j = 0; j < m.cols(); ++j) {
             const cplx& v = m(i, j);
-            int len = std::snprintf(buf, sizeof(buf), "%.*f,%.*f;",
-                                    decimals, v.real(), decimals,
-                                    v.imag());
-            out.append(buf, static_cast<size_t>(len));
+            appendFixed(out, v.real(), decimals);
+            out += ',';
+            appendFixed(out, v.imag(), decimals);
+            out += ';';
         }
 }
 

@@ -168,6 +168,12 @@ std::string quantizedForm(const Matrix& m, int decimals = 9);
 void appendQuantizedForm(std::string& out, const Matrix& m,
                          int decimals = 9);
 
+/**
+ * Append `value` with `decimals` fixed decimals, byte-identical to
+ * printf's "%.*f" (the number format of every quantized cache key).
+ */
+void appendFixed(std::string& out, double value, int decimals);
+
 /** Hilbert-Schmidt inner product Tr(A^dagger B). */
 cplx hilbertSchmidt(const Matrix& a, const Matrix& b);
 

@@ -2,8 +2,8 @@
 // teleport-link metadata, comm-qubit reservation exclusivity, the
 // TeleportRouter's bit-identity with SABRE on single-core devices,
 // capacity-aware placement and shard planning, per-shard in-flight
-// caps, cost-model telemetry surfacing, and the teleport trace
-// events' conformance to scripts/trace_lint.py.
+// caps, and the teleport trace events' conformance to
+// scripts/trace_lint.py.
 
 #include <algorithm>
 #include <cstdlib>
@@ -197,7 +197,7 @@ TEST(TeleportRouter, BitIdenticalToSabreOnSingleCoreDevices)
     }
 }
 
-TEST(TeleportRouter, RegisteredInTheStrategyRegistry)
+TEST(TeleportRouter, MadeByNameAsTelesabre)
 {
     auto names = routingStrategyNames();
     EXPECT_NE(std::find(names.begin(), names.end(), "telesabre"),

@@ -62,7 +62,7 @@ cacheKey(const DecompositionStrategy& strategy, const Matrix& target,
     return key;
 }
 
-TEST(DecompositionRegistry, BuiltinsRegistered)
+TEST(DecompositionEngines, MadeByName)
 {
     for (const char* name : {"nuop", "kak", "auto"})
         EXPECT_EQ(makeDecompositionStrategy(name)->name(), name);

@@ -2,14 +2,95 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "qc/gates.h"
 #include "qc/matrix.h"
 
 namespace qiset {
 namespace {
+
+/** printf's "%.*f" rendering: the reference the cache keys keep. */
+std::string
+printfFixed(double value, int decimals)
+{
+    int len = std::snprintf(nullptr, 0, "%.*f", decimals, value);
+    std::string out(static_cast<size_t>(len) + 1, '\0');
+    std::snprintf(&out[0], out.size(), "%.*f", decimals, value);
+    out.resize(static_cast<size_t>(len));
+    return out;
+}
+
+/**
+ * Values where a fixed-point renderer can differ from printf: signed
+ * zeros, negatives that round to zero, exact ties at the ninth
+ * decimal, neighbours of the rounding boundaries, huge magnitudes
+ * and non-finite values, plus seeded random unitary-range entries.
+ */
+std::vector<double>
+fixedFormatTable()
+{
+    std::vector<double> table = {
+        0.0, -0.0, -1e-12, 1e-12, 5e-10, -5e-10, 4.9999999999e-10,
+        1.0, -1.0, 0.5, 0.7071067811865476, -0.7071067811865476,
+        3.14159265358979, 1e300, -1e300,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    // k * 2^-12 has 12 binary fraction digits: ties at 9 decimals.
+    for (int k = -4096; k <= 4096; k += 7)
+        table.push_back(std::ldexp(static_cast<double>(k), -12));
+    Rng rng(20261018);
+    for (int i = 0; i < 2000; ++i) {
+        double x = rng.uniform(-1.0, 1.0);
+        table.push_back(x);
+        // The ninth-decimal rounding boundary nearest x, and its
+        // neighbours one ulp away.
+        double boundary = (std::floor(x * 1e9) + 0.5) / 1e9;
+        table.push_back(boundary);
+        table.push_back(std::nextafter(boundary, 2.0));
+        table.push_back(std::nextafter(boundary, -2.0));
+    }
+    return table;
+}
+
+TEST(QuantizedForm, FixedMatchesPrintfByteForByte)
+{
+    for (double value : fixedFormatTable()) {
+        for (int decimals : {0, 3, 9, 17}) {
+            std::string out = "prefix";
+            appendFixed(out, value, decimals);
+            EXPECT_EQ(out, "prefix" + printfFixed(value, decimals))
+                << value << " at " << decimals << " decimals";
+        }
+    }
+}
+
+TEST(QuantizedForm, MatchesPrintfEntryRendering)
+{
+    std::vector<double> table = fixedFormatTable();
+    Matrix m(4, 4);
+    std::string reference;
+    for (size_t e = 0; e < 16; ++e) {
+        double re = table[(5 * e) % table.size()];
+        double im = table[(5 * e + 3) % table.size()];
+        m(e / 4, e % 4) = cplx(re, im);
+        reference += printfFixed(re, 9) + "," + printfFixed(im, 9) + ";";
+    }
+    EXPECT_EQ(quantizedForm(m), reference);
+    std::string appended = "key|";
+    appendQuantizedForm(appended, m);
+    EXPECT_EQ(appended, "key|" + reference);
+}
 
 TEST(Matrix, IdentityHasUnitDiagonal)
 {

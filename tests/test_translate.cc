@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "apps/qft.h"
 #include "apps/qv.h"
 #include "common/error.h"
@@ -279,20 +281,49 @@ TEST(Translate, SwapTypeUsedForRoutedSwaps)
     EXPECT_EQ(result.type_usage.at("SWAP"), 1);
 }
 
-TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
+/** Emitted circuits and bookkeeping agree bit for bit. */
+void
+expectBitIdentical(const TranslateResult& a, const TranslateResult& b,
+                   const std::string& where)
 {
-    // The intra-circuit fan-out only parallelizes the profile
-    // precompute; selection and emission stay serial. Whatever the
-    // thread count or cap, the emitted circuit must be bit-identical
-    // — each variant runs against its own cold cache so identity is
-    // established by recomputation, not by sharing profile objects.
+    EXPECT_EQ(a.two_qubit_count, b.two_qubit_count) << where;
+    EXPECT_EQ(a.type_usage, b.type_usage) << where;
+    EXPECT_EQ(a.estimated_fidelity, b.estimated_fidelity) << where;
+    ASSERT_EQ(a.circuit.size(), b.circuit.size()) << where;
+    for (size_t i = 0; i < a.circuit.size(); ++i) {
+        ConstOpRef x = a.circuit.ops()[i];
+        ConstOpRef y = b.circuit.ops()[i];
+        EXPECT_EQ(x.qubits(), y.qubits()) << where << " op " << i;
+        EXPECT_EQ(x.labelId(), y.labelId()) << where << " op " << i;
+        EXPECT_EQ(x.errorRate(), y.errorRate()) << where << " op " << i;
+        EXPECT_EQ(x.unitary().maxAbsDiff(y.unitary()), 0.0)
+            << where << " op " << i;
+    }
+}
+
+/** A four-qubit line calibrated for rigettiSet(1) ({S3, S4}). */
+Device
+rigettiLine4()
+{
     Device d("line4", Topology::line(4));
     for (auto [a, b] : d.topology().edges()) {
         d.setEdgeFidelity(a, b, "S3", 0.99);
-        d.setEdgeFidelity(a, b, "S4", 0.98);
+        d.setEdgeFidelity(a, b, "S4", 0.98 - 0.01 * a);
     }
     for (int q = 0; q < 4; ++q)
         d.setOneQubitError(q, 0.001);
+    return d;
+}
+
+TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
+{
+    // The intra-circuit fan-out parallelizes each distinct block's
+    // profile lookups and (for canonicalizing engines) its dressing;
+    // selection and emission stay serial. Whatever the thread count
+    // or cap, the emitted circuit must be bit-identical — each variant
+    // runs against its own cold cache so identity is established by
+    // recomputation, not by sharing profile objects.
+    Device d = rigettiLine4();
     GateSet set = isa::rigettiSet(1);
     NuOpDecomposer decomposer(fastNuOp());
 
@@ -305,42 +336,135 @@ TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
     logical.add2q(0, 1, zz(0.3), "ZZ"); // repeat: cache-hit path
     logical.add2q(1, 2, randomSu4(rng), "SU4");
 
-    auto translate = [&](ThreadPool* pool, size_t cap) {
-        ProfileCache cold;
-        return translateCircuit(logical, {0, 1, 2, 3}, d, set,
-                                decomposer, cold, /*approximate=*/true,
-                                pool, cap);
-    };
-
-    TranslateResult serial = translate(nullptr, 0);
     ThreadPool pool(4);
-    TranslateResult uncapped = translate(&pool, 0);
-    TranslateResult capped = translate(&pool, 2);
-    TranslateResult forced_serial = translate(&pool, 1);
+    for (const char* engine : {"nuop", "auto"}) {
+        auto strategy = makeDecompositionStrategy(engine);
+        auto translate = [&](ThreadPool* with, size_t cap) {
+            ProfileCache cold;
+            return translateCircuit(logical, {0, 1, 2, 3}, d, set,
+                                    decomposer, *strategy, cold,
+                                    /*approximate=*/true, with, cap);
+        };
+        TranslateResult serial = translate(nullptr, 0);
+        TranslateResult uncapped = translate(&pool, 0);
+        TranslateResult capped = translate(&pool, 2);
+        TranslateResult forced_serial = translate(&pool, 1);
 
-    for (const TranslateResult* other :
-         {&uncapped, &capped, &forced_serial}) {
-        EXPECT_EQ(serial.two_qubit_count, other->two_qubit_count);
-        EXPECT_EQ(serial.type_usage, other->type_usage);
-        EXPECT_DOUBLE_EQ(serial.estimated_fidelity,
-                         other->estimated_fidelity);
-        ASSERT_EQ(serial.circuit.size(), other->circuit.size());
-        for (size_t i = 0; i < serial.circuit.size(); ++i) {
-            ConstOpRef x = serial.circuit.ops()[i];
-            ConstOpRef y = other->circuit.ops()[i];
-            EXPECT_EQ(x.qubits(), y.qubits());
-            EXPECT_EQ(x.labelId(), y.labelId());
-            EXPECT_EQ(x.unitary().maxAbsDiff(y.unitary()), 0.0);
+        // One lookup per (2Q block, spec): 5 blocks x 2 specs. The
+        // hit/miss split is timing-dependent under concurrency (racing
+        // same-key requesters both compute and both count as misses,
+        // by ProfileCache design), but the total is exact.
+        EXPECT_EQ(serial.cache_hits + serial.cache_misses, 10u) << engine;
+        for (const TranslateResult* other :
+             {&uncapped, &capped, &forced_serial}) {
+            expectBitIdentical(serial, *other, engine);
+            EXPECT_EQ(other->cache_hits + other->cache_misses,
+                      serial.cache_hits + serial.cache_misses)
+                << engine;
         }
+        EXPECT_EQ(serial.cache_hits, forced_serial.cache_hits) << engine;
+        EXPECT_EQ(serial.cache_misses, forced_serial.cache_misses)
+            << engine;
     }
-    // Every (op, spec) precompute job tallies exactly one hit or
-    // miss. The split is timing-dependent under concurrency (racing
-    // same-key requesters both compute and both count as misses, by
-    // ProfileCache design), but the total is exact.
-    EXPECT_EQ(serial.cache_hits + serial.cache_misses,
-              uncapped.cache_hits + uncapped.cache_misses);
-    EXPECT_EQ(serial.cache_hits, forced_serial.cache_hits);
-    EXPECT_EQ(serial.cache_misses, forced_serial.cache_misses);
+}
+
+/** The "nuop" engine, counting the cache keys it builds. */
+class KeyCountingStrategy : public DecompositionStrategy
+{
+  public:
+    std::string name() const override { return "nuop"; }
+
+    void cacheKeyInto(std::string& out, const Matrix& target,
+                      const GateSpec& spec) const override
+    {
+        ++key_builds;
+        nuopDecompositionStrategy().cacheKeyInto(out, target, spec);
+    }
+
+    GateProfile computeProfile(const Matrix& target, const GateSpec& spec,
+                               const NuOpDecomposer& decomposer)
+        const override
+    {
+        return nuopDecompositionStrategy().computeProfile(target, spec,
+                                                          decomposer);
+    }
+
+    mutable std::atomic<int> key_builds{0};
+};
+
+/**
+ * Nine blocks over four distinct unitaries on a four-qubit line, the
+ * way routing leaves them: SWAPs and repeats on different edges and in
+ * both qubit orders.
+ */
+Circuit
+repeatedBlocksCircuit()
+{
+    Rng rng(74);
+    Matrix su4 = randomSu4(rng);
+    Circuit routed(4);
+    routed.add2q(0, 1, zz(0.3), "ZZ");
+    routed.add2q(1, 2, swap(), "SWAP");
+    routed.add2q(2, 3, zz(0.3), "ZZ");
+    routed.add1q(1, hadamard(), "H");
+    routed.add2q(2, 1, cphase(kPi / 4), "CP");
+    routed.add2q(0, 1, su4, "SU4");
+    routed.add2q(1, 2, cphase(kPi / 4), "CP");
+    routed.add2q(2, 3, swap(), "SWAP");
+    routed.add2q(1, 0, zz(0.3), "ZZ");
+    routed.add2q(2, 3, su4, "SU4");
+    return routed;
+}
+
+TEST(Translate, BuildsOneCacheKeyPerDistinctBlockAndSpec)
+{
+    // Each distinct block unitary is looked up once per gate spec,
+    // cold or warm, however many blocks carry it; the lookups still
+    // count once per block.
+    Device d = rigettiLine4();
+    GateSet set = isa::rigettiSet(1);
+    NuOpDecomposer decomposer(fastNuOp());
+    Circuit routed = repeatedBlocksCircuit();
+    KeyCountingStrategy strategy;
+    ProfileCache cache;
+    for (const char* pass : {"cold", "warm"}) {
+        strategy.key_builds = 0;
+        TranslateResult result =
+            translateCircuit(routed, {0, 1, 2, 3}, d, set, decomposer,
+                             strategy, cache, /*approximate=*/true);
+        EXPECT_EQ(strategy.key_builds.load(), 4 * 2) << pass;
+        EXPECT_EQ(result.cache_hits + result.cache_misses, 9u * 2) << pass;
+    }
+    EXPECT_EQ(cache.stats().misses, 4u * 2);
+    EXPECT_EQ(cache.stats().hits, 9u * 2 * 2 - 4 * 2);
+}
+
+TEST(Translate, BoundedCacheTranslatesLikeUnbounded)
+{
+    // Two entries hold less than one compile's working set (4 distinct
+    // unitaries x 2 specs), so entries are evicted and recomputed while
+    // the compile still uses them; the output must not change.
+    Device d = rigettiLine4();
+    GateSet set = isa::rigettiSet(1);
+    NuOpDecomposer decomposer(fastNuOp());
+    Circuit routed = repeatedBlocksCircuit();
+    for (const char* engine : {"nuop", "auto"}) {
+        auto strategy = makeDecompositionStrategy(engine);
+        ProfileCache unbounded;
+        ProfileCache bounded(2);
+        TranslateResult reference =
+            translateCircuit(routed, {0, 1, 2, 3}, d, set, decomposer,
+                             *strategy, unbounded, /*approximate=*/true);
+        for (const char* pass : {"cold", "warm"}) {
+            TranslateResult result =
+                translateCircuit(routed, {0, 1, 2, 3}, d, set, decomposer,
+                                 *strategy, bounded, /*approximate=*/true);
+            expectBitIdentical(reference, result,
+                               std::string(engine) + " " + pass);
+        }
+        EXPECT_LE(bounded.size(), 2u) << engine;
+        EXPECT_GT(bounded.stats().evictions, 0u) << engine;
+    }
 }
 
 /** Settings of the compile goldens in test_ir_identity.cc. */
