@@ -13,10 +13,9 @@
  * cost should stay near "nuop"'s; warm legs also report each pass's
  * p50 wall-clock. QV-32's random SU(4)s need ~500 independent BFGS
  * profile optimizations (compute-bound, where the intra-circuit
- * fan-out pays off). The
- * parallel path must be bit-identical to serial — checked here and
- * gated in CI alongside the latency/speedup baselines
- * (scripts/check_bench_regression.py).
+ * fan-out pays off). The parallel path must be bit-identical to
+ * serial — checked here and gated in CI alongside the latency/speedup
+ * baselines (scripts/check_bench_regression.py).
  *
  * Emits a single JSON object on stdout (scripts/bench_smoke.sh
  * captures it as BENCH_hotpath.json).
@@ -262,55 +261,6 @@ histReport(const std::string& label, const HistSnapshot& before)
     }
 }
 
-/** Serial warm-cache compiles: latency and per-pass wall-clock. */
-struct WarmLeg
-{
-    std::vector<double> ms;
-    /** Pass name -> wall_ms of every rep, in pipeline order. */
-    std::vector<std::pair<std::string, std::vector<double>>> passes;
-    AllocDelta alloc;
-};
-
-/**
- * One shared cache, warmed by an untimed compile, then `reps` timed
- * compiles; rep 0's allocation delta is the reported counter.
- */
-WarmLeg
-runWarmLeg(const std::string& name, const Circuit& app,
-           const Device& device, const GateSet& set,
-           const CompileOptions& options, int reps)
-{
-    WarmLeg leg;
-    ProfileCache cache;
-    timedCompile(app, device, set, options, cache, nullptr);
-    for (int rep = 0; rep < reps; ++rep) {
-        std::uint64_t c0 = g_alloc_count.load();
-        std::uint64_t b0 = g_alloc_bytes.load();
-        HistSnapshot h0;
-        if (rep == 0 && g_hist_enabled)
-            h0 = histSnapshot();
-        TimedCompile timed =
-            timedCompile(app, device, set, options, cache, nullptr);
-        if (rep == 0) {
-            leg.alloc.count = g_alloc_count.load() - c0;
-            leg.alloc.bytes = g_alloc_bytes.load() - b0;
-            if (g_hist_enabled)
-                histReport(name + " warm", h0);
-        }
-        leg.ms.push_back(timed.ms);
-        for (const PassMetric& metric : timed.result.pass_metrics) {
-            auto it = std::find_if(
-                leg.passes.begin(), leg.passes.end(),
-                [&](const auto& row) { return row.first == metric.pass; });
-            if (it == leg.passes.end())
-                it = leg.passes.insert(leg.passes.end(),
-                                       {metric.pass, {}});
-            it->second.push_back(metric.wall_ms);
-        }
-    }
-    return leg;
-}
-
 struct WorkloadReport
 {
     std::string name;
@@ -352,9 +302,40 @@ runWorkload(const std::string& name, const Circuit& app,
         cold_ms.push_back(timed.ms);
     }
 
-    WarmLeg warm = runWarmLeg(name, app, device, set, options, warm_reps);
-    report.warm_alloc = warm.alloc;
-    for (const auto& [pass, ms] : warm.passes) {
+    // Serial warm: one shared cache, warmed by an untimed compile.
+    // Each pass's wall-clock is kept per rep, in pipeline order.
+    std::vector<double> warm_ms;
+    std::vector<std::pair<std::string, std::vector<double>>> warm_passes;
+    {
+        ProfileCache cache;
+        timedCompile(app, device, set, options, cache, nullptr);
+        for (int rep = 0; rep < warm_reps; ++rep) {
+            std::uint64_t c0 = g_alloc_count.load();
+            std::uint64_t b0 = g_alloc_bytes.load();
+            HistSnapshot h0;
+            if (rep == 0 && g_hist_enabled)
+                h0 = histSnapshot();
+            TimedCompile timed =
+                timedCompile(app, device, set, options, cache, nullptr);
+            if (rep == 0) {
+                report.warm_alloc.count = g_alloc_count.load() - c0;
+                report.warm_alloc.bytes = g_alloc_bytes.load() - b0;
+                if (g_hist_enabled)
+                    histReport(name + " warm", h0);
+            }
+            warm_ms.push_back(timed.ms);
+            for (const PassMetric& metric : timed.result.pass_metrics) {
+                auto it = std::find_if(
+                    warm_passes.begin(), warm_passes.end(),
+                    [&](const auto& row) { return row.first == metric.pass; });
+                if (it == warm_passes.end())
+                    it = warm_passes.insert(warm_passes.end(),
+                                            {metric.pass, {}});
+                it->second.push_back(metric.wall_ms);
+            }
+        }
+    }
+    for (const auto& [pass, ms] : warm_passes) {
         std::string key = pass;
         std::replace(key.begin(), key.end(), '-', '_');
         report.warm_pass_p50.emplace_back(key, percentile(ms, 0.50));
@@ -375,8 +356,8 @@ runWorkload(const std::string& name, const Circuit& app,
 
     report.cold_p50 = percentile(cold_ms, 0.50);
     report.cold_p95 = percentile(cold_ms, 0.95);
-    report.warm_p50 = percentile(warm.ms, 0.50);
-    report.warm_p95 = percentile(warm.ms, 0.95);
+    report.warm_p50 = percentile(warm_ms, 0.50);
+    report.warm_p95 = percentile(warm_ms, 0.95);
     report.parallel_p50 = percentile(parallel_ms, 0.50);
     report.parallel_p95 = percentile(parallel_ms, 0.95);
     report.speedup = report.parallel_p50 > 0.0

@@ -454,19 +454,7 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
                              device.oneQubitDurationNs());
     };
 
-    // Blocks of one slot that choose the same fit emit the same gates:
-    // each slot remembers where its last fit's gates went, and a repeat
-    // copies them from the output instead of rebuilding and re-dressing
-    // the template's U3s.
-    struct Emitted
-    {
-        const LayerFit* fit = nullptr;
-        size_t first_op = 0;
-    };
-    ArenaVector<Emitted> emitted =
-        makeArenaVector<Emitted>(scratch, sweep.slots.size());
     std::vector<Matrix> u3s;
-    std::vector<Matrix> layer_gates;
     size_t op_index = 0;
     size_t block_index = 0;
     for (const auto& op : routed.ops()) {
@@ -500,57 +488,39 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         if (profile.engine == "kak")
             ++result.analytic_ops;
 
-        Emitted& last = emitted[s];
-        bool repeat = last.fit == &fit;
-        if (!repeat) {
-            last = {&fit, result.circuit.size()};
-            TwoQubitTemplate templ =
-                profile.family == TemplateFamily::Fixed
-                    ? TwoQubitTemplate(fit.layers, profile.unitary)
-                    : TwoQubitTemplate(fit.layers, profile.family);
-            templ.u3MatricesInto(fit.params, u3s);
-            layer_gates.resize(static_cast<size_t>(fit.layers));
-            for (int layer = 0; layer < fit.layers; ++layer)
-                layer_gates[layer] = templ.layerGate(fit.params, layer);
-            if (dressing && dressing->active) {
-                // C' = post . C . pre implements the target exactly
-                // when C implements the representative (Fd is
-                // invariant under local dressing, so the profiled
-                // fidelities carry over).
-                u3s[0] = u3s[0] * dressing->pre_a;
-                u3s[1] = u3s[1] * dressing->pre_b;
-                u3s[2 * fit.layers] =
-                    dressing->post_a * u3s[2 * fit.layers];
-                u3s[2 * fit.layers + 1] =
-                    dressing->post_b * u3s[2 * fit.layers + 1];
-            }
+        TwoQubitTemplate templ =
+            profile.family == TemplateFamily::Fixed
+                ? TwoQubitTemplate(fit.layers, profile.unitary)
+                : TwoQubitTemplate(fit.layers, profile.family);
+        templ.u3MatricesInto(fit.params, u3s);
+        if (dressing && dressing->active) {
+            // C' = post . C . pre implements the target exactly when C
+            // implements the representative (Fd is invariant under
+            // local dressing, so the profiled fidelities carry over).
+            u3s[0] = u3s[0] * dressing->pre_a;
+            u3s[1] = u3s[1] * dressing->pre_b;
+            u3s[2 * fit.layers] = dressing->post_a * u3s[2 * fit.layers];
+            u3s[2 * fit.layers + 1] =
+                dressing->post_b * u3s[2 * fit.layers + 1];
         }
-        // The block's gates in emission order: a U3 pair, then per
-        // layer the native gate and a U3 pair.
-        const std::vector<Matrix>& out = result.circuit.opUnitaries();
-        auto u3 = [&](int k) -> const Matrix& {
-            return repeat ? out[last.first_op + k + k / 2] : u3s[k];
-        };
-        auto layer_gate = [&](int layer) -> const Matrix& {
-            return repeat ? out[last.first_op + 2 + 3 * layer]
-                          : layer_gates[layer];
-        };
 
-        emit_1q(ra, u3(0), u3_label);
-        emit_1q(rb, u3(1), u3_label);
+        emit_1q(ra, u3s[0], u3_label);
+        emit_1q(rb, u3s[1], u3_label);
         // One intern per 2Q block; every layer reuses the id (the
         // common single-type compile hits the LabelTable's shared-lock
         // fast path once per block).
         LabelId type_label = internLabel(profile.type_name);
         for (int layer = 0; layer < fit.layers; ++layer) {
-            result.circuit.add2q(ra, rb, layer_gate(layer), type_label,
+            result.circuit.add2q(ra, rb,
+                                 templ.layerGate(fit.params, layer),
+                                 type_label,
                                  1.0 - choice.edge_fidelity,
                                  device.twoQubitDurationNs());
             result.estimated_fidelity *= choice.edge_fidelity;
             ++result.two_qubit_count;
             ++result.type_usage[profile.type_name];
-            emit_1q(ra, u3(2 * (layer + 1)), u3_label);
-            emit_1q(rb, u3(2 * (layer + 1) + 1), u3_label);
+            emit_1q(ra, u3s[2 * (layer + 1)], u3_label);
+            emit_1q(rb, u3s[2 * (layer + 1) + 1], u3_label);
         }
         result.estimated_fidelity *= fit.fd;
     }
