@@ -27,6 +27,7 @@
 #include "compiler/translate.h"
 #include "device/device.h"
 #include "isa/gate_set.h"
+#include "nuop/decomposer.h"
 #include "qc/gates.h"
 
 namespace qiset {
@@ -355,6 +356,134 @@ TEST(IrIdentity, DressingFallbackTranslationMatchesGolden)
                   0x118d8f718eadd317ull)
             << pass;
     }
+}
+
+// Cold "nuop" compiles: every 2Q block is a fresh BFGS multistart
+// sweep, so these pin the optimizer's arithmetic (objective, gradient,
+// line search) through whole compiles. Captured before the template
+// gradient became incremental; must never drift.
+TEST(IrIdentity, ColdNuopQv4OnAspen8MatchesGolden)
+{
+    // The set the perfbench service's novel QV-4 requests solve.
+    Rng dev_rng(4242);
+    Device aspen = makeAspen8(dev_rng);
+    Rng app_rng(4);
+    const uint64_t golden[] = {0xc266cdb79bda5b37ull,
+                               0xaccbc132f4bb6f41ull};
+    for (uint64_t expected : golden) {
+        Circuit qv4 = makeQuantumVolumeCircuit(4, app_rng);
+        ProfileCache cache;
+        EXPECT_EQ(resultHash(compileCircuit(qv4, aspen, isa::rigettiSet(3),
+                                            cache, goldenOptions())),
+                  expected);
+    }
+}
+
+/** Three 2Q blocks of different classes on three qubits. */
+Circuit
+continuousFamilyCircuit()
+{
+    Rng rng(606);
+    Circuit logical(3);
+    logical.add2q(0, 1, gates::zz(0.7), "ZZ");
+    logical.add1q(1, gates::hadamard(), "H");
+    logical.add2q(1, 2, randomSu4(rng), "SU4");
+    logical.add2q(0, 1, gates::cphase(gates::kPi / 4), "CP4");
+    return logical;
+}
+
+TEST(IrIdentity, ContinuousFamilyCompilesMatchGoldens)
+{
+    // The continuous families optimize the layer-gate angles too.
+    Rng aspen_rng(4242);
+    Device aspen = makeAspen8(aspen_rng);
+    Rng syc_rng(4242);
+    Device sycamore = makeSycamore(syc_rng);
+    Circuit logical = continuousFamilyCircuit();
+    struct Case
+    {
+        const char* name;
+        const Device* device;
+        GateSet set;
+        uint64_t approximate;
+        uint64_t exact;
+    };
+    const Case cases[] = {
+        {"FullXY", &aspen, isa::fullXy(), 0xc9cc98d281c025f2ull,
+         0xaa05ec1a7bbe3ec4ull},
+        {"FullfSim", &sycamore, isa::fullFsim(), 0x9841f306c4b84d36ull,
+         0x9841f306c4b84d36ull},
+        {"FullCZt", &sycamore, isa::fullCphase(), 0xcbfdfbec21504f9bull,
+         0x1722c5e80a2bc51ull},
+    };
+    for (const Case& c : cases) {
+        for (bool approximate : {true, false}) {
+            CompileOptions options = goldenOptions();
+            options.approximate = approximate;
+            ProfileCache cache;
+            EXPECT_EQ(resultHash(compileCircuit(logical, *c.device, c.set,
+                                                cache, options)),
+                      approximate ? c.approximate : c.exact)
+                << c.name << (approximate ? " approximate" : " exact");
+        }
+    }
+}
+
+TEST(IrIdentity, ExactFixedGateCompileMatchesGolden)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    CompileOptions options = goldenOptions();
+    options.approximate = false;
+    ProfileCache cache;
+    EXPECT_EQ(resultHash(compileCircuit(makeQftCircuit(4), device,
+                                        isa::singleTypeSet(1), cache,
+                                        options)),
+              0x8b5873d366965b23ull);
+}
+
+uint64_t
+decompositionHash(const Decomposition& d)
+{
+    uint64_t hash = fnvString(14695981039346656037ull, d.gate_name);
+    hash = fnv1a(hash, static_cast<uint64_t>(d.family));
+    hash = fnv1a(hash, static_cast<uint64_t>(d.layers));
+    hash = fnvDouble(hash, d.decomposition_fidelity);
+    hash = fnvDouble(hash, d.hardware_fidelity);
+    for (double p : d.params)
+        hash = fnvDouble(hash, p);
+    return fnv1a(hash, d.meets_threshold ? 1u : 0u);
+}
+
+// Compiles reach NuOp through the per-layer profile ladder; the
+// decomposer's own layer sweeps share one scratch across layers.
+TEST(IrIdentity, NuOpLayerSweepsMatchGoldens)
+{
+    NuOpDecomposer decomposer(goldenOptions().nuop);
+    Rng rng(909);
+    Matrix su4 = randomSu4(rng);
+    std::vector<HardwareGate> gates = {
+        makeFixedGate("SYC", gates::sycamore(), 0.993),
+        makeFixedGate("CZ", gates::cz(), 0.995),
+    };
+    HardwareGate xy;
+    xy.name = "XY";
+    xy.family = TemplateFamily::FullXy;
+    xy.fidelity = 0.99;
+    EXPECT_EQ(decompositionHash(decomposer.decomposeExact(su4, gates[0])),
+              0x6581e33f69ad4c74ull)
+        << "exact SYC";
+    EXPECT_EQ(decompositionHash(
+                  decomposer.decomposeApproximate(su4, gates[1])),
+              0x963c699d416d5731ull)
+        << "approximate CZ";
+    EXPECT_EQ(decompositionHash(decomposer.decomposeExact(
+                  gates::cphase(gates::kPi / 3), xy)),
+              0x2c83d1b6b62080b1ull)
+        << "exact XY";
+    EXPECT_EQ(decompositionHash(decomposer.decomposeBest(su4, gates)),
+              0x963c699d416d5731ull)
+        << "best";
 }
 
 TEST(IrIdentity, RenderedTextMatchesPreSoaGoldens)
