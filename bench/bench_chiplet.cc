@@ -57,13 +57,18 @@ struct Variant
     double wall_ms = 0.0;
 };
 
+/**
+ * One compile on its own cold ProfileCache, so neither leg's wall_ms
+ * is timed on profiles another leg solved.
+ */
 Variant
 compileVariant(const Workload& workload, const GateSet& set,
-               ProfileCache& cache, bool use_teleport)
+               bool use_teleport)
 {
     CompileOptions options = bench::benchCompileOptions();
     options.routing = "telesabre";
     options.teleport.use_teleport = use_teleport;
+    ProfileCache cache;
     auto start = std::chrono::steady_clock::now();
     CompileResult result = compileCircuit(
         workload.circuit, *workload.device, set, cache, options);
@@ -129,7 +134,6 @@ main()
                          &chiplet3x3});
 
     GateSet set = isa::singleTypeSet(3);
-    ProfileCache cache;
 
     bool teleport_wins = true;
     double min_teleport_fidelity = 1.0;
@@ -137,8 +141,8 @@ main()
     std::cout << "{\n  \"bench\": \"chiplet\",\n  \"workloads\": [\n";
     for (size_t w = 0; w < workloads.size(); ++w) {
         const Workload& workload = workloads[w];
-        Variant tele = compileVariant(workload, set, cache, true);
-        Variant swap = compileVariant(workload, set, cache, false);
+        Variant tele = compileVariant(workload, set, true);
+        Variant swap = compileVariant(workload, set, false);
 
         // The self-check: inter-core traffic must exist, and paying
         // one EPR pair per crossing instead of three must show up in

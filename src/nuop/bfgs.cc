@@ -57,8 +57,9 @@ dot(const std::vector<double>& a, const std::vector<double>& b)
 } // namespace
 
 BfgsResult
-minimizeBfgs(const ObjectiveFn& f, std::vector<double> x0,
-             const BfgsOptions& options, BfgsWorkspace* workspace)
+minimizeBfgs(const ObjectiveFn& f, const GradientFn& gradient,
+             std::vector<double> x0, const BfgsOptions& options,
+             BfgsWorkspace* workspace)
 {
     QISET_REQUIRE(!x0.empty(), "BFGS needs at least one variable");
     const size_t n = x0.size();
@@ -82,8 +83,7 @@ minimizeBfgs(const ObjectiveFn& f, std::vector<double> x0,
     BfgsResult result;
     result.x = std::move(x0);
     result.value = f(result.x);
-    numericalGradientInto(f, result.x, options.finite_diff_eps, ws.grad,
-                          ws.probe);
+    gradient(result.x, ws.grad);
 
     for (int iter = 0; iter < options.max_iterations; ++iter) {
         result.iterations = iter + 1;
@@ -140,8 +140,7 @@ minimizeBfgs(const ObjectiveFn& f, std::vector<double> x0,
             break;
         }
 
-        numericalGradientInto(f, ws.x_new, options.finite_diff_eps,
-                              ws.grad_new, ws.probe);
+        gradient(ws.x_new, ws.grad_new);
 
         // BFGS inverse-Hessian update (Sherman-Morrison form).
         for (size_t i = 0; i < n; ++i) {

@@ -7,9 +7,12 @@
  *
  * The paper's NuOp pass optimizes template-circuit rotation angles with
  * scipy's BFGS; this is the equivalent C++ implementation: inverse-
- * Hessian BFGS updates, backtracking Armijo line search, and central-
- * difference numerical gradients. Problem sizes are tiny (6-50
- * variables), so dense O(n^2) updates are ideal.
+ * Hessian BFGS updates and a backtracking Armijo line search. The
+ * gradient comes from the caller: NuOp passes its template's
+ * incremental central differences (TwoQubitTemplate::
+ * infidelityGradient), and numericalGradientInto below is the plain
+ * central-difference reference for any other objective. Problem sizes
+ * are tiny (6-50 variables), so dense O(n^2) updates are ideal.
  */
 
 #include <functional>
@@ -20,6 +23,10 @@ namespace qiset {
 /** Objective callback: R^n -> R. */
 using ObjectiveFn = std::function<double(const std::vector<double>&)>;
 
+/** Gradient callback: sizes grad like x and writes the gradient at x. */
+using GradientFn = std::function<void(const std::vector<double>& x,
+                                      std::vector<double>& grad)>;
+
 /** Tuning knobs for minimizeBfgs. */
 struct BfgsOptions
 {
@@ -29,7 +36,10 @@ struct BfgsOptions
     double gradient_tol = 1e-10;
     /** Stop when the objective improvement drops below this. */
     double value_tol = 1e-14;
-    /** Central-difference step for numerical gradients. */
+    /**
+     * Central-difference step. minimizeBfgs takes its gradient from
+     * the caller; NuOp hands this step to its template gradient.
+     */
     double finite_diff_eps = 1e-7;
     /**
      * Early exit once the objective drops below this value (useful
@@ -57,8 +67,8 @@ struct BfgsResult
  * can be reused across problems of different dimension. Reusing it
  * across the ~10^3 solves of a multistart sweep removes every
  * per-iteration heap allocation from the optimizer (the historical
- * loop allocated six vectors per BFGS iteration plus two per gradient
- * evaluation).
+ * loop allocated six vectors per BFGS iteration). The gradient's own
+ * scratch belongs to the caller's GradientFn.
  */
 struct BfgsWorkspace
 {
@@ -70,27 +80,33 @@ struct BfgsWorkspace
     std::vector<double> s;         ///< x_new - x
     std::vector<double> y;         ///< grad_new - grad
     std::vector<double> hy;        ///< H y
-    std::vector<double> probe;     ///< finite-difference probe point
 };
 
 /**
  * Minimize f starting from x0.
  *
- * The result is a pure function of (f, x0, options): runs with and
- * without a caller-provided workspace perform the identical sequence
- * of floating-point operations and return bit-identical results.
+ * The result is a pure function of (f, gradient, x0, options): runs
+ * with and without a caller-provided workspace perform the identical
+ * sequence of floating-point operations and return bit-identical
+ * results.
  *
  * @param f Objective function (evaluated many times; keep it cheap).
+ * @param gradient Gradient of f, called once at x0 and once per
+ *        accepted step.
  * @param x0 Starting point.
  * @param options Tolerances and limits.
  * @param workspace Optional scratch reused across calls; pass nullptr
  *        (the default) to use per-call local buffers.
  */
-BfgsResult minimizeBfgs(const ObjectiveFn& f, std::vector<double> x0,
+BfgsResult minimizeBfgs(const ObjectiveFn& f, const GradientFn& gradient,
+                        std::vector<double> x0,
                         const BfgsOptions& options = {},
                         BfgsWorkspace* workspace = nullptr);
 
-/** Central-difference gradient of f at x (exposed for testing). */
+/**
+ * Central-difference gradient of f at x: the reference gradient for
+ * objectives without a cheaper one of their own.
+ */
 std::vector<double> numericalGradient(const ObjectiveFn& f,
                                       const std::vector<double>& x,
                                       double eps = 1e-7);

@@ -78,32 +78,40 @@ NuOpDecomposer::hardwareFidelity(const HardwareGate& gate, int layers) const
 double
 NuOpDecomposer::bestFidelityForLayers(const Matrix& target,
                                       const HardwareGate& gate, int layers,
-                                      std::vector<double>* params_out) const
-{
-    NuOpScratch scratch;
-    return bestFidelityForLayersScratch(target, gate, layers, params_out,
-                                        scratch);
-}
-
-double
-NuOpDecomposer::bestFidelityForLayersScratch(
-    const Matrix& target, const HardwareGate& gate, int layers,
-    std::vector<double>* params_out, NuOpScratch& scratch) const
+                                      std::vector<double>* params_out,
+                                      NuOpScratch* shared) const
 {
     QISET_REQUIRE(target.rows() == 4 && target.cols() == 4,
                   "NuOp targets are two-qubit unitaries");
+    NuOpScratch local;
+    NuOpScratch& scratch = shared ? *shared : local;
     TwoQubitTemplate templ =
         gate.family == TemplateFamily::Fixed
             ? TwoQubitTemplate(layers, gate.unitary)
             : TwoQubitTemplate(layers, gate.family);
 
-    auto objective = [&](const std::vector<double>& x) {
-        return templ.infidelityWithScratch(x, target, scratch.build);
-    };
-
     BfgsOptions bfgs = options_.bfgs;
     bfgs.stop_below =
         std::max(bfgs.stop_below, 0.1 * (1.0 - options_.exact_threshold));
+
+    // Each callback captures one pointer, which std::function stores
+    // inline: building them allocates nothing.
+    struct Problem
+    {
+        const TwoQubitTemplate& templ;
+        const Matrix& target;
+        double eps;
+        TwoQubitTemplate::BuildScratch& build;
+    } problem{templ, target, bfgs.finite_diff_eps, scratch.build};
+    const ObjectiveFn objective = [&problem](const std::vector<double>& x) {
+        return problem.templ.infidelityWithScratch(x, problem.target,
+                                                   problem.build);
+    };
+    const GradientFn gradient = [&problem](const std::vector<double>& x,
+                                           std::vector<double>& grad) {
+        problem.templ.infidelityGradient(x, problem.target, problem.eps,
+                                         grad, problem.build);
+    };
 
     // Seed deterministically per (target, gate, layers, start index):
     // each multistart draws from its own Rng, so the x0 of start k
@@ -147,8 +155,9 @@ NuOpDecomposer::bestFidelityForLayersScratch(
         }
         for (int i = 0; i < count; ++i) {
             BfgsResult result =
-                minimizeBfgs(objective, std::move(scratch.block_x0[i]),
-                             bfgs, &scratch.bfgs);
+                minimizeBfgs(objective, gradient,
+                             std::move(scratch.block_x0[i]), bfgs,
+                             &scratch.bfgs);
             if (result.value < best) {
                 best = result.value;
                 scratch.best_params = std::move(result.x);
@@ -191,10 +200,11 @@ NuOpDecomposer::decomposeExact(const Matrix& target,
     Decomposition best;
     best.decomposition_fidelity = -1.0;
     NuOpScratch scratch;
+    scratch.build.reserve(options_.max_layers);
     for (int layers = 0; layers <= options_.max_layers; ++layers) {
         std::vector<double> params;
-        double fd = bestFidelityForLayersScratch(target, gate, layers,
-                                                 &params, scratch);
+        double fd = bestFidelityForLayers(target, gate, layers, &params,
+                                          &scratch);
         if (fd > best.decomposition_fidelity) {
             best = makeDecomposition(gate, layers, fd,
                                      hardwareFidelity(gate, layers),
@@ -215,6 +225,7 @@ NuOpDecomposer::decomposeApproximate(const Matrix& target,
     best.decomposition_fidelity = 0.0;
     best.hardware_fidelity = 0.0;
     NuOpScratch scratch;
+    scratch.build.reserve(options_.max_layers);
     for (int layers = 0; layers <= options_.max_layers; ++layers) {
         double fh = hardwareFidelity(gate, layers);
         // Even a perfect Fd cannot beat the incumbent at this depth:
@@ -222,8 +233,8 @@ NuOpDecomposer::decomposeApproximate(const Matrix& target,
         if (fh <= best.overallFidelity())
             break;
         std::vector<double> params;
-        double fd = bestFidelityForLayersScratch(target, gate, layers,
-                                                 &params, scratch);
+        double fd = bestFidelityForLayers(target, gate, layers, &params,
+                                          &scratch);
         // Paper templates use >= 1 hardware gate: a zero-layer
         // (local-only) realization is only admissible when it is an
         // exact implementation, not a lossy approximation.

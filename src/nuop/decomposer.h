@@ -90,20 +90,24 @@ struct Decomposition
 };
 
 /**
- * Preallocated scratch for one decomposition sweep: the BFGS workspace,
- * the template's matrix ping-pong buffers, the block of multistart
- * starting points, and the incumbent parameter vector. One instance
- * serves a whole decomposeExact/decomposeApproximate layer sweep (its
- * buffers are resized per problem), so the optimizer's inner loops run
- * allocation-free after the first multistart block.
+ * Preallocated scratch for one layer sweep: the BFGS workspace, the
+ * template's matrix slots (every factor and running product at the
+ * incumbent point, which the incremental gradient's probes rebuild
+ * from), the block of multistart starting points, and the best
+ * parameter vector. One instance serves a whole layer sweep — the
+ * profile ladder's or decomposeExact/decomposeApproximate's; the
+ * sweep sizes the matrix slots once for its deepest template and the
+ * other buffers are resized per problem — so the optimizer's inner
+ * loops run allocation-free after the first multistart block.
  */
 struct NuOpScratch
 {
     BfgsWorkspace bfgs;
+    /** Matrix slots, sized once per sweep via build.reserve(). */
     TwoQubitTemplate::BuildScratch build;
     /** Starting points of the current multistart block. */
     std::vector<std::vector<double>> block_x0;
-    /** Best parameters seen so far in the current layer sweep. */
+    /** Best parameters of the current layer count's multistarts. */
     std::vector<double> best_params;
 };
 
@@ -118,12 +122,14 @@ class NuOpDecomposer
     /**
      * Best decomposition fidelity achievable with exactly `layers`
      * applications of the gate. Optionally returns the optimized
-     * parameters.
+     * parameters. A layer sweep passes one `scratch` to every call
+     * (see NuOpScratch); nullptr uses a per-call one. Results do not
+     * depend on the scratch.
      */
     double bestFidelityForLayers(const Matrix& target,
                                  const HardwareGate& gate, int layers,
-                                 std::vector<double>* params_out =
-                                     nullptr) const;
+                                 std::vector<double>* params_out = nullptr,
+                                 NuOpScratch* scratch = nullptr) const;
 
     /**
      * Exact decomposition: smallest layer count whose Fd reaches the
@@ -153,17 +159,6 @@ class NuOpDecomposer
     double hardwareFidelity(const HardwareGate& gate, int layers) const;
 
   private:
-    /**
-     * bestFidelityForLayers over caller-provided scratch — the engine
-     * behind the public entry points, which share one scratch across a
-     * layer sweep. Bit-identical to the scratch-free wrapper.
-     */
-    double bestFidelityForLayersScratch(const Matrix& target,
-                                        const HardwareGate& gate,
-                                        int layers,
-                                        std::vector<double>* params_out,
-                                        NuOpScratch& scratch) const;
-
     NuOpOptions options_;
 };
 

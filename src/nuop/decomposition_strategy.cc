@@ -301,12 +301,14 @@ nuopLadder(const Matrix& target, const GateSpec& spec,
     gate.unitary = spec.unitary;
 
     double threshold = decomposer.options().exact_threshold;
+    NuOpScratch scratch;
+    scratch.build.reserve(decomposer.options().max_layers);
     for (int layers = 0; layers <= decomposer.options().max_layers;
          ++layers) {
         LayerFit fit;
         fit.layers = layers;
         fit.fd = decomposer.bestFidelityForLayers(target, gate, layers,
-                                                  &fit.params);
+                                                  &fit.params, &scratch);
         profile.fits.push_back(std::move(fit));
         if (profile.fits.back().fd >= threshold)
             break;

@@ -46,112 +46,117 @@ TwoQubitTemplate::numParams() const
     return 6 * (layers_ + 1) + gateParamsPerLayer() * layers_;
 }
 
-Matrix
-TwoQubitTemplate::build(const std::vector<double>& params) const
+size_t
+TwoQubitTemplate::slotCount(int layers)
 {
-    QISET_REQUIRE(static_cast<int>(params.size()) == numParams(),
-                  "expected ", numParams(), " params, got ",
-                  params.size());
+    // u3 2(k+1), pair k+1, gate k, product and probe_product 2k+1
+    // each, and the three single probe slots.
+    return 8 * static_cast<size_t>(layers) + 8;
+}
 
-    size_t p = 0;
-    auto next_u3_pair = [&]() {
-        Matrix a = gates::u3(params[p], params[p + 1], params[p + 2]);
-        Matrix b = gates::u3(params[p + 3], params[p + 4], params[p + 5]);
-        p += 6;
-        return a.kron(b);
-    };
+void
+TwoQubitTemplate::BuildScratch::reserve(int layers)
+{
+    if (slots.size() < slotCount(layers))
+        slots.resize(slotCount(layers));
+}
 
-    Matrix unitary = next_u3_pair();
-    for (int layer = 0; layer < layers_; ++layer) {
-        Matrix gate;
-        switch (family_) {
-          case TemplateFamily::Fixed:
-            gate = fixed_gate_;
-            break;
-          case TemplateFamily::FullXy:
-            gate = gates::xy(params[p]);
-            p += 1;
-            break;
-          case TemplateFamily::FullFsim:
-            gate = gates::fsim(params[p], params[p + 1]);
-            p += 2;
-            break;
-          case TemplateFamily::FullCphase:
-            gate = gates::cphase(params[p]);
-            p += 1;
-            break;
-        }
-        unitary = gate * unitary;
-        unitary = next_u3_pair() * unitary;
+TwoQubitTemplate::Slots
+TwoQubitTemplate::slotsIn(BuildScratch& scratch) const
+{
+    scratch.reserve(layers_);
+    Slots s;
+    s.u3 = scratch.slots.data();
+    s.pair = s.u3 + 2 * (layers_ + 1);
+    s.gate = s.pair + (layers_ + 1);
+    s.product = s.gate + layers_;
+    s.probe_product = s.product + (2 * layers_ + 1);
+    s.probe_u3 = s.probe_product + (2 * layers_ + 1);
+    s.probe_pair = s.probe_u3 + 1;
+    s.probe_gate = s.probe_pair + 1;
+    return s;
+}
+
+void
+TwoQubitTemplate::layerGateInto(Matrix& out, const double* angles) const
+{
+    switch (family_) {
+      case TemplateFamily::Fixed:
+        out = fixed_gate_;
+        break;
+      case TemplateFamily::FullXy:
+        out = gates::xy(angles[0]);
+        break;
+      case TemplateFamily::FullFsim:
+        out = gates::fsim(angles[0], angles[1]);
+        break;
+      case TemplateFamily::FullCphase:
+        out = gates::cphase(angles[0]);
+        break;
     }
-    return unitary;
+}
+
+const Matrix&
+TwoQubitTemplate::productsFrom(int from, const Matrix& factor,
+                               const Matrix* below, Matrix* out,
+                               const Slots& s) const
+{
+    // Every product goes through multiplyInto (bit-identical to
+    // operator*) in this one order, which is what makes a probe's
+    // partial rebuild equal its full build bit for bit.
+    const Matrix* f = &factor;
+    const Matrix* acc = below;
+    for (int j = from;; ++j) {
+        if (acc) {
+            Matrix::multiplyInto(out[j], *f, *acc);
+            acc = &out[j];
+        } else {
+            acc = f;
+        }
+        if (j == 2 * layers_)
+            return *acc;
+        int next = j + 1;
+        if (next % 2 == 0)
+            f = &s.pair[next / 2];
+        else
+            f = family_ == TemplateFamily::Fixed ? &fixed_gate_
+                                                 : &s.gate[next / 2];
+    }
 }
 
 const Matrix&
 TwoQubitTemplate::buildWithScratch(const std::vector<double>& params,
-                                   BuildScratch& s) const
+                                   BuildScratch& scratch) const
 {
     QISET_REQUIRE(static_cast<int>(params.size()) == numParams(),
                   "expected ", numParams(), " params, got ",
                   params.size());
-
-    // Same operation sequence as build(), with every temporary pinned
-    // in the scratch: pair products via kronInto, layer products
-    // ping-ponging between acc and tmp via multiplyInto (which matches
-    // operator* bit for bit).
-    size_t p = 0;
-    auto next_u3_pair_into = [&](Matrix& dst) {
-        gates::u3Into(s.u3a, params[p], params[p + 1], params[p + 2]);
-        gates::u3Into(s.u3b, params[p + 3], params[p + 4], params[p + 5]);
-        p += 6;
-        Matrix::kronInto(dst, s.u3a, s.u3b);
-    };
-
-    Matrix* cur = &s.acc;
-    Matrix* nxt = &s.tmp;
-    next_u3_pair_into(*cur);
-    for (int layer = 0; layer < layers_; ++layer) {
-        const Matrix* gate = &fixed_gate_;
-        switch (family_) {
-          case TemplateFamily::Fixed:
-            break;
-          case TemplateFamily::FullXy:
-            s.gate = gates::xy(params[p]);
-            p += 1;
-            gate = &s.gate;
-            break;
-          case TemplateFamily::FullFsim:
-            s.gate = gates::fsim(params[p], params[p + 1]);
-            p += 2;
-            gate = &s.gate;
-            break;
-          case TemplateFamily::FullCphase:
-            s.gate = gates::cphase(params[p]);
-            p += 1;
-            gate = &s.gate;
-            break;
-        }
-        Matrix::multiplyInto(*nxt, *gate, *cur);
-        std::swap(cur, nxt);
-        next_u3_pair_into(s.pair);
-        Matrix::multiplyInto(*nxt, s.pair, *cur);
-        std::swap(cur, nxt);
+    Slots s = slotsIn(scratch);
+    const int stride = 6 + gateParamsPerLayer();
+    for (int b = 0; b <= layers_; ++b) {
+        const double* p = &params[b * stride];
+        gates::u3Into(s.u3[2 * b], p[0], p[1], p[2]);
+        gates::u3Into(s.u3[2 * b + 1], p[3], p[4], p[5]);
+        Matrix::kronInto(s.pair[b], s.u3[2 * b], s.u3[2 * b + 1]);
+        if (b < layers_ && family_ != TemplateFamily::Fixed)
+            layerGateInto(s.gate[b], p + 6);
     }
-    return *cur;
+    return productsFrom(0, s.pair[0], nullptr, s.product, s);
 }
 
-void
-TwoQubitTemplate::buildInto(Matrix& out, const std::vector<double>& params,
-                            BuildScratch& scratch) const
+Matrix
+TwoQubitTemplate::build(const std::vector<double>& params) const
 {
-    out = buildWithScratch(params, scratch);
+    BuildScratch scratch;
+    return buildWithScratch(params, scratch);
 }
 
 double
 TwoQubitTemplate::infidelity(const std::vector<double>& params,
                              const Matrix& target) const
 {
-    return 1.0 - traceFidelity(build(params), target);
+    BuildScratch scratch;
+    return infidelityWithScratch(params, target, scratch);
 }
 
 double
@@ -160,6 +165,61 @@ TwoQubitTemplate::infidelityWithScratch(const std::vector<double>& params,
                                         BuildScratch& scratch) const
 {
     return 1.0 - traceFidelity(buildWithScratch(params, scratch), target);
+}
+
+void
+TwoQubitTemplate::infidelityGradient(const std::vector<double>& x,
+                                     const Matrix& target, double eps,
+                                     std::vector<double>& grad,
+                                     BuildScratch& scratch) const
+{
+    buildWithScratch(x, scratch);
+    Slots s = slotsIn(scratch);
+    const int per_layer = gateParamsPerLayer();
+    const int stride = 6 + per_layer;
+    grad.resize(x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+        const int b = static_cast<int>(i) / stride;
+        const int r = static_cast<int>(i) % stride;
+        const double* p = &x[b * stride];
+        // The probe point's value of x[i], as numericalGradientInto
+        // forms it.
+        const double shifted[2] = {x[i] + eps, x[i] - eps};
+        double f[2];
+        for (int side = 0; side < 2; ++side) {
+            const Matrix* top;
+            if (r < 6) {
+                // A U3 angle: rebuild that U3, its pair, and the
+                // products from stage 2b up.
+                const int first = r < 3 ? 0 : 3;
+                double angles[3] = {p[first], p[first + 1], p[first + 2]};
+                angles[r - first] = shifted[side];
+                gates::u3Into(*s.probe_u3, angles[0], angles[1], angles[2]);
+                if (r < 3)
+                    Matrix::kronInto(*s.probe_pair, *s.probe_u3,
+                                     s.u3[2 * b + 1]);
+                else
+                    Matrix::kronInto(*s.probe_pair, s.u3[2 * b],
+                                     *s.probe_u3);
+                const Matrix* below =
+                    b == 0 ? nullptr : &s.product[2 * b - 1];
+                top = &productsFrom(2 * b, *s.probe_pair, below,
+                                    s.probe_product, s);
+            } else {
+                // A layer-gate angle: rebuild layer b's gate and the
+                // products from stage 2b+1 up.
+                double angles[2] = {p[6], per_layer > 1 ? p[7] : 0.0};
+                angles[r - 6] = shifted[side];
+                layerGateInto(*s.probe_gate, angles);
+                const Matrix* below =
+                    b == 0 ? &s.pair[0] : &s.product[2 * b];
+                top = &productsFrom(2 * b + 1, *s.probe_gate, below,
+                                    s.probe_product, s);
+            }
+            f[side] = 1.0 - traceFidelity(*top, target);
+        }
+        grad[i] = (f[0] - f[1]) / (2.0 * eps);
+    }
 }
 
 std::vector<Matrix>
@@ -195,19 +255,14 @@ TwoQubitTemplate::layerGate(const std::vector<double>& params,
                             int layer) const
 {
     QISET_REQUIRE(layer >= 0 && layer < layers_, "layer out of range");
-    switch (family_) {
-      case TemplateFamily::Fixed:
+    if (family_ == TemplateFamily::Fixed)
         return fixed_gate_;
-      case TemplateFamily::FullXy:
-        return gates::xy(layerGateAngles(params, layer)[0]);
-      case TemplateFamily::FullFsim: {
-        auto angles = layerGateAngles(params, layer);
-        return gates::fsim(angles[0], angles[1]);
-      }
-      case TemplateFamily::FullCphase:
-        return gates::cphase(layerGateAngles(params, layer)[0]);
-    }
-    return fixed_gate_;
+    QISET_REQUIRE(static_cast<int>(params.size()) == numParams(),
+                  "parameter arity mismatch");
+    Matrix gate;
+    layerGateInto(gate, &params[6 * (layer + 1) +
+                                gateParamsPerLayer() * layer]);
+    return gate;
 }
 
 std::vector<double>

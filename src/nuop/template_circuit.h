@@ -58,27 +58,24 @@ class TwoQubitTemplate
     Matrix build(const std::vector<double>& params) const;
 
     /**
-     * Reusable matrix scratch for buildInto/infidelityWithScratch. All
-     * matrices are SBO-inline (<= 4x4), so a default-constructed
-     * scratch never allocates; reusing one across the ~10^5 objective
-     * evaluations of a BFGS multistart sweep removes every Matrix
-     * temporary from the optimizer's inner loop.
+     * Reusable matrix scratch for the template product: one slot per
+     * U3 factor, Kronecker pair, continuous-family layer gate and
+     * running product of the last build, plus the slots a
+     * finite-difference probe rebuilds (one factor, its pair and the
+     * running products above it). Every matrix is SBO-inline
+     * (<= 4x4), so the slot vector is the scratch's only allocation;
+     * reserve() sizes it once for a whole layer sweep, and reusing
+     * one scratch across the ~10^5 objective evaluations of a BFGS
+     * multistart sweep keeps the optimizer's inner loop
+     * allocation-free.
      */
     struct BuildScratch
     {
-        Matrix u3a, u3b; ///< single-qubit factors of the current pair
-        Matrix pair;     ///< u3a (x) u3b
-        Matrix gate;     ///< materialized continuous-family layer gate
-        Matrix acc, tmp; ///< multiply ping-pong buffers
-    };
+        /** Size the slots for templates of up to `layers` layers. */
+        void reserve(int layers);
 
-    /**
-     * build() into a caller-owned matrix using preallocated scratch.
-     * Performs the identical sequence of kernel operations as build(),
-     * so the result is bit-identical.
-     */
-    void buildInto(Matrix& out, const std::vector<double>& params,
-                   BuildScratch& scratch) const;
+        std::vector<Matrix> slots;
+    };
 
     /**
      * Decomposition infidelity 1 - Fd against a target unitary, where
@@ -88,12 +85,28 @@ class TwoQubitTemplate
                       const Matrix& target) const;
 
     /**
-     * infidelity() over preallocated scratch — the allocation-free BFGS
+     * infidelity() over reusable scratch — the allocation-free BFGS
      * objective. Bit-identical to infidelity().
      */
     double infidelityWithScratch(const std::vector<double>& params,
                                  const Matrix& target,
                                  BuildScratch& scratch) const;
+
+    /**
+     * Central-difference gradient of infidelityWithScratch at x, into
+     * `grad`: bit-identical to numericalGradientInto (bfgs.h) over
+     * that objective, at a fraction of its cost. The template is
+     * built once at x; each of the 2n probes then recomputes only
+     * the factor its angle moves (a U3, or a continuous family's
+     * layer gate), that factor's pair and the running products above
+     * it. Every kernel call sees the bytes the full probe build would
+     * give it, so every probe value is bit-identical to
+     * infidelityWithScratch at the probe point.
+     */
+    void infidelityGradient(const std::vector<double>& x,
+                            const Matrix& target, double eps,
+                            std::vector<double>& grad,
+                            BuildScratch& scratch) const;
 
     /**
      * Angles of the two-qubit gate in a given layer for a parameter
@@ -126,10 +139,46 @@ class TwoQubitTemplate
     /** Number of parameters consumed by each two-qubit slot. */
     int gateParamsPerLayer() const;
 
+    /** Slots a `layers`-layer template uses in a BuildScratch. */
+    static size_t slotCount(int layers);
+
+    /** Where each kind of matrix lives in a BuildScratch's slots. */
+    struct Slots
+    {
+        Matrix* u3;            ///< 2(layers+1): [a0, b0, a1, b1, ...]
+        Matrix* pair;          ///< layers+1: a_b (x) b_b
+        Matrix* gate;          ///< layers: continuous-family gates
+        Matrix* product;       ///< 2 layers+1: [j] is stage j's
+                               ///< running product (stage 0's is
+                               ///< pair[0], so [0] stays unused)
+        Matrix* probe_product; ///< 2 layers+1: a probe's products
+        Matrix* probe_u3;      ///< a probe's U3
+        Matrix* probe_pair;    ///< a probe's pair
+        Matrix* probe_gate;    ///< a probe's layer gate
+    };
+
+    /** Slots of this template in `scratch` (sizing it if needed). */
+    Slots slotsIn(BuildScratch& scratch) const;
+
+    /** Continuous-family layer gate from its 1 or 2 angles. */
+    void layerGateInto(Matrix& out, const double* angles) const;
+
     /**
-     * Shared engine of buildInto/infidelityWithScratch: runs the
-     * template product over the scratch and returns a reference to the
-     * ping-pong buffer holding the result (valid until the scratch is
+     * The one template product loop, from stage `from` up. Stage 2b
+     * multiplies pair b onto the running product from the left, stage
+     * 2L+1 the gate of layer L; `factor` stands in for stage `from`'s
+     * own factor and `below` is the running product under it
+     * (nullptr at stage 0, whose running product is its pair).
+     * Stages above `from` read their factors from the slots. Stage
+     * j's product lands in out[j]; returns the top product.
+     */
+    const Matrix& productsFrom(int from, const Matrix& factor,
+                               const Matrix* below, Matrix* out,
+                               const Slots& slots) const;
+
+    /**
+     * Build every factor and running product of params into the
+     * scratch; returns the top product (valid until the scratch is
      * next used).
      */
     const Matrix& buildWithScratch(const std::vector<double>& params,

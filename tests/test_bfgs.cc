@@ -1,14 +1,34 @@
 // BFGS optimizer tests on standard problems.
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "nuop/bfgs.h"
+#include "nuop/template_circuit.h"
+#include "qc/gates.h"
+#include "qc/linalg.h"
 
 namespace qiset {
 namespace {
+
+/**
+ * Closed-form objectives differentiate by central differences, with
+ * the default step.
+ */
+GradientFn
+centralDifferences(const ObjectiveFn& f)
+{
+    return [f, probe = std::vector<double>()](
+               const std::vector<double>& x,
+               std::vector<double>& grad) mutable {
+        numericalGradientInto(f, x, BfgsOptions().finite_diff_eps, grad,
+                              probe);
+    };
+}
 
 TEST(Bfgs, MinimizesConvexQuadratic)
 {
@@ -17,7 +37,7 @@ TEST(Bfgs, MinimizesConvexQuadratic)
         return (x[0] - 1.0) * (x[0] - 1.0) +
                10.0 * (x[1] + 2.0) * (x[1] + 2.0);
     };
-    BfgsResult r = minimizeBfgs(f, {0.0, 0.0});
+    BfgsResult r = minimizeBfgs(f, centralDifferences(f), {0.0, 0.0});
     EXPECT_NEAR(r.x[0], 1.0, 1e-5);
     EXPECT_NEAR(r.x[1], -2.0, 1e-5);
     EXPECT_LT(r.value, 1e-9);
@@ -32,7 +52,7 @@ TEST(Bfgs, SolvesRosenbrock)
     };
     BfgsOptions opts;
     opts.max_iterations = 2000;
-    BfgsResult r = minimizeBfgs(f, {-1.2, 1.0}, opts);
+    BfgsResult r = minimizeBfgs(f, centralDifferences(f), {-1.2, 1.0}, opts);
     EXPECT_NEAR(r.x[0], 1.0, 1e-3);
     EXPECT_NEAR(r.x[1], 1.0, 1e-3);
 }
@@ -43,7 +63,7 @@ TEST(Bfgs, HandlesTrigLandscape)
     auto f = [](const std::vector<double>& x) {
         return 2.0 - std::cos(x[0]) - std::cos(x[1] - 0.5);
     };
-    BfgsResult r = minimizeBfgs(f, {0.4, 0.1});
+    BfgsResult r = minimizeBfgs(f, centralDifferences(f), {0.4, 0.1});
     EXPECT_LT(r.value, 1e-8);
 }
 
@@ -56,7 +76,7 @@ TEST(Bfgs, StopBelowShortCircuits)
     };
     BfgsOptions opts;
     opts.stop_below = 1e-2;
-    BfgsResult r = minimizeBfgs(f, {0.05}, opts);
+    BfgsResult r = minimizeBfgs(f, centralDifferences(f), {0.05}, opts);
     EXPECT_TRUE(r.converged);
     EXPECT_LE(r.iterations, 1);
 }
@@ -64,7 +84,7 @@ TEST(Bfgs, StopBelowShortCircuits)
 TEST(Bfgs, EmptyInputThrows)
 {
     auto f = [](const std::vector<double>&) { return 0.0; };
-    EXPECT_THROW(minimizeBfgs(f, {}), FatalError);
+    EXPECT_THROW(minimizeBfgs(f, centralDifferences(f), {}), FatalError);
 }
 
 TEST(Bfgs, HighDimensionalQuadratic)
@@ -82,7 +102,7 @@ TEST(Bfgs, HighDimensionalQuadratic)
     std::vector<double> x0(n, 1.0);
     BfgsOptions opts;
     opts.max_iterations = 500;
-    BfgsResult r = minimizeBfgs(f, x0, opts);
+    BfgsResult r = minimizeBfgs(f, centralDifferences(f), x0, opts);
     EXPECT_LT(r.value, 1e-8);
 }
 
@@ -100,9 +120,63 @@ TEST(NumericalGradient, MatchesAnalyticGradient)
 TEST(Bfgs, ReportsIterationCount)
 {
     auto f = [](const std::vector<double>& x) { return x[0] * x[0]; };
-    BfgsResult r = minimizeBfgs(f, {2.0});
+    BfgsResult r = minimizeBfgs(f, centralDifferences(f), {2.0});
     EXPECT_GE(r.iterations, 1);
     EXPECT_TRUE(r.converged);
+}
+
+TEST(Bfgs, TemplateGradientRunsBitIdenticalToCentralDifferences)
+{
+    // NuOp's objective under its incremental template gradient and
+    // under the plain central-difference reference: the same BFGS run,
+    // bit for bit.
+    struct Case
+    {
+        TwoQubitTemplate templ;
+        uint64_t seed;
+    };
+    const Case cases[] = {
+        {TwoQubitTemplate(2, gates::sycamore()), 11},
+        {TwoQubitTemplate(3, gates::cz()), 12},
+        {TwoQubitTemplate(2, TemplateFamily::FullXy), 13},
+        {TwoQubitTemplate(2, TemplateFamily::FullFsim), 14},
+        {TwoQubitTemplate(1, TemplateFamily::FullCphase), 15},
+    };
+    for (const Case& c : cases) {
+        Rng rng(c.seed);
+        Matrix target = haarRandomUnitary(4, rng);
+        std::vector<double> x0(c.templ.numParams());
+        for (double& value : x0)
+            value = rng.uniform(0.0, 2.0 * gates::kPi);
+        BfgsOptions options;
+        options.max_iterations = 60;
+
+        TwoQubitTemplate::BuildScratch scratch;
+        ObjectiveFn objective = [&](const std::vector<double>& x) {
+            return c.templ.infidelityWithScratch(x, target, scratch);
+        };
+        GradientFn incremental = [&](const std::vector<double>& x,
+                                     std::vector<double>& grad) {
+            c.templ.infidelityGradient(x, target, options.finite_diff_eps,
+                                       grad, scratch);
+        };
+        BfgsResult fast = minimizeBfgs(objective, incremental, x0, options);
+        BfgsResult reference =
+            minimizeBfgs(objective, centralDifferences(objective), x0,
+                         options);
+
+        SCOPED_TRACE(::testing::Message() << "seed " << c.seed);
+        EXPECT_GT(reference.iterations, 1);
+        ASSERT_EQ(fast.x.size(), reference.x.size());
+        EXPECT_EQ(std::memcmp(fast.x.data(), reference.x.data(),
+                              fast.x.size() * sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(&fast.value, &reference.value,
+                              sizeof(double)),
+                  0);
+        EXPECT_EQ(fast.iterations, reference.iterations);
+        EXPECT_EQ(fast.converged, reference.converged);
+    }
 }
 
 } // namespace

@@ -189,7 +189,7 @@ TEST(Routing, WidthMismatchThrows)
 
 // ------------------------------------------------------- strategy set
 
-TEST(RoutingStrategy, RegistryHasBuiltins)
+TEST(RoutingStrategy, BuiltinsMadeByName)
 {
     auto names = routingStrategyNames();
     EXPECT_NE(std::find(names.begin(), names.end(), "greedy"),

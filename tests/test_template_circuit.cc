@@ -1,11 +1,15 @@
 // Template-circuit tests (Fig. 4 structure).
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "nuop/bfgs.h"
 #include "nuop/template_circuit.h"
 #include "qc/gates.h"
+#include "qc/linalg.h"
 
 namespace qiset {
 namespace {
@@ -113,6 +117,75 @@ TEST(Template, U3MatricesReconstructBuild)
             u3s[2 * (layer + 1)].kron(u3s[2 * (layer + 1) + 1]) * rebuilt;
     }
     EXPECT_LT(rebuilt.maxAbsDiff(t.build(params)), 1e-10);
+}
+
+TEST(Template, IncrementalGradientMatchesCentralDifferencesBitwise)
+{
+    // Every family at layers 0-6, 50 seeded points each (angles well
+    // past +-2 pi), two steps: the incremental gradient must equal
+    // numericalGradientInto over infidelityWithScratch byte for byte.
+    // One scratch, sized for a deeper template, serves every
+    // incremental call, as in a NuOp layer sweep.
+    const TemplateFamily families[] = {
+        TemplateFamily::Fixed, TemplateFamily::FullXy,
+        TemplateFamily::FullFsim, TemplateFamily::FullCphase};
+    TwoQubitTemplate::BuildScratch shared;
+    shared.reserve(8);
+    TwoQubitTemplate::BuildScratch reference_scratch;
+    std::vector<double> fast, reference, probe;
+    Rng rng(2026);
+    for (TemplateFamily family : families) {
+        for (int layers = 0; layers <= 6; ++layers) {
+            TwoQubitTemplate t =
+                family == TemplateFamily::Fixed
+                    ? TwoQubitTemplate(layers, sycamore())
+                    : TwoQubitTemplate(layers, family);
+            for (int point = 0; point < 50; ++point) {
+                Matrix target = haarRandomUnitary(4, rng);
+                std::vector<double> x(t.numParams());
+                for (double& value : x)
+                    value = rng.uniform(-3.0 * kPi, 3.0 * kPi);
+                ObjectiveFn objective = [&](const std::vector<double>& p) {
+                    return t.infidelityWithScratch(p, target,
+                                                   reference_scratch);
+                };
+                for (double eps : {1e-7, 1e-4}) {
+                    t.infidelityGradient(x, target, eps, fast, shared);
+                    numericalGradientInto(objective, x, eps, reference,
+                                          probe);
+                    ASSERT_EQ(fast.size(), x.size());
+                    ASSERT_EQ(reference.size(), x.size());
+                    ASSERT_EQ(std::memcmp(fast.data(), reference.data(),
+                                          x.size() * sizeof(double)),
+                              0)
+                        << "family " << static_cast<int>(family)
+                        << " layers " << layers << " point " << point
+                        << " eps " << eps;
+                }
+            }
+        }
+    }
+}
+
+TEST(Template, BuildMatchesScratchObjectiveBitwise)
+{
+    // build(), infidelity() and the scratch objective share one
+    // product loop; a reused, larger scratch changes nothing.
+    TwoQubitTemplate::BuildScratch scratch;
+    scratch.reserve(6);
+    Rng rng(4);
+    for (int layers = 0; layers <= 3; ++layers) {
+        TwoQubitTemplate t(layers, TemplateFamily::FullFsim);
+        std::vector<double> x(t.numParams());
+        for (double& value : x)
+            value = rng.uniform(0.0, 2.0 * kPi);
+        Matrix target = haarRandomUnitary(4, rng);
+        double fresh = t.infidelity(x, target);
+        double reused = t.infidelityWithScratch(x, target, scratch);
+        EXPECT_EQ(std::memcmp(&fresh, &reused, sizeof(double)), 0);
+        double from_build = 1.0 - traceFidelity(t.build(x), target);
+        EXPECT_EQ(std::memcmp(&fresh, &from_build, sizeof(double)), 0);
+    }
 }
 
 TEST(Template, FixedConstructorRejectsWrongShape)
