@@ -486,6 +486,90 @@ TEST(IrIdentity, NuOpLayerSweepsMatchGoldens)
         << "best";
 }
 
+/** resultHash plus per-type native usage and link traffic. */
+uint64_t
+recompileHash(const CompileResult& result)
+{
+    uint64_t hash = resultHash(result);
+    for (const auto& [type, count] : result.type_usage)
+        hash = fnv1a(fnvString(hash, type), static_cast<uint64_t>(count));
+    hash = fnv1a(hash, static_cast<uint64_t>(result.teleports_inserted));
+    return fnvDouble(hash, result.epr_attempts);
+}
+
+// Recompiles against drifted calibrations, in the shape of perfbench's
+// recalibrate workload: the four-type G3 set under "nuop", greedy and
+// "sabre" routing, two calibration snapshots, each compiled cold and
+// then warm on one cache. Captured before warm recompiles stamped
+// their schedules and reused per-fit emission; must never drift.
+TEST(IrIdentity, RecalibrationRecompilesMatchGoldens)
+{
+    Rng dev_rng(10);
+    Device sycamore = makeSycamore(dev_rng);
+    Rng drift_rng(2021);
+    const Device snapshots[] = {
+        sycamore.withDriftedCalibration(drift_rng, 3.0),
+        sycamore.withDriftedCalibration(drift_rng, 3.0),
+    };
+    GateSet g3 = isa::googleSet(3);
+    Circuit qft12 = makeQftCircuit(12);
+    struct Case
+    {
+        const char* routing;
+        uint64_t snapshot[2];
+    };
+    const Case cases[] = {
+        {"greedy", {0x15ad8ceeac72bf14ull, 0x3103022c863da285ull}},
+        {"sabre", {0x98bd77690a09debbull, 0x37afd3c6ba5a4815ull}},
+    };
+    ProfileCache cache;
+    for (const char* pass : {"cold", "warm"})
+        for (const Case& c : cases)
+            for (size_t k = 0; k < 2; ++k) {
+                CompileOptions options = goldenOptions();
+                options.routing = c.routing;
+                EXPECT_EQ(recompileHash(compileCircuit(
+                              qft12, snapshots[k], g3, cache, options)),
+                          c.snapshot[k])
+                    << c.routing << " snapshot " << k << " " << pass;
+            }
+}
+
+TEST(IrIdentity, ChipletG3CompileMatchesGolden)
+{
+    // Wider than one 2x3 core, so the routing pass forces telesabre.
+    Rng dev_rng(10);
+    ChipletSpec spec;
+    spec.core_rows = 3;
+    spec.core_cols = 3;
+    Device chiplet = makeChipletDevice(spec, dev_rng);
+    ProfileCache cache;
+    CompileResult result = compileCircuit(
+        makeQftCircuit(8), chiplet, isa::googleSet(3), cache,
+        goldenOptions());
+    EXPECT_GT(result.teleports_inserted, 0);
+    EXPECT_EQ(recompileHash(result), 0x6113340407802858ull);
+}
+
+TEST(IrIdentity, FractionalTeleportWeightRouteMatchesGolden)
+{
+    // A non-integral link weight leaves fractional distances in the
+    // table, so SABRE scores every candidate by its full sum.
+    Rng dev_rng(77);
+    ChipletSpec spec;
+    Device chiplet2x2 = makeChipletDevice(spec, dev_rng);
+    Circuit qft14 = makeQftCircuit(14);
+    std::vector<int> physical =
+        chooseMapping(chiplet2x2, qft14.numQubits(), isa::singleTypeSet(3));
+    Topology coupling = chiplet2x2.topology().inducedSubgraph(physical);
+    TeleportOptions teleport;
+    teleport.teleport_weight = 1.3;
+    RoutedCircuit routed =
+        TeleportRouter(SabreOptions(), teleport).route(qft14, coupling);
+    EXPECT_GT(routed.teleports_inserted, 0);
+    EXPECT_EQ(routedHash(routed), 0xbf93780fa2c25fb1ull);
+}
+
 TEST(IrIdentity, RenderedTextMatchesPreSoaGoldens)
 {
     // Label interning must round-trip through the renderers without
