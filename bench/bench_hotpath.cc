@@ -7,6 +7,10 @@
  * allocation counters (operator new count/bytes) per cold compile —
  * so the arena/SBO savings are measured, not asserted.
  *
+ * A warm QFT-32 leg with the four-type G3 set under "sabre" routing
+ * reports its p50 and per-pass p50s: the shape of a recalibration
+ * recompile (Eq. 2 selection over several types, SABRE scoring).
+ *
  * A last serial cold leg compiles QV-24 under "nuop" on the SYC (S1)
  * set, a gate type no analytic tier covers, and reports the
  * translation pass's share of that compile: the BFGS cost any engine
@@ -266,6 +270,72 @@ histReport(const std::string& label, const HistSnapshot& before)
     }
 }
 
+/** Warm-cache reps of one compile: wall-clock and per-pass p50s. */
+struct WarmTimings
+{
+    std::vector<double> ms;
+    /** Warm p50 wall-clock per pass ("-" in pass names becomes "_"). */
+    std::vector<std::pair<std::string, double>> pass_p50;
+};
+
+/**
+ * Serial warm reps on one shared cache, warmed by an untimed compile.
+ * Each pass's wall-clock is kept per rep, in pipeline order. The first
+ * rep's heap allocations land in `first_alloc` (and the histogram,
+ * when enabled, is printed around it under `name`).
+ */
+WarmTimings
+warmReps(const std::string& name, const Circuit& app, const Device& device,
+         const GateSet& set, const CompileOptions& options, int reps,
+         AllocDelta* first_alloc)
+{
+    WarmTimings warm;
+    std::vector<std::pair<std::string, std::vector<double>>> passes;
+    ProfileCache cache;
+    timedCompile(app, device, set, options, cache, nullptr);
+    for (int rep = 0; rep < reps; ++rep) {
+        std::uint64_t c0 = g_alloc_count.load();
+        std::uint64_t b0 = g_alloc_bytes.load();
+        HistSnapshot h0;
+        if (rep == 0 && g_hist_enabled)
+            h0 = histSnapshot();
+        TimedCompile timed =
+            timedCompile(app, device, set, options, cache, nullptr);
+        if (rep == 0 && first_alloc) {
+            first_alloc->count = g_alloc_count.load() - c0;
+            first_alloc->bytes = g_alloc_bytes.load() - b0;
+            if (g_hist_enabled)
+                histReport(name + " warm", h0);
+        }
+        warm.ms.push_back(timed.ms);
+        for (const PassMetric& metric : timed.result.pass_metrics) {
+            auto it = std::find_if(
+                passes.begin(), passes.end(),
+                [&](const auto& row) { return row.first == metric.pass; });
+            if (it == passes.end())
+                it = passes.insert(passes.end(), {metric.pass, {}});
+            it->second.push_back(metric.wall_ms);
+        }
+    }
+    for (const auto& [pass, ms] : passes) {
+        std::string key = pass;
+        std::replace(key.begin(), key.end(), '-', '_');
+        warm.pass_p50.emplace_back(key, percentile(ms, 0.50));
+    }
+    return warm;
+}
+
+/** `{"<pass>_ms": p50, ...}` of warm per-pass timings. */
+void
+emitPasses(const std::vector<std::pair<std::string, double>>& pass_p50)
+{
+    std::cout << "{";
+    for (size_t i = 0; i < pass_p50.size(); ++i)
+        std::cout << (i == 0 ? "" : ", ") << '"' << pass_p50[i].first
+                  << "_ms\": " << pass_p50[i].second;
+    std::cout << "}";
+}
+
 struct WorkloadReport
 {
     std::string name;
@@ -307,44 +377,10 @@ runWorkload(const std::string& name, const Circuit& app,
         cold_ms.push_back(timed.ms);
     }
 
-    // Serial warm: one shared cache, warmed by an untimed compile.
-    // Each pass's wall-clock is kept per rep, in pipeline order.
-    std::vector<double> warm_ms;
-    std::vector<std::pair<std::string, std::vector<double>>> warm_passes;
-    {
-        ProfileCache cache;
-        timedCompile(app, device, set, options, cache, nullptr);
-        for (int rep = 0; rep < warm_reps; ++rep) {
-            std::uint64_t c0 = g_alloc_count.load();
-            std::uint64_t b0 = g_alloc_bytes.load();
-            HistSnapshot h0;
-            if (rep == 0 && g_hist_enabled)
-                h0 = histSnapshot();
-            TimedCompile timed =
-                timedCompile(app, device, set, options, cache, nullptr);
-            if (rep == 0) {
-                report.warm_alloc.count = g_alloc_count.load() - c0;
-                report.warm_alloc.bytes = g_alloc_bytes.load() - b0;
-                if (g_hist_enabled)
-                    histReport(name + " warm", h0);
-            }
-            warm_ms.push_back(timed.ms);
-            for (const PassMetric& metric : timed.result.pass_metrics) {
-                auto it = std::find_if(
-                    warm_passes.begin(), warm_passes.end(),
-                    [&](const auto& row) { return row.first == metric.pass; });
-                if (it == warm_passes.end())
-                    it = warm_passes.insert(warm_passes.end(),
-                                            {metric.pass, {}});
-                it->second.push_back(metric.wall_ms);
-            }
-        }
-    }
-    for (const auto& [pass, ms] : warm_passes) {
-        std::string key = pass;
-        std::replace(key.begin(), key.end(), '-', '_');
-        report.warm_pass_p50.emplace_back(key, percentile(ms, 0.50));
-    }
+    WarmTimings warm =
+        warmReps(name, app, device, set, options, warm_reps,
+                 &report.warm_alloc);
+    report.warm_pass_p50 = std::move(warm.pass_p50);
 
     // Parallel cold: the worker pool fans the circuit's independent
     // profile optimizations (cooperative parallelFor; no cap).
@@ -361,8 +397,8 @@ runWorkload(const std::string& name, const Circuit& app,
 
     report.cold_p50 = percentile(cold_ms, 0.50);
     report.cold_p95 = percentile(cold_ms, 0.95);
-    report.warm_p50 = percentile(warm_ms, 0.50);
-    report.warm_p95 = percentile(warm_ms, 0.95);
+    report.warm_p50 = percentile(warm.ms, 0.50);
+    report.warm_p95 = percentile(warm.ms, 0.95);
     report.parallel_p50 = percentile(parallel_ms, 0.50);
     report.parallel_p95 = percentile(parallel_ms, 0.95);
     report.speedup = report.parallel_p50 > 0.0
@@ -390,12 +426,9 @@ emitWorkload(const WorkloadReport& r, bool last)
               << ", \"cold_bytes\": " << r.cold_alloc.bytes
               << ", \"warm_count\": " << r.warm_alloc.count
               << ", \"warm_bytes\": " << r.warm_alloc.bytes << "},\n"
-              << "      \"passes\": {";
-    for (size_t i = 0; i < r.warm_pass_p50.size(); ++i)
-        std::cout << (i == 0 ? "" : ", ") << '"'
-                  << r.warm_pass_p50[i].first
-                  << "_ms\": " << r.warm_pass_p50[i].second;
-    std::cout << "},\n"
+              << "      \"passes\": ";
+    emitPasses(r.warm_pass_p50);
+    std::cout << ",\n"
               << "      \"bit_identical\": "
               << (r.bit_identical ? "true" : "false") << "\n    }"
               << (last ? "" : ",") << '\n';
@@ -537,6 +570,15 @@ main(int argc, char** argv)
     double auto_over_nuop =
         paired_nuop_p50 > 0.0 ? auto_warm_p50 / paired_nuop_p50 : 0.0;
 
+    // Warm QFT-32 with the four-type G3 set under "sabre", the shape
+    // of the recalibration recompiles: Eq. 2 selection over several
+    // types per block, and SABRE routing. Reported, not gated.
+    CompileOptions g3_sabre = options;
+    g3_sabre.routing = "sabre";
+    WarmTimings g3_warm = warmReps("qft32_g3_sabre", qft, device,
+                                   isa::googleSet(3), g3_sabre,
+                                   quick ? 5 : 15, nullptr);
+
     // SIMD-vs-scalar A/B leg: rerun the QV serial cold compiles with
     // the dispatch tier pinned to scalar, then restore. Same circuit,
     // same seeds, bit-identical results (the kernel contract) — the
@@ -605,6 +647,11 @@ main(int argc, char** argv)
               << ",\n"
               << "  \"qft32_warm_auto_over_nuop\": " << auto_over_nuop
               << ",\n"
+              << "  \"qft32_g3_sabre_warm_p50_ms\": "
+              << percentile(g3_warm.ms, 0.50) << ",\n"
+              << "  \"qft32_g3_sabre_warm_passes\": ";
+    emitPasses(g3_warm.pass_p50);
+    std::cout << ",\n"
               << "  \"qv24_cold_p50_ms\": " << qv_report.cold_p50
               << ",\n"
               << "  \"qv24_cold_scalar_p50_ms\": " << qv_scalar_p50

@@ -1,11 +1,34 @@
 #include "circuit/circuit.h"
 
+#include <atomic>
 #include <utility>
 
 #include "circuit/schedule.h"
 #include "common/error.h"
 
 namespace qiset {
+
+namespace {
+
+/** Stamps each thread takes from the global counter at a time. */
+constexpr uint64_t kStampBlock = 4096;
+
+/** Next unissued block start; 0 is never issued. */
+std::atomic<uint64_t> next_stamp_block{1};
+
+} // namespace
+
+uint64_t
+StructureStamp::draw()
+{
+    thread_local uint64_t next = 0;
+    thread_local uint64_t end = 0;
+    if (next == end) {
+        next = next_stamp_block.fetch_add(kStampBlock);
+        end = next + kStampBlock;
+    }
+    return next++;
+}
 
 Circuit::Circuit(int num_qubits)
     : num_qubits_(num_qubits)
@@ -40,6 +63,7 @@ Circuit::pushOp(Qubits qubits, const Matrix& unitary, LabelId label,
     unitaries_.push_back(unitary);
     error_rates_.push_back(error_rate);
     durations_.push_back(duration_ns);
+    stamp_.renew();
 }
 
 void

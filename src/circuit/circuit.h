@@ -24,6 +24,12 @@
  * reallocate the columns; OpRefs, column references and iterators
  * obtained before a mutation must not be used after it.
  *
+ * Structure stamp: every change to what a schedule reads (an appended
+ * op, a duration edit) gives the circuit a fresh process-unique
+ * stamp; error-rate, label and unitary edits keep it. A copy keeps
+ * its source's stamp, and a moved-from circuit gets a fresh one. A
+ * Schedule compares stamps to tell whether it is stale.
+ *
  * Basis convention: for an n-qubit register, qubit 0 is the most
  * significant bit of the computational basis index.
  */
@@ -115,6 +121,39 @@ struct Operation
 };
 
 class Circuit;
+
+/**
+ * Process-unique structure stamp of one Circuit. Copies share the
+ * value; a move hands it over and renews the source's, so a moved-from
+ * circuit never matches a schedule built before the move. Stamps come
+ * in thread-local blocks from one global counter: drawing one costs no
+ * contended atomic.
+ */
+class StructureStamp
+{
+  public:
+    StructureStamp() : value_(draw()) {}
+    StructureStamp(const StructureStamp&) = default;
+    StructureStamp& operator=(const StructureStamp&) = default;
+    StructureStamp(StructureStamp&& other) noexcept : value_(other.value_)
+    {
+        other.renew();
+    }
+    StructureStamp& operator=(StructureStamp&& other) noexcept
+    {
+        value_ = other.value_;
+        other.renew();
+        return *this;
+    }
+
+    uint64_t value() const { return value_; }
+    void renew() { value_ = draw(); }
+
+  private:
+    static uint64_t draw();
+
+    uint64_t value_;
+};
 
 /** Read-only proxy for one operation inside a Circuit. */
 class ConstOpRef
@@ -323,6 +362,12 @@ class Circuit
     /** Error-rate column, writable (crosstalk/noise re-annotation). */
     std::vector<double>& mutableErrorRates() { return error_rates_; }
 
+    /**
+     * Stamp of the current qubit structure and durations (see the file
+     * comment): equal stamps mean equal structure.
+     */
+    uint64_t structureStamp() const { return stamp_.value(); }
+
   private:
     friend class ConstOpRef;
     friend class OpRef;
@@ -339,6 +384,7 @@ class Circuit
     std::vector<Matrix> unitaries_;
     std::vector<double> error_rates_;
     std::vector<double> durations_;
+    StructureStamp stamp_;
 };
 
 // ------------------------------------------------- inline proxy bodies
@@ -438,6 +484,7 @@ inline void
 OpRef::setDurationNs(double duration_ns) const
 {
     circuit_->durations_[index_] = duration_ns;
+    circuit_->stamp_.renew();
 }
 inline OpRef::operator ConstOpRef() const
 {

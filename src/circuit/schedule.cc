@@ -34,7 +34,7 @@ fnv1aDouble(uint64_t hash, double value)
 } // namespace
 
 uint64_t
-Schedule::structureFingerprint(const Circuit& circuit)
+structureFingerprint(const Circuit& circuit)
 {
     uint64_t hash = 14695981039346656037ull;
     hash = fnv1a(hash, static_cast<uint64_t>(circuit.numQubits()));
@@ -168,7 +168,7 @@ Schedule::build(const Circuit& circuit, MemArena* scratch)
         }
     }
 
-    fingerprint_ = structureFingerprint(circuit);
+    stamp_ = circuit.structureStamp();
     valid_ = true;
 }
 
@@ -176,7 +176,7 @@ bool
 Schedule::consistentWith(const Circuit& circuit) const
 {
     return valid_ && circuit.size() == asap_.size() &&
-           fingerprint_ == structureFingerprint(circuit);
+           stamp_ == circuit.structureStamp();
 }
 
 int

@@ -18,12 +18,14 @@
  *
  * Invalidation: moments depend only on the circuit's *qubit
  * structure* (which qubits each op touches) and durations — not on
- * unitaries, labels or error rates. A structural fingerprint captures
- * exactly that, so consistentWith() stays true across error-rate
- * rewrites (crosstalk inflation) but turns false when ops are
- * inserted, removed or re-wired (SWAP insertion, consolidation,
- * translation). Passes that rewrite the circuit call invalidate();
- * consumers rebuild lazily via CompilationContext::ensureSchedule().
+ * unitaries, labels or error rates. The schedule records the
+ * circuit's structure stamp (circuit.h), which every appended op and
+ * duration edit renews, so consistentWith() is two compares: it stays
+ * true across error-rate rewrites (crosstalk inflation) and turns
+ * false once ops are inserted, removed or re-wired (SWAP insertion,
+ * consolidation, translation). Passes that rewrite the circuit call
+ * invalidate(); consumers rebuild lazily via
+ * CompilationContext::ensureSchedule().
  */
 
 #include <cstddef>
@@ -150,9 +152,12 @@ class Schedule
     void invalidate() { valid_ = false; }
 
     /**
-     * True when this schedule was built from a circuit with the same
-     * qubit structure and durations as `circuit` (error-rate, label
-     * and unitary edits keep a schedule consistent).
+     * True when this schedule was built from `circuit`, or from a copy
+     * of it, and neither has had an op appended or a duration changed
+     * since (error-rate, label and unitary edits keep a schedule
+     * consistent). Compares structure stamps and sizes; nothing is
+     * rehashed. A circuit with equal structure that is not a copy
+     * reads as stale.
      */
     bool consistentWith(const Circuit& circuit) const;
 
@@ -192,20 +197,10 @@ class Schedule
     /** Snapshot of the ranking signals (depth, duration, 2Q width). */
     ScheduleSummary summary() const;
 
-    /**
-     * The structural fingerprint this schedule was built from — a hash
-     * of (num_qubits, per-op qubit lists, per-op durations). Stable
-     * across error-rate/label/unitary edits; golden tests pin it to
-     * detect structural drift in the IR or generators.
-     */
-    uint64_t fingerprint() const { return fingerprint_; }
-
   private:
-    /** Hash of (num_qubits, per-op qubit lists, per-op durations). */
-    static uint64_t structureFingerprint(const Circuit& circuit);
-
     bool valid_ = false;
-    uint64_t fingerprint_ = 0;
+    /** Structure stamp of the circuit this was built from. */
+    uint64_t stamp_ = 0;
     int depth_ = 0;
     double duration_ns_ = 0.0;
     std::vector<int> asap_;
@@ -214,6 +209,14 @@ class Schedule
     MomentTable moments_;
     MomentTable frontier_;
 };
+
+/**
+ * Hash of what a schedule reads: (num_qubits, per-op qubit lists,
+ * per-op durations). Stable across error-rate, label and unitary
+ * edits; golden tests pin it to detect structural drift in the IR or
+ * the generators. Schedules themselves compare structure stamps.
+ */
+uint64_t structureFingerprint(const Circuit& circuit);
 
 } // namespace qiset
 

@@ -42,10 +42,12 @@ namespace {
 
 /**
  * Greedy connected growth of `chosen` to `target` qubits, restricted
- * to the qubits flagged in `allowed` — the monolithic chooseMapping
- * criterion (in-set degree, one-step lookahead, summed fidelity)
- * applied within one core. With no seeds, starts from the best
- * calibrated edge inside the allowed set.
+ * to the qubits flagged in `allowed`. Candidates score compactness
+ * first (in-set degree), then a one-step lookahead (does picking this
+ * qubit enable a future high-degree attachment? distinguishes
+ * L-shaped growth, which can close squares, from straight lines,
+ * which cannot), then summed calibrated fidelity to the set. With no
+ * seeds, starts from the best calibrated edge inside the allowed set.
  */
 std::vector<int>
 growWithin(const Device& device, const std::vector<std::string>& keys,
@@ -53,9 +55,18 @@ growWithin(const Device& device, const std::vector<std::string>& keys,
            int target)
 {
     const Topology& topo = device.topology();
+    chosen.reserve(static_cast<size_t>(std::max(target, 2)));
     std::vector<bool> in_set(device.numQubits(), false);
-    for (int q : chosen)
+    // chosen_nbrs[q] counts the members adjacent to q, kept as members
+    // join, so an in-set degree is one read plus one adjacency test.
+    std::vector<int> chosen_nbrs(device.numQubits(), 0);
+    auto join = [&](int q) {
         in_set[q] = true;
+        for (int v : topo.neighbors(q))
+            ++chosen_nbrs[v];
+    };
+    for (int q : chosen)
+        join(q);
 
     if (chosen.empty() && target >= 2) {
         double best_fid = -1.0;
@@ -70,26 +81,22 @@ growWithin(const Device& device, const std::vector<std::string>& keys,
                 seed = {a, b};
             }
         }
-        QISET_REQUIRE(seed.first >= 0, "core has no couplers");
+        QISET_REQUIRE(seed.first >= 0, "no couplers to place on");
         chosen = {seed.first, seed.second};
-        in_set[seed.first] = in_set[seed.second] = true;
+        join(seed.first);
+        join(seed.second);
     } else if (chosen.empty()) {
         for (int q = 0; q < device.numQubits(); ++q)
             if (allowed[static_cast<size_t>(q)]) {
                 chosen = {q};
-                in_set[q] = true;
+                join(q);
                 break;
             }
     }
 
     auto in_set_degree = [&](int q, int extra) {
-        int degree = 0;
-        for (int member : chosen)
-            if (topo.adjacent(q, member))
-                ++degree;
-        if (extra >= 0 && topo.adjacent(q, extra))
-            ++degree;
-        return degree;
+        return chosen_nbrs[q] +
+               (extra >= 0 && topo.adjacent(q, extra) ? 1 : 0);
     };
 
     while (static_cast<int>(chosen.size()) < target) {
@@ -136,10 +143,10 @@ growWithin(const Device& device, const std::vector<std::string>& keys,
             }
         }
         QISET_REQUIRE(best_q >= 0,
-                      "core subgraph exhausted before placing all "
+                      "coupling subgraph exhausted before placing all "
                       "logical qubits");
         chosen.push_back(best_q);
-        in_set[best_q] = true;
+        join(best_q);
     }
     return chosen;
 }
@@ -312,92 +319,14 @@ chooseMapping(const Device& device, int num_logical,
     const std::vector<std::string> keys = fidelityKeys(gate_set);
 
     // Modular devices place capacity-aware: per-core selections joined
-    // through teleport links. Monolithic devices take the historical
-    // path below, byte-identically.
+    // through teleport links. Monolithic devices grow one selection
+    // over the whole coupling.
     if (topo.numCores() > 1)
         return chooseChipletMapping(device, num_logical, keys);
-
-    // Seed: the highest-fidelity edge under this instruction set.
-    auto edges = topo.edges();
-    QISET_REQUIRE(!edges.empty(), "device has no couplers");
-    double best_fid = -1.0;
-    std::pair<int, int> seed = edges.front();
-    for (auto [a, b] : edges) {
-        double f = bestEdgeFidelity(device, a, b, keys);
-        if (f > best_fid) {
-            best_fid = f;
-            seed = {a, b};
-        }
-    }
-
-    std::vector<int> chosen = {seed.first, seed.second};
-    std::vector<bool> in_set(device.numQubits(), false);
-    in_set[seed.first] = in_set[seed.second] = true;
-
-    // Candidate scoring: compactness first (in-set degree), then a
-    // one-step lookahead (does picking this qubit enable a future
-    // high-degree attachment? distinguishes L-shaped growth, which
-    // can close squares, from straight lines, which cannot), then
-    // calibrated fidelity.
-    auto in_set_degree = [&](int q, int extra) {
-        int degree = 0;
-        for (int member : chosen)
-            if (topo.adjacent(q, member))
-                ++degree;
-        if (extra >= 0 && topo.adjacent(q, extra))
-            ++degree;
-        return degree;
-    };
-
-    while (static_cast<int>(chosen.size()) < num_logical) {
-        int best_q = -1;
-        int best_degree = -1;
-        int best_lookahead = -1;
-        double best_fid = -1.0;
-        for (int member : chosen) {
-            for (int nbr : topo.neighbors(member)) {
-                if (in_set[nbr])
-                    continue;
-                int degree = in_set_degree(nbr, -1);
-                double fid = 0.0;
-                for (int m2 : chosen)
-                    if (topo.adjacent(nbr, m2))
-                        fid += bestEdgeFidelity(device, nbr, m2, keys);
-                int lookahead = 0;
-                for (int m2 : chosen)
-                    for (int v : topo.neighbors(m2)) {
-                        if (in_set[v] || v == nbr)
-                            continue;
-                        lookahead = std::max(
-                            lookahead, in_set_degree(v, nbr));
-                    }
-                for (int v : topo.neighbors(nbr)) {
-                    if (in_set[v])
-                        continue;
-                    lookahead =
-                        std::max(lookahead, in_set_degree(v, nbr));
-                }
-                bool better =
-                    degree > best_degree ||
-                    (degree == best_degree &&
-                     (lookahead > best_lookahead ||
-                      (lookahead == best_lookahead &&
-                       fid > best_fid)));
-                if (better) {
-                    best_degree = degree;
-                    best_lookahead = lookahead;
-                    best_fid = fid;
-                    best_q = nbr;
-                }
-            }
-        }
-        QISET_REQUIRE(best_q >= 0,
-                      "device subgraph exhausted before placing all "
-                      "logical qubits");
-        chosen.push_back(best_q);
-        in_set[best_q] = true;
-    }
-    return chosen;
+    return growWithin(device, keys,
+                      std::vector<char>(
+                          static_cast<size_t>(device.numQubits()), 1),
+                      {}, num_logical);
 }
 
 } // namespace qiset

@@ -228,7 +228,8 @@ class CompilationContext : public CompileResult
 
     /**
      * The schedule of the current working circuit, rebuilding it when
-     * it is missing or stale (circuit rewritten since the last build).
+     * it is missing or stale: the circuit's structure stamp moved
+     * since the last build (two compares, no rehash).
      */
     const Schedule& ensureSchedule()
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -192,14 +193,20 @@ using ArenaRankSet = std::set<std::pair<int, int>,
  * Fully deterministic: ties break on op/edge order, never on
  * randomness, and intra-core SWAPs win score ties against link
  * crossings (links are the expensive move).
+ *
+ * `hops`, when given, is `dist` as exact integers (see routeSabre).
+ * Then each iteration sums the front and extended distances once, and
+ * a candidate adds only the change on the gates touching its two
+ * slots, in integer arithmetic: the totals equal the full sums' exact
+ * doubles bit for bit. Without it each candidate re-sums every gate.
  */
 std::vector<int>
 runSabrePass(const Circuit& logical, const std::vector<int>& order,
              const std::vector<int>& lookahead_rank,
              const Topology& coupling, const double* dist,
-             const SabreOptions& opt, const TeleportOptions* teleport,
-             std::vector<int> position, RoutedCircuit* out,
-             MemArena& arena)
+             const int* hops, const SabreOptions& opt,
+             const TeleportOptions* teleport, std::vector<int> position,
+             RoutedCircuit* out, MemArena& arena)
 {
     int n = coupling.numQubits();
     RoutingState state(std::move(position));
@@ -250,6 +257,19 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     auto front_gates = makeArenaVector<int>(arena);
     auto swap_candidates = makeArenaVector<std::pair<int, int>>(arena);
     auto link_candidates = makeArenaVector<int>(arena);
+    // Delta scoring state, rebuilt per blocked iteration. A slot holds
+    // at most one front gate (front gates share no qubit):
+    // front_other[s] is its other endpoint (-1 for none), front_hops[s]
+    // its distance. The extended gates at slot s are entries
+    // touch_start[s] .. touch_start[s + 1] of touch_other (the other
+    // endpoint) and touch_hops (the gate's distance).
+    int* front_other = arena.allocateArray<int>(n);
+    int* front_hops = arena.allocateArray<int>(n);
+    int* touch_start = arena.allocateArray<int>(n + 1);
+    int* touch_cursor = arena.allocateArray<int>(n);
+    auto extended_slots = makeArenaVector<std::pair<int, int>>(arena);
+    auto touch_other = makeArenaVector<int>(arena);
+    auto touch_hops = makeArenaVector<int>(arena);
     int swaps_since_reset = 0;
     int swaps_since_progress = 0;
     // Past this many moves without executing anything, fall back to
@@ -467,17 +487,96 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
                     pb = slot_a;
                 total += dist[static_cast<size_t>(pa) * n + pb];
             }
-            return total / static_cast<double>(gate_ids.size());
+            return total;
+        };
+        front_gates.assign(front.begin(), front.end());
+        int64_t front_base = 0;
+        int64_t extended_base = 0;
+        if (hops) {
+            std::fill(front_other, front_other + n, -1);
+            for (int id : front_gates) {
+                Qubits qs = op_qubits[static_cast<size_t>(id)];
+                int pa = state.position[qs[0]];
+                int pb = state.position[qs[1]];
+                int d = hops[static_cast<size_t>(pa) * n + pb];
+                front_base += d;
+                front_other[pa] = pb;
+                front_other[pb] = pa;
+                front_hops[pa] = front_hops[pb] = d;
+            }
+            std::fill(touch_start, touch_start + n + 1, 0);
+            extended_slots.clear();
+            for (int id : extended) {
+                Qubits qs = op_qubits[static_cast<size_t>(id)];
+                int pa = state.position[qs[0]];
+                int pb = state.position[qs[1]];
+                extended_slots.emplace_back(pa, pb);
+                ++touch_start[pa + 1];
+                ++touch_start[pb + 1];
+            }
+            for (int slot = 0; slot < n; ++slot)
+                touch_start[slot + 1] += touch_start[slot];
+            std::copy(touch_start, touch_start + n, touch_cursor);
+            touch_other.resize(2 * extended_slots.size());
+            touch_hops.resize(2 * extended_slots.size());
+            for (auto [pa, pb] : extended_slots) {
+                int d = hops[static_cast<size_t>(pa) * n + pb];
+                extended_base += d;
+                touch_other[static_cast<size_t>(touch_cursor[pa])] = pb;
+                touch_hops[static_cast<size_t>(touch_cursor[pa]++)] = d;
+                touch_other[static_cast<size_t>(touch_cursor[pb])] = pa;
+                touch_hops[static_cast<size_t>(touch_cursor[pb]++)] = d;
+            }
+        }
+        // Front and extended totals once slot_a and slot_b trade
+        // occupants. With the hop table only the gates at either slot
+        // change: the end at slot_a moves to slot_b and vice versa, and
+        // a gate on both slots keeps its distance (exact distances are
+        // symmetric). Otherwise, full sums.
+        auto moved_totals = [&](int slot_a, int slot_b, double& front_total,
+                                double& extended_total) {
+            if (!hops) {
+                front_total = scored_distance(front_gates, slot_a, slot_b);
+                extended_total = scored_distance(extended, slot_a, slot_b);
+                return;
+            }
+            const int* to_a = hops + static_cast<size_t>(slot_a) * n;
+            const int* to_b = hops + static_cast<size_t>(slot_b) * n;
+            int64_t f = front_base;
+            int other = front_other[slot_a];
+            if (other >= 0 && other != slot_b)
+                f += to_b[other] - front_hops[slot_a];
+            other = front_other[slot_b];
+            if (other >= 0 && other != slot_a)
+                f += to_a[other] - front_hops[slot_b];
+            int64_t e = extended_base;
+            for (int t = touch_start[slot_a]; t < touch_start[slot_a + 1];
+                 ++t) {
+                other = touch_other[static_cast<size_t>(t)];
+                if (other != slot_b)
+                    e += to_b[other] - touch_hops[static_cast<size_t>(t)];
+            }
+            for (int t = touch_start[slot_b]; t < touch_start[slot_b + 1];
+                 ++t) {
+                other = touch_other[static_cast<size_t>(t)];
+                if (other != slot_a)
+                    e += to_a[other] - touch_hops[static_cast<size_t>(t)];
+            }
+            front_total = static_cast<double>(f);
+            extended_total = static_cast<double>(e);
         };
         auto move_score = [&](int slot_a, int slot_b) {
-            double score = scored_distance(front_gates, slot_a, slot_b);
+            double front_total, extended_total;
+            moved_totals(slot_a, slot_b, front_total, extended_total);
+            double score =
+                front_total / static_cast<double>(front_gates.size());
             if (!extended.empty())
                 score += opt.extended_set_weight *
-                         scored_distance(extended, slot_a, slot_b);
+                         (extended_total /
+                          static_cast<double>(extended.size()));
             return score * std::max(decay[slot_a], decay[slot_b]);
         };
 
-        front_gates.assign(front.begin(), front.end());
         double best_score = 0.0;
         std::pair<int, int> best_move{-1, -1};
         int best_link = -1; // index into links when a crossing wins
@@ -540,6 +639,21 @@ routeSabre(const Circuit& logical, const Topology& coupling,
     int n = logical.numQubits();
     size_t count = logical.size();
     const double* dist = allPairsDistance(coupling, teleport, arena);
+    // Delta scoring needs every distance to be a small integer: hop
+    // counts always are, link-weighted ones at an integral weight. Any
+    // sum of fewer than 2^31 entries under 2^20 is then an exact
+    // double, and exact shortest-path lengths are symmetric.
+    int* hops = arena.allocateArray<int>(static_cast<size_t>(n) * n);
+    for (int a = 0; a < n && hops; ++a)
+        for (int b = 0; b < n; ++b) {
+            double d = dist[static_cast<size_t>(a) * n + b];
+            if (!(d == std::floor(d) && d < 1048576.0 &&
+                  d == dist[static_cast<size_t>(b) * n + a])) {
+                hops = nullptr; // score by full sums
+                break;
+            }
+            hops[static_cast<size_t>(a) * n + b] = static_cast<int>(d);
+        }
 
     std::vector<int> forward_order(count);
     std::vector<int> reverse_order(count);
@@ -570,7 +684,8 @@ routeSabre(const Circuit& logical, const Topology& coupling,
         position = runSabrePass(
             logical, forward ? forward_order : reverse_order,
             forward ? forward_rank : reverse_rank, coupling, dist,
-            options, teleport, std::move(position), nullptr, arena);
+            hops, options, teleport, std::move(position),
+            nullptr, arena);
     }
 
     RoutedCircuit out;
@@ -581,8 +696,8 @@ routeSabre(const Circuit& logical, const Topology& coupling,
     out.initial_positions = position;
     out.final_positions =
         runSabrePass(logical, forward_order, forward_rank, coupling,
-                     dist, options, teleport, std::move(position), &out,
-                     arena);
+                     dist, hops, options, teleport,
+                     std::move(position), &out, arena);
     return out;
 }
 

@@ -188,6 +188,99 @@ groupBlocks(const Circuit& circuit, MemArena& arena, BlockSweep& sweep)
 }
 
 /**
+ * Per-spec calibrated fidelities of the device's coupling edges, the
+ * doubles selection reads for every block. Rows of specs.size()
+ * entries are indexed through each edge's lower endpoint (its
+ * higher-numbered neighbours, in adjacency order), so the table is
+ * sized by the edges, and a row is filled from Device::edgeFidelity
+ * the first time a block lands on its edge (-1 marks an unfilled
+ * row). Uncoupled pairs read a trailing row of zeros, as edgeFidelity
+ * reports them.
+ */
+class EdgeFidelityTable
+{
+  public:
+    EdgeFidelityTable(const Device& device,
+                      const std::vector<GateSpec>& specs, MemArena& arena)
+        : device_(device), specs_(specs),
+          first_row_(makeArenaVector<uint32_t>(
+              arena, static_cast<size_t>(device.numQubits()))),
+          fidelities_(makeArenaVector<double>(arena))
+    {
+        const Topology& topo = device.topology();
+        uint32_t rows = 0;
+        for (int q = 0; q < device.numQubits(); ++q) {
+            first_row_[static_cast<size_t>(q)] = rows;
+            for (int v : topo.neighbors(q))
+                rows += v > q;
+        }
+        uncoupled_row_ = rows;
+        fidelities_.assign(rows * specs.size(), -1.0);
+        fidelities_.resize((rows + 1) * specs.size(), 0.0);
+    }
+
+    /** The fidelities of every spec on edge (a, b), in spec order. */
+    const double* row(int a, int b)
+    {
+        int lo = std::min(a, b);
+        int hi = std::max(a, b);
+        size_t r = first_row_[static_cast<size_t>(lo)];
+        bool coupled = false;
+        for (int v : device_.topology().neighbors(lo)) {
+            if (v == hi) {
+                coupled = true;
+                break;
+            }
+            r += v > lo;
+        }
+        double* out = &fidelities_[(coupled ? r : uncoupled_row_) *
+                                   specs_.size()];
+        if (out[0] < 0.0)
+            for (size_t k = 0; k < specs_.size(); ++k)
+                out[k] = device_.edgeFidelity(lo, hi, specs_[k].type_name);
+        return out;
+    }
+
+  private:
+    const Device& device_;
+    const std::vector<GateSpec>& specs_;
+    ArenaVector<uint32_t> first_row_;
+    ArenaVector<double> fidelities_;
+    size_t uncoupled_row_ = 0;
+};
+
+/** first_op of a FitEmission no block has emitted yet. */
+constexpr size_t kUnemitted = std::numeric_limits<size_t>::max();
+
+/**
+ * One distinct (slot, fit) choice of a translation. The first block
+ * that makes it builds its gates (the dressed U3 factors and the
+ * layer gates) into the output, from `first_op` on; every later block
+ * copies them from there.
+ */
+struct FitEmission
+{
+    const GateProfile* profile = nullptr;
+    const LayerFit* fit = nullptr;
+    /** Index of the chosen spec (per-spec type_usage). */
+    uint32_t spec = 0;
+    /** Next emission of the same slot, or kNoSlot. */
+    uint32_t next = kNoSlot;
+    size_t first_op = kUnemitted;
+    LabelId label = kInvalidLabel;
+    /** Served by the analytic engine (engine == "kak"). */
+    bool analytic = false;
+};
+
+/** What emission reads per translated block. */
+struct BlockChoice
+{
+    /** Calibrated fidelity of the chosen type on the block's edge. */
+    double edge_fidelity = 1.0;
+    uint32_t emission = 0;
+};
+
+/**
  * Recover the local factors that dress the canonical representative
  * back into `target`. When they cannot be recovered (a degenerate
  * solve: it happens on near-identity controlled phases), mark the
@@ -411,17 +504,25 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     static const LabelId u3_label = internLabel("U3");
 
     // Selection stays per block — edge fidelities differ per edge — but
-    // reads the block's slot. Each block expands to exactly
-    // 2 + 3*layers native ops, so summing the chosen fits sizes the
-    // output columns *exactly*: one reservation, no growth
-    // reallocations while emitting (the unitary column alone is
-    // megabytes on wide circuits). Emission reads the stored choices;
-    // the slots keep every selected profile alive even if a bounded
-    // cache evicts the entries in between.
+    // reads the block's slot and the edge's row of the fidelity table.
+    // Blocks of one slot that choose the same fit emit the same gates,
+    // so each distinct (slot, fit) gets one FitEmission, chained per
+    // slot. Each block expands to exactly 2 + 3*layers native ops, so
+    // summing the chosen fits sizes the output columns *exactly*: one
+    // reservation, no growth reallocations while emitting (the unitary
+    // column alone is megabytes on wide circuits), so copies out of
+    // the column stay valid. The slots keep every selected profile
+    // alive even if a bounded cache evicts the entries in between.
     const auto& op_qubits = routed.opQubits();
     const auto& op_labels = routed.opLabels();
-    ArenaVector<GateChoice> choices = makeArenaVector<GateChoice>(scratch);
-    choices.reserve(static_cast<size_t>(routed.twoQubitGateCount()));
+    EdgeFidelityTable edges(device, specs, scratch);
+    ArenaVector<BlockChoice> blocks = makeArenaVector<BlockChoice>(scratch);
+    blocks.reserve(static_cast<size_t>(routed.twoQubitGateCount()));
+    ArenaVector<FitEmission> emissions =
+        makeArenaVector<FitEmission>(scratch);
+    emissions.reserve(sweep.slots.size());
+    ArenaVector<uint32_t> slot_emissions =
+        makeArenaVector<uint32_t>(scratch, sweep.slots.size(), kNoSlot);
     std::vector<const GateProfile*> profiles(num_specs);
     std::vector<double> fidelities(num_specs);
     size_t exact_ops = 0;
@@ -434,16 +535,34 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         const auto& source = dress && sweep.dressings[s].fallback
                                  ? sweep.raw_profiles
                                  : sweep.profiles;
-        int pa = physical[op_qubits[i][0]];
-        int pb = physical[op_qubits[i][1]];
+        const double* row = edges.row(physical[op_qubits[i][0]],
+                                      physical[op_qubits[i][1]]);
         for (size_t k = 0; k < num_specs; ++k) {
             profiles[k] = source[s * num_specs + k].get();
-            fidelities[k] = device.edgeFidelity(pa, pb, specs[k].type_name);
+            fidelities[k] = row[k];
         }
-        choices.push_back(selectGate(profiles, fidelities, f1q_avg,
-                                     approximate,
-                                     decomposer.options().exact_threshold));
-        exact_ops += 2 + 3 * choices.back().fit->layers;
+        GateChoice choice =
+            selectGate(profiles, fidelities, f1q_avg, approximate,
+                       decomposer.options().exact_threshold);
+        uint32_t e = slot_emissions[s];
+        while (e != kNoSlot && emissions[e].fit != choice.fit)
+            e = emissions[e].next;
+        if (e == kNoSlot) {
+            FitEmission emission;
+            emission.profile = choice.profile;
+            emission.fit = choice.fit;
+            emission.spec = static_cast<uint32_t>(
+                std::find(profiles.begin(), profiles.end(),
+                          choice.profile) -
+                profiles.begin());
+            emission.next = slot_emissions[s];
+            emission.label = internLabel(choice.profile->type_name);
+            emission.analytic = choice.profile->engine == "kak";
+            e = slot_emissions[s] = static_cast<uint32_t>(emissions.size());
+            emissions.push_back(emission);
+        }
+        blocks.push_back({choice.edge_fidelity, e});
+        exact_ops += 2 + 3 * choice.fit->layers;
     }
     result.circuit.reserveOps(exact_ops);
 
@@ -454,15 +573,20 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
                              device.oneQubitDurationNs());
     };
 
-    std::vector<Matrix> u3s;
+    // A first emission's gates: its 2(layers+1) U3s, then its layers.
+    std::vector<Matrix> built;
+    built.reserve(3 * static_cast<size_t>(decomposer.options().max_layers) +
+                  2);
+    const std::vector<Matrix>& out = result.circuit.opUnitaries();
+    // Native 2Q usage per spec, folded into the named map once.
+    ArenaVector<int> usage = makeArenaVector<int>(scratch, num_specs, 0);
     size_t op_index = 0;
     size_t block_index = 0;
     for (const auto& op : routed.ops()) {
         uint32_t s = sweep.op_slot[op_index++];
-        const Matrix& op_unitary = op.unitary();
         Qubits qs = op.qubits();
         if (!op.isTwoQubit()) {
-            emit_1q(qs[0], op_unitary, op.labelId());
+            emit_1q(qs[0], op.unitary(), op.labelId());
             continue;
         }
 
@@ -482,48 +606,64 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         if (dressing && dressing->fallback)
             ++result.dressing_fallbacks;
 
-        const GateChoice& choice = choices[block_index++];
-        const GateProfile& profile = *choice.profile;
-        const LayerFit& fit = *choice.fit;
-        if (profile.engine == "kak")
+        const BlockChoice& block = blocks[block_index++];
+        FitEmission& emission = emissions[block.emission];
+        const GateProfile& profile = *emission.profile;
+        const LayerFit& fit = *emission.fit;
+        if (emission.analytic)
             ++result.analytic_ops;
 
-        TwoQubitTemplate templ =
-            profile.family == TemplateFamily::Fixed
-                ? TwoQubitTemplate(fit.layers, profile.unitary)
-                : TwoQubitTemplate(fit.layers, profile.family);
-        templ.u3MatricesInto(fit.params, u3s);
-        if (dressing && dressing->active) {
-            // C' = post . C . pre implements the target exactly when C
-            // implements the representative (Fd is invariant under
-            // local dressing, so the profiled fidelities carry over).
-            u3s[0] = u3s[0] * dressing->pre_a;
-            u3s[1] = u3s[1] * dressing->pre_b;
-            u3s[2 * fit.layers] = dressing->post_a * u3s[2 * fit.layers];
-            u3s[2 * fit.layers + 1] =
-                dressing->post_b * u3s[2 * fit.layers + 1];
+        bool repeat = emission.first_op != kUnemitted;
+        if (!repeat) {
+            emission.first_op = result.circuit.size();
+            TwoQubitTemplate templ =
+                profile.family == TemplateFamily::Fixed
+                    ? TwoQubitTemplate(fit.layers, profile.unitary)
+                    : TwoQubitTemplate(fit.layers, profile.family);
+            templ.u3MatricesInto(fit.params, built);
+            if (dressing && dressing->active) {
+                // C' = post . C . pre implements the target exactly
+                // when C implements the representative (Fd is
+                // invariant under local dressing, so the profiled
+                // fidelities carry over).
+                built[0] = built[0] * dressing->pre_a;
+                built[1] = built[1] * dressing->pre_b;
+                built[2 * fit.layers] =
+                    dressing->post_a * built[2 * fit.layers];
+                built[2 * fit.layers + 1] =
+                    dressing->post_b * built[2 * fit.layers + 1];
+            }
+            for (int layer = 0; layer < fit.layers; ++layer)
+                built.push_back(templ.layerGate(fit.params, layer));
         }
+        // In emission order a U3 pair, then per layer the native gate
+        // and a U3 pair: U3 k sits at k + k/2, layer l at 2 + 3l.
+        size_t first = emission.first_op;
+        auto u3 = [&](int k) -> const Matrix& {
+            return repeat ? out[first + k + k / 2] : built[k];
+        };
+        auto layer_gate = [&](int layer) -> const Matrix& {
+            return repeat ? out[first + 2 + 3 * layer]
+                          : built[2 * (fit.layers + 1) + layer];
+        };
 
-        emit_1q(ra, u3s[0], u3_label);
-        emit_1q(rb, u3s[1], u3_label);
-        // One intern per 2Q block; every layer reuses the id (the
-        // common single-type compile hits the LabelTable's shared-lock
-        // fast path once per block).
-        LabelId type_label = internLabel(profile.type_name);
+        emit_1q(ra, u3(0), u3_label);
+        emit_1q(rb, u3(1), u3_label);
         for (int layer = 0; layer < fit.layers; ++layer) {
-            result.circuit.add2q(ra, rb,
-                                 templ.layerGate(fit.params, layer),
-                                 type_label,
-                                 1.0 - choice.edge_fidelity,
+            result.circuit.add2q(ra, rb, layer_gate(layer), emission.label,
+                                 1.0 - block.edge_fidelity,
                                  device.twoQubitDurationNs());
-            result.estimated_fidelity *= choice.edge_fidelity;
-            ++result.two_qubit_count;
-            ++result.type_usage[profile.type_name];
-            emit_1q(ra, u3s[2 * (layer + 1)], u3_label);
-            emit_1q(rb, u3s[2 * (layer + 1) + 1], u3_label);
+            result.estimated_fidelity *= block.edge_fidelity;
+            emit_1q(ra, u3(2 * (layer + 1)), u3_label);
+            emit_1q(rb, u3(2 * (layer + 1) + 1), u3_label);
         }
+        result.two_qubit_count += fit.layers;
+        usage[emission.spec] += fit.layers;
         result.estimated_fidelity *= fit.fd;
     }
+    for (size_t k = 0; k < num_specs; ++k)
+        if (usage[k] > 0)
+            result.type_usage[specs[k].type_name] += usage[k];
     result.cache_hits = local.hits.load();
     result.cache_misses = local.misses.load();
     return result;

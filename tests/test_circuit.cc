@@ -1,5 +1,10 @@
-// Circuit IR tests: construction, counting, depth, scheduling and the
-// full-unitary builder.
+// Circuit IR tests: construction, counting, depth, scheduling, the
+// full-unitary builder and structure stamps.
+
+#include <algorithm>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -142,6 +147,66 @@ TEST(Circuit, ToStringListsOps)
     c.add2q(0, 1, cz(), "CZ");
     std::string s = c.toString();
     EXPECT_NE(s.find("CZ q0, q1"), std::string::npos);
+}
+
+TEST(Circuit, StructureStampFollowsStructuralEdits)
+{
+    Circuit c(2);
+    uint64_t empty = c.structureStamp();
+    c.add2q(0, 1, cz(), "CZ");
+    uint64_t one_op = c.structureStamp();
+    EXPECT_NE(one_op, empty);
+
+    auto ops = c.mutableOps();
+    ops[0].setErrorRate(0.1);
+    ops[0].setLabel("CZ2");
+    ops[0].setUnitary(iswap());
+    c.mutableErrorRates()[0] = 0.2;
+    EXPECT_EQ(c.structureStamp(), one_op);
+
+    ops[0].setDurationNs(30.0);
+    uint64_t timed = c.structureStamp();
+    EXPECT_NE(timed, one_op);
+
+    Circuit copy(c);
+    EXPECT_EQ(copy.structureStamp(), timed);
+    Circuit moved(std::move(copy));
+    EXPECT_EQ(moved.structureStamp(), timed);
+    EXPECT_NE(copy.structureStamp(), timed); // moved-from: renewed
+
+    c.append(moved);
+    EXPECT_NE(c.structureStamp(), timed);
+    EXPECT_EQ(moved.structureStamp(), timed);
+}
+
+TEST(Circuit, StampsDrawnOnFourThreadsNeverRepeat)
+{
+    // Enough appends per thread to draw several thread-local blocks.
+    constexpr int kThreads = 4;
+    constexpr int kCircuits = 100;
+    constexpr int kOps = 50;
+    std::vector<std::vector<uint64_t>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&seen, t] {
+            for (int i = 0; i < kCircuits; ++i) {
+                Circuit c(2);
+                seen[t].push_back(c.structureStamp());
+                for (int k = 0; k < kOps; ++k) {
+                    c.add1q(k % 2, hadamard(), "H");
+                    seen[t].push_back(c.structureStamp());
+                }
+            }
+        });
+    for (std::thread& thread : threads)
+        thread.join();
+    std::vector<uint64_t> all;
+    for (const auto& stamps : seen)
+        all.insert(all.end(), stamps.begin(), stamps.end());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+    EXPECT_EQ(all.size(),
+              static_cast<size_t>(kThreads * kCircuits * (kOps + 1)));
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 // Schedule IR tests: ASAP/ALAP invariants, per-moment frontiers,
-// timing, and invalidation when the circuit is rewritten.
+// timing, and invalidation when the circuit is rewritten (structure
+// stamps).
 
 #include <gtest/gtest.h>
 
@@ -207,6 +208,84 @@ TEST(Schedule, ExplicitInvalidateAndRejectsUseBeforeBuild)
     EXPECT_FALSE(unbuilt.valid());
     EXPECT_THROW(unbuilt.alapMoment(0), FatalError);
     EXPECT_THROW(unbuilt.startTimeNs(0), FatalError);
+}
+
+TEST(Schedule, StructuralEditsMakeBuiltScheduleStale)
+{
+    // Every append path and every duration edit renews the circuit's
+    // structure stamp, so a schedule built before reads as stale.
+    Circuit c(3);
+    c.add2q(0, 1, cz(), "CZ");
+    Schedule schedule(c);
+    ASSERT_TRUE(schedule.consistentWith(c));
+
+    c.add1q(2, hadamard(), "H");
+    EXPECT_FALSE(schedule.consistentWith(c)) << "add1q";
+    schedule.build(c);
+    c.add2q(1, 2, cz(), "CZ");
+    EXPECT_FALSE(schedule.consistentWith(c)) << "add2q";
+    schedule.build(c);
+    c.add(Operation{Qubits(0), hadamard(), "H", 0.0, 0.0});
+    EXPECT_FALSE(schedule.consistentWith(c)) << "add(Operation)";
+    schedule.build(c);
+    c.add(c.ops()[0], Qubits(2, 0));
+    EXPECT_FALSE(schedule.consistentWith(c)) << "add(op, remapped)";
+    schedule.build(c);
+    Circuit tail(3);
+    tail.add2q(0, 2, cz(), "CZ");
+    c.append(tail);
+    EXPECT_FALSE(schedule.consistentWith(c)) << "append";
+    schedule.build(c);
+    ASSERT_TRUE(schedule.consistentWith(c));
+    c.mutableOps()[1].setDurationNs(40.0);
+    EXPECT_FALSE(schedule.consistentWith(c)) << "setDurationNs";
+}
+
+TEST(Schedule, AnnotationEditsKeepScheduleConsistent)
+{
+    Circuit c(2);
+    c.add2q(0, 1, cz(), "CZ");
+    c.add1q(0, hadamard(), "H");
+    Schedule schedule(c);
+    auto ops = c.mutableOps();
+    ops[0].setErrorRate(0.25);
+    ops[0].setUnitary(iswap());
+    ops[1].setLabel("H2");
+    ops[1].setLabel(internLabel("H3"));
+    c.mutableErrorRates()[1] = 0.125;
+    EXPECT_TRUE(schedule.consistentWith(c));
+}
+
+TEST(Schedule, CopiesStayConsistentMovedFromCircuitsDoNot)
+{
+    Circuit c(2);
+    c.add2q(0, 1, cz(), "CZ");
+    Schedule schedule(c);
+
+    Circuit copy(c);
+    EXPECT_TRUE(schedule.consistentWith(copy));
+    Circuit assigned(1);
+    assigned = c;
+    EXPECT_TRUE(schedule.consistentWith(assigned));
+
+    // A copy edited afterwards goes stale on its own; the source stays.
+    copy.add1q(0, hadamard(), "H");
+    EXPECT_FALSE(schedule.consistentWith(copy));
+    EXPECT_TRUE(schedule.consistentWith(c));
+
+    Circuit moved(std::move(c));
+    EXPECT_TRUE(schedule.consistentWith(moved));
+    EXPECT_FALSE(schedule.consistentWith(c)); // moved-from
+    Circuit move_assigned(1);
+    move_assigned = std::move(moved);
+    EXPECT_TRUE(schedule.consistentWith(move_assigned));
+    EXPECT_FALSE(schedule.consistentWith(moved)); // moved-from
+
+    // Equal structure alone is not enough: a circuit built the same
+    // way, but not a copy, reads as stale and rebuilds.
+    Circuit twin(2);
+    twin.add2q(0, 1, cz(), "CZ");
+    EXPECT_FALSE(schedule.consistentWith(twin));
 }
 
 TEST(Schedule, EmptyCircuit)

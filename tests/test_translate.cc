@@ -259,6 +259,17 @@ TEST(Translate, ThrowsWhenNoTypeCalibratedOnEdge)
     EXPECT_THROW(translateCircuit(logical, {0, 1}, d, set, decomposer,
                                   cache, true),
                  FatalError);
+
+    // A pair with no coupler reads zero fidelity for every type, just
+    // like an edge without calibration.
+    Device line("line", Topology::line(3));
+    line.setEdgeFidelity(0, 1, "S3", 0.99);
+    line.setEdgeFidelity(1, 2, "S3", 0.99);
+    Circuit far(3);
+    far.add2q(0, 2, zz(0.4), "ZZ");
+    EXPECT_THROW(translateCircuit(far, {0, 1, 2}, line, set, decomposer,
+                                  cache, true),
+                 FatalError);
 }
 
 TEST(Translate, SwapTypeUsedForRoutedSwaps)
