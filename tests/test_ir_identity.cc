@@ -21,6 +21,7 @@
 #include "circuit/label_table.h"
 #include "circuit/schedule.h"
 #include "common/rng.h"
+#include "compiler/consolidate.h"
 #include "compiler/mapping.h"
 #include "compiler/pipeline.h"
 #include "compiler/routing_strategy.h"
@@ -567,6 +568,85 @@ TEST(IrIdentity, FractionalTeleportWeightRouteMatchesGolden)
         TeleportRouter(SabreOptions(), teleport).route(qft14, coupling);
     EXPECT_GT(routed.teleports_inserted, 0);
     EXPECT_EQ(routedHash(routed), 0xbf93780fa2c25fb1ull);
+}
+
+/**
+ * Eight qubits whose last three blocks stay open, opened on (5,6),
+ * then (1,2), then (3,4): an order unlike their first qubits' order.
+ * On the way it fuses 1Q gates on either side of a block, a reversed
+ * 2Q op, and closes blocks that a new partner interrupts.
+ */
+Circuit
+openBlocksCircuit()
+{
+    using namespace gates;
+    Circuit c(8);
+    c.add1q(0, hadamard(), "H");             // no block yet: passes
+    c.add2q(0, 1, cz(), "CZ");               // opens (0,1)
+    c.add1q(1, tGate(), "T");                // fuses on the second qubit
+    c.add2q(1, 0, iswap(), "iSWAP");         // reversed: reoriented
+    c.add2q(2, 3, fsim(0.4, 1.1), "fSim");   // opens (2,3)
+    c.add2q(3, 4, cnot(), "CNOT");           // closes (2,3), opens (3,4)
+    c.add1q(2, sGate(), "S");                // 2 is free: passes
+    c.add2q(5, 6, sqrtIswap(), "sqrtiSWAP"); // opens (5,6)
+    c.add2q(1, 2, cphase(0.7), "CP");        // closes (0,1), opens (1,2)
+    c.add2q(4, 7, xy(0.3), "XY");            // closes (3,4), opens (4,7)
+    c.add2q(3, 4, sycamore(), "SYC");        // closes (4,7), opens (3,4)
+    c.add1q(6, u3(0.3, 0.2, 0.1), "U3");     // fuses into (5,6)
+    c.add2q(2, 1, zz(0.9), "ZZ");            // reversed into (1,2)
+    c.add1q(4, rx(0.5), "RX");               // fuses into (3,4)
+    c.add1q(7, ry(0.6), "RY");               // 7 is free: passes
+    c.add1q(0, rz(0.8), "RZ");               // 0 is free: passes
+    return c;
+}
+
+// Consolidation output, hashed directly, captured before live blocks
+// moved into a register-sized table; must never drift.
+TEST(IrIdentity, ConsolidationMatchesGoldens)
+{
+    RoutedCircuit sabre =
+        SabreRouter().route(makeQftCircuit(16), Topology::grid(4, 4));
+    EXPECT_EQ(circuitContentHash(consolidateTwoQubitBlocks(sabre.circuit)),
+              0xeb6e1bedd8347281ull)
+        << "qft16 sabre grid4x4";
+
+    // Telesabre on the 3x3 chiplet: the TELEPORT ops are barriers.
+    Rng dev_rng(77);
+    ChipletSpec spec;
+    spec.core_rows = 3;
+    spec.core_cols = 3;
+    Device chiplet = makeChipletDevice(spec, dev_rng);
+    Circuit qft14 = makeQftCircuit(14);
+    std::vector<int> physical =
+        chooseMapping(chiplet, qft14.numQubits(), isa::singleTypeSet(3));
+    Topology coupling = chiplet.topology().inducedSubgraph(physical);
+    RoutedCircuit tele =
+        TeleportRouter(SabreOptions(), TeleportOptions())
+            .route(qft14, coupling);
+    Circuit fused = consolidateTwoQubitBlocks(tele.circuit);
+    EXPECT_GT(fused.countLabel("TELEPORT"), 0);
+    EXPECT_EQ(circuitContentHash(fused), 0xb01e716a4b6daae1ull)
+        << "qft14 telesabre chiplet3x3";
+
+    // The blocks still open at the end flush in creation order.
+    Circuit open = consolidateTwoQubitBlocks(openBlocksCircuit());
+    ASSERT_GE(open.size(), 3u);
+    const Qubits expected_tail[] = {{5, 6}, {1, 2}, {3, 4}};
+    for (size_t k = 0; k < 3; ++k) {
+        auto op = open.ops()[open.size() - 3 + k];
+        EXPECT_EQ(op.label(), "block") << k;
+        EXPECT_EQ(op.qubits(), expected_tail[k]) << k;
+    }
+    EXPECT_EQ(circuitContentHash(open), 0x52817e0c73667d7cull) << "open blocks";
+
+    // Greedy routing, SWAP ops included, and its consolidation.
+    RoutedCircuit greedy =
+        GreedyRouter().route(makeQftCircuit(16), Topology::grid(4, 4));
+    EXPECT_GT(greedy.swaps_inserted, 0);
+    EXPECT_EQ(routedHash(greedy), 0xf822f1c367ecb795ull) << "qft16 greedy grid4x4";
+    EXPECT_EQ(circuitContentHash(consolidateTwoQubitBlocks(greedy.circuit)),
+              0x671f1de9d19a95e9ull)
+        << "qft16 greedy grid4x4 consolidated";
 }
 
 TEST(IrIdentity, RenderedTextMatchesPreSoaGoldens)
