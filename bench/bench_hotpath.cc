@@ -572,12 +572,14 @@ main(int argc, char** argv)
 
     // Warm QFT-32 with the four-type G3 set under "sabre", the shape
     // of the recalibration recompiles: Eq. 2 selection over several
-    // types per block, and SABRE routing. Reported, not gated.
+    // types per block, and SABRE routing. Its timings are reported;
+    // its rep-0 allocation counters are deterministic and gated.
     CompileOptions g3_sabre = options;
     g3_sabre.routing = "sabre";
+    AllocDelta g3_alloc;
     WarmTimings g3_warm = warmReps("qft32_g3_sabre", qft, device,
                                    isa::googleSet(3), g3_sabre,
-                                   quick ? 5 : 15, nullptr);
+                                   quick ? 5 : 15, &g3_alloc);
 
     // SIMD-vs-scalar A/B leg: rerun the QV serial cold compiles with
     // the dispatch tier pinned to scalar, then restore. Same circuit,
@@ -634,8 +636,8 @@ main(int argc, char** argv)
     emitWorkload(qft_report, false);
     emitWorkload(qv_report, true);
     // Headline figures the CI gate reads: QFT-32 serial latency and
-    // allocation counters (the deterministic cache-bound path), the
-    // warm "auto"/"nuop" ratio (per-block canonical dressing would
+    // allocation counters (the deterministic cache-bound path, also
+    // under G3 and "sabre"), the warm "auto"/"nuop" ratio (per-block canonical dressing would
     // show here), the QV intra-circuit parallel speedup (the
     // compute-bound path that needs the cores), and the QV cold p50
     // plus its ratio against the forced-scalar leg (the SIMD kernel
@@ -649,6 +651,10 @@ main(int argc, char** argv)
               << ",\n"
               << "  \"qft32_g3_sabre_warm_p50_ms\": "
               << percentile(g3_warm.ms, 0.50) << ",\n"
+              << "  \"qft32_g3_sabre_warm_alloc_count\": " << g3_alloc.count
+              << ",\n"
+              << "  \"qft32_g3_sabre_warm_alloc_bytes\": " << g3_alloc.bytes
+              << ",\n"
               << "  \"qft32_g3_sabre_warm_passes\": ";
     emitPasses(g3_warm.pass_p50);
     std::cout << ",\n"

@@ -27,8 +27,9 @@ regresses beyond the baseline tolerance:
     (1 - tolerance) * baseline or the hard floor
     (min_hotpath_speedup), or when the parallel compile stops being
     bit-identical to serial (always enforced), or when the QFT-32
-    warm-cache heap allocation count/bytes exceed
-    (1 + hotpath_alloc_tolerance) * baseline. The allocation counters
+    warm-cache heap allocation count/bytes, with the CZ set or with G3
+    under "sabre", exceed (1 + hotpath_alloc_tolerance) * baseline.
+    The allocation counters
     are serial, seeded and mode-invariant (--quick shrinks only the
     QV leg), so — like the SWAP-count gate — they are enforced on
     every runner regardless of thread count. So is the QFT-32 warm
@@ -231,11 +232,16 @@ def main() -> None:
     if qft32 is None:
         fail("BENCH_hotpath.json has no qft32 workload")
     alloc_tolerance = baseline.get("hotpath_alloc_tolerance", 0.50)
-    for metric, key in (
-        ("warm_count", "hotpath_warm_alloc_count"),
-        ("warm_bytes", "hotpath_warm_alloc_bytes"),
+    for metric, measured, key in (
+        ("warm_count", qft32["alloc"]["warm_count"],
+         "hotpath_warm_alloc_count"),
+        ("warm_bytes", qft32["alloc"]["warm_bytes"],
+         "hotpath_warm_alloc_bytes"),
+        ("G3 sabre warm_count", hotpath["qft32_g3_sabre_warm_alloc_count"],
+         "hotpath_g3_sabre_warm_alloc_count"),
+        ("G3 sabre warm_bytes", hotpath["qft32_g3_sabre_warm_alloc_bytes"],
+         "hotpath_g3_sabre_warm_alloc_bytes"),
     ):
-        measured = qft32["alloc"][metric]
         alloc_baseline = baseline[key]
         alloc_limit = alloc_baseline * (1.0 + alloc_tolerance)
         print(

@@ -44,8 +44,7 @@ Circuit::validateQubit(int qubit) const
 }
 
 void
-Circuit::pushOp(Qubits qubits, const Matrix& unitary, LabelId label,
-                double error_rate, double duration_ns)
+Circuit::validateOp(Qubits qubits, const Matrix& unitary) const
 {
     validateQubit(qubits[0]);
     if (qubits.isTwoQubit()) {
@@ -53,14 +52,51 @@ Circuit::pushOp(Qubits qubits, const Matrix& unitary, LabelId label,
         QISET_REQUIRE(qubits[0] != qubits[1], "2Q op on identical qubits");
         QISET_REQUIRE(unitary.rows() == 4 && unitary.cols() == 4,
                       "2Q op needs a 4x4 unitary");
-        ++two_qubit_count_;
     } else {
         QISET_REQUIRE(unitary.rows() == 2 && unitary.cols() == 2,
                       "1Q op needs a 2x2 unitary");
     }
+}
+
+UnitaryId
+Circuit::storeUnitary(const Matrix& unitary)
+{
+    QISET_REQUIRE(unitary.rows() == unitary.cols() &&
+                      (unitary.rows() == 2 || unitary.rows() == 4),
+                  "stored unitaries are 2x2 or 4x4, not ", unitary.rows(),
+                  "x", unitary.cols());
+    unitaries_.push_back(unitary);
+    return static_cast<UnitaryId>(unitaries_.size() - 1);
+}
+
+void
+Circuit::pushOp(Qubits qubits, const Matrix& unitary, LabelId label,
+                double error_rate, double duration_ns)
+{
+    validateOp(qubits, unitary);
+    appendOp(qubits, storeUnitary(unitary), label, error_rate,
+             duration_ns);
+}
+
+void
+Circuit::pushOp(Qubits qubits, UnitaryId unitary, LabelId label,
+                double error_rate, double duration_ns)
+{
+    size_t entry = static_cast<size_t>(unitary);
+    QISET_REQUIRE(entry < unitaries_.size(), "unitary id ", entry,
+                  " out of range for a table of ", unitaries_.size());
+    validateOp(qubits, unitaries_[entry]);
+    appendOp(qubits, unitary, label, error_rate, duration_ns);
+}
+
+void
+Circuit::appendOp(Qubits qubits, UnitaryId unitary, LabelId label,
+                  double error_rate, double duration_ns)
+{
+    two_qubit_count_ += qubits.isTwoQubit();
     qubits_.push_back(qubits);
     labels_.push_back(label);
-    unitaries_.push_back(unitary);
+    unitary_ids_.push_back(unitary);
     error_rates_.push_back(error_rate);
     durations_.push_back(duration_ns);
     stamp_.renew();
@@ -96,6 +132,21 @@ Circuit::add2q(int qubit_a, int qubit_b, const Matrix& unitary,
 }
 
 void
+Circuit::add1q(int qubit, UnitaryId unitary, LabelId label,
+               double error_rate, double duration_ns)
+{
+    pushOp(Qubits(qubit), unitary, label, error_rate, duration_ns);
+}
+
+void
+Circuit::add2q(int qubit_a, int qubit_b, UnitaryId unitary, LabelId label,
+               double error_rate, double duration_ns)
+{
+    pushOp(Qubits(qubit_a, qubit_b), unitary, label, error_rate,
+           duration_ns);
+}
+
+void
 Circuit::add(Operation op)
 {
     pushOp(op.qubits, op.unitary, internLabel(op.label), op.error_rate,
@@ -125,19 +176,27 @@ Circuit::append(const Circuit& other)
                   "appended circuit is wider than target");
     reserveOps(other.size());
     for (size_t i = 0; i < other.size(); ++i)
-        pushOp(other.qubits_[i], other.unitaries_[i], other.labels_[i],
+        pushOp(other.qubits_[i], other.opUnitary(i), other.labels_[i],
                other.error_rates_[i], other.durations_[i]);
 }
 
 void
-Circuit::reserveOps(size_t additional)
+Circuit::reserveOps(size_t ops, size_t unitaries)
 {
-    size_t total = qubits_.size() + additional;
+    size_t total = qubits_.size() + ops;
     qubits_.reserve(total);
     labels_.reserve(total);
-    unitaries_.reserve(total);
+    unitary_ids_.reserve(total);
     error_rates_.reserve(total);
     durations_.reserve(total);
+    unitaries_.reserve(unitaries_.size() + unitaries);
+}
+
+void
+OpRef::setUnitary(const Matrix& unitary) const
+{
+    circuit_->validateOp(circuit_->qubits_[index_], unitary);
+    circuit_->unitary_ids_[index_] = circuit_->storeUnitary(unitary);
 }
 
 int
@@ -221,7 +280,7 @@ Circuit::unitary() const
     // 2^n x 2^n buffers instead of materializing fresh temporaries).
     Matrix embedded, product;
     for (size_t i = 0; i < size(); ++i) {
-        embedded = embedUnitary(unitaries_[i], qubits_[i], num_qubits_);
+        embedded = embedUnitary(opUnitary(i), qubits_[i], num_qubits_);
         Matrix::multiplyInto(product, embedded, result);
         std::swap(product, result);
     }

@@ -12,17 +12,24 @@
  * durations that the noisy simulators consume.
  *
  * Storage is struct-of-arrays: operands are an inline fixed pair
- * (Qubits), labels are interned LabelIds, and unitary / error-rate /
- * duration live in parallel columns, so pass sweeps touch only the
+ * (Qubits), labels are interned LabelIds, and unitary id / error-rate
+ * / duration live in parallel columns, so pass sweeps touch only the
  * columns they read and appending an op performs no per-op heap
- * allocation (2x2/4x4 unitaries sit in the Matrix small-buffer).
- * Operations are accessed through OpRef/ConstOpRef proxy views
- * (`for (const auto& op : circuit.ops())`) or — for the hottest
- * sweeps — through the raw column accessors (opQubits(), ...).
+ * allocation. Unitaries live in a per-circuit table and each op keeps
+ * a 4-byte UnitaryId into it: code that emits one matrix many times
+ * (translation's template gates, routing's SWAPs) stores it once with
+ * storeUnitary() and adds every op by id. The Matrix-taking adds store
+ * one entry per op. An entry is never rewritten: OpRef::setUnitary
+ * stores a new one and repoints only its own op, so ops that share an
+ * entry never see each other's edits. Operations are accessed through
+ * OpRef/ConstOpRef proxy views (`for (const auto& op :
+ * circuit.ops())`) or — for the hottest sweeps — through the raw
+ * column accessors (opQubits(), ...).
  *
- * Invalidation: like std::vector, any add or append call may
- * reallocate the columns; OpRefs, column references and iterators
- * obtained before a mutation must not be used after it.
+ * Invalidation: like std::vector, any add, append or store call may
+ * reallocate the columns and the unitary table; OpRefs, column and
+ * unitary references and iterators obtained before a mutation must
+ * not be used after it.
  *
  * Structure stamp: every change to what a schedule reads (an appended
  * op, a duration edit) gives the circuit a fresh process-unique
@@ -123,6 +130,15 @@ struct Operation
 class Circuit;
 
 /**
+ * Index of an entry in one Circuit's unitary table. A distinct type,
+ * so that it cannot bind to an int qubit; it names an entry only in
+ * the circuit whose storeUnitary() returned it.
+ */
+enum class UnitaryId : std::uint32_t
+{
+};
+
+/**
  * Process-unique structure stamp of one Circuit. Copies share the
  * value; a move hands it over and renews the source's, so a moved-from
  * circuit never matches a schedule built before the move. Stamps come
@@ -197,7 +213,11 @@ class OpRef
     inline double errorRate() const;
     inline double durationNs() const;
 
-    inline void setUnitary(const Matrix& unitary) const;
+    /**
+     * Store `unitary` as a new table entry and point this op at it;
+     * other ops sharing the old entry keep its bytes.
+     */
+    void setUnitary(const Matrix& unitary) const;
     inline void setLabel(LabelId label) const;
     inline void setLabel(std::string_view label) const;
     inline void setErrorRate(double error_rate) const;
@@ -288,6 +308,20 @@ class Circuit
                LabelId label, double error_rate = 0.0,
                double duration_ns = 0.0);
 
+    /**
+     * Store a 2x2 or 4x4 unitary in this circuit's table and return
+     * its id. Every op added by the id shares the entry's bytes.
+     */
+    UnitaryId storeUnitary(const Matrix& unitary);
+
+    /** Append a single-qubit op whose unitary is a stored 2x2 entry. */
+    void add1q(int qubit, UnitaryId unitary, LabelId label,
+               double error_rate = 0.0, double duration_ns = 0.0);
+
+    /** Append a two-qubit op whose unitary is a stored 4x4 entry. */
+    void add2q(int qubit_a, int qubit_b, UnitaryId unitary, LabelId label,
+               double error_rate = 0.0, double duration_ns = 0.0);
+
     /** Append a pre-built operation (validated). */
     void add(Operation op);
 
@@ -304,11 +338,18 @@ class Circuit
     void append(const Circuit& other);
 
     /**
-     * Pre-size every column for `additional` more appends (on top of
-     * the current size). Generators and rewrite passes that know their
-     * output gate count call this so append loops never reallocate.
+     * Pre-size every column for `ops` more appends and the unitary
+     * table for `unitaries` more entries (on top of the current
+     * sizes). Generators and rewrite passes that know their output
+     * call this so append loops never reallocate.
      */
-    void reserveOps(size_t additional);
+    void reserveOps(size_t ops, size_t unitaries);
+
+    /** reserveOps(additional, additional): one entry per op. */
+    void reserveOps(size_t additional)
+    {
+        reserveOps(additional, additional);
+    }
 
     ConstOpRange ops() const { return ConstOpRange(*this); }
     MutableOpRange mutableOps() { return MutableOpRange(*this); }
@@ -347,12 +388,21 @@ class Circuit
     // Raw parallel arrays for allocation-free pass sweeps: routing and
     // scheduling read opQubits()/opDurations(), crosstalk reads
     // opQubits() and rewrites mutableErrorRates(), translation reads
-    // opQubits()/opUnitaries(). References follow the std::vector
-    // rule: invalidated by any add or append.
+    // opQubits()/opLabels() and each op's opUnitary(). References
+    // follow the std::vector rule: invalidated by any add, append or
+    // store.
 
     const std::vector<Qubits>& opQubits() const { return qubits_; }
     const std::vector<LabelId>& opLabels() const { return labels_; }
-    const std::vector<Matrix>& opUnitaries() const { return unitaries_; }
+    /** Op i's unitary: its entry in the unitary table. */
+    const Matrix& opUnitary(size_t i) const
+    {
+        return unitaries_[static_cast<size_t>(unitary_ids_[i])];
+    }
+    /** Op i's unitary-table id; equal ids mean shared bytes. */
+    UnitaryId opUnitaryId(size_t i) const { return unitary_ids_[i]; }
+    /** Number of entries in the unitary table. */
+    size_t unitaryTableSize() const { return unitaries_.size(); }
     const std::vector<double>& opErrorRates() const
     {
         return error_rates_;
@@ -373,14 +423,24 @@ class Circuit
     friend class OpRef;
 
     void validateQubit(int qubit) const;
-    /** Validated column append shared by every add path. */
+    /** Validate operands, and the unitary's shape against arity. */
+    void validateOp(Qubits qubits, const Matrix& unitary) const;
+    /** Validated append storing one table entry for the op. */
     void pushOp(Qubits qubits, const Matrix& unitary, LabelId label,
                 double error_rate, double duration_ns);
+    /** Validated append of an op referencing a stored entry. */
+    void pushOp(Qubits qubits, UnitaryId unitary, LabelId label,
+                double error_rate, double duration_ns);
+    /** Column append of an already validated op. */
+    void appendOp(Qubits qubits, UnitaryId unitary, LabelId label,
+                  double error_rate, double duration_ns);
 
     int num_qubits_;
     int two_qubit_count_ = 0;
     std::vector<Qubits> qubits_;
     std::vector<LabelId> labels_;
+    std::vector<UnitaryId> unitary_ids_;
+    /** The unitary table; entries are appended, never rewritten. */
     std::vector<Matrix> unitaries_;
     std::vector<double> error_rates_;
     std::vector<double> durations_;
@@ -402,7 +462,7 @@ ConstOpRef::isTwoQubit() const
 inline const Matrix&
 ConstOpRef::unitary() const
 {
-    return circuit_->unitaries_[index_];
+    return circuit_->opUnitary(index_);
 }
 inline LabelId
 ConstOpRef::labelId() const
@@ -438,7 +498,7 @@ OpRef::isTwoQubit() const
 inline const Matrix&
 OpRef::unitary() const
 {
-    return circuit_->unitaries_[index_];
+    return circuit_->opUnitary(index_);
 }
 inline LabelId
 OpRef::labelId() const
@@ -459,11 +519,6 @@ inline double
 OpRef::durationNs() const
 {
     return circuit_->durations_[index_];
-}
-inline void
-OpRef::setUnitary(const Matrix& unitary) const
-{
-    circuit_->unitaries_[index_] = unitary;
 }
 inline void
 OpRef::setLabel(LabelId label) const

@@ -1,6 +1,7 @@
 #include "compiler/consolidate.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/arena.h"
@@ -14,10 +15,11 @@ namespace {
 /** An in-flight fusion block on an ordered qubit pair. */
 struct Block
 {
-    int qubit_a; // first qubit == most-significant bit of the 4x4
-    int qubit_b;
-    Matrix unitary = Matrix::identity(4);
-    int fused_ops = 0;
+    int qubit_a = -1; // first qubit == most-significant bit of the 4x4
+    int qubit_b = -1;
+    /** Creation order, for the final flush. */
+    uint32_t sequence = 0;
+    Matrix unitary;
 };
 
 /** Embed a 1Q gate into the block's 4x4 (a is the MSB). */
@@ -47,18 +49,19 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
     // passes through or fuses away.
     out.reserveOps(circuit.size());
 
-    // owner[q] = index into `blocks` of the active block covering
-    // qubit q, or -1. A flat array: lookups on the fuse hot path were
-    // previously a std::map probe per op.
+    // A qubit is in at most one live block, so each live block sits at
+    // its first qubit in a register-sized table, and owner[q] is the
+    // slot of the block covering qubit q, or -1.
     auto owner = makeArenaVector<int>(arena, circuit.numQubits(), -1);
-    auto blocks = makeArenaVector<Block>(arena);
+    auto live = makeArenaVector<Block>(arena, circuit.numQubits());
+    uint32_t opened = 0;
     // Every 4x4 product lands in these reused scratch matrices
     // (inline SBO storage — the whole fuse loop is allocation-free).
     Matrix embedded, product;
 
     static const LabelId block_label = internLabel("block");
-    auto flush = [&](int index) {
-        Block& block = blocks[static_cast<size_t>(index)];
+    auto flush = [&](int slot) {
+        Block& block = live[static_cast<size_t>(slot)];
         out.add2q(block.qubit_a, block.qubit_b, block.unitary,
                   block_label);
         owner[block.qubit_a] = -1;
@@ -75,11 +78,10 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
         if (!op.isTwoQubit()) {
             int q = qs[0];
             if (owner[q] >= 0) {
-                Block& block = blocks[static_cast<size_t>(owner[q])];
+                Block& block = live[static_cast<size_t>(owner[q])];
                 embedded = embed1q(op.unitary(), q == block.qubit_a);
                 Matrix::multiplyInto(product, embedded, block.unitary);
                 std::swap(block.unitary, product);
-                ++block.fused_ops;
             } else {
                 out.add(op);
             }
@@ -103,7 +105,7 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
         }
         if (owner[a] >= 0 && owner[a] == owner[b]) {
             // Same pair: fuse (reorienting if the op is reversed).
-            Block& block = blocks[static_cast<size_t>(owner[a])];
+            Block& block = live[static_cast<size_t>(owner[a])];
             if (a != block.qubit_a) {
                 const Matrix& s = gates::swap();
                 Matrix::multiplyInto(product, s, op.unitary());
@@ -113,32 +115,33 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
             }
             Matrix::multiplyInto(product, embedded, block.unitary);
             std::swap(block.unitary, product);
-            ++block.fused_ops;
             continue;
         }
         // Different partners: close whatever these qubits were part of
-        // and open a fresh block.
+        // and open a fresh block in the now free slot of its first
+        // qubit.
         flush_qubit(a);
         flush_qubit(b);
-        Block block;
+        Block& block = live[static_cast<size_t>(a)];
         block.qubit_a = a;
         block.qubit_b = b;
+        block.sequence = opened++;
         block.unitary = op.unitary();
-        block.fused_ops = 1;
-        blocks.push_back(std::move(block));
-        owner[a] = static_cast<int>(blocks.size()) - 1;
-        owner[b] = static_cast<int>(blocks.size()) - 1;
+        owner[a] = a;
+        owner[b] = a;
     }
 
     // Flush remaining blocks in creation order for determinism.
     auto open = makeArenaVector<int>(arena);
     for (int q = 0; q < circuit.numQubits(); ++q)
-        if (owner[q] >= 0)
-            open.push_back(owner[q]);
-    std::sort(open.begin(), open.end());
-    open.erase(std::unique(open.begin(), open.end()), open.end());
-    for (int index : open)
-        flush(index);
+        if (owner[q] == q)
+            open.push_back(q);
+    std::sort(open.begin(), open.end(), [&](int x, int y) {
+        return live[static_cast<size_t>(x)].sequence <
+               live[static_cast<size_t>(y)].sequence;
+    });
+    for (int slot : open)
+        flush(slot);
 
     return out;
 }

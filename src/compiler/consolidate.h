@@ -30,9 +30,9 @@ class MemArena;
 Circuit consolidateTwoQubitBlocks(const Circuit& circuit);
 
 /**
- * Arena variant: ownership tables and the in-flight block list
- * bump-allocate from `arena` (dead by return; the caller resets).
- * The returned Circuit holds only regular heap state.
+ * Arena variant: the ownership table and the register-sized table of
+ * in-flight blocks bump-allocate from `arena` (dead by return; the
+ * caller resets). The returned Circuit holds only regular heap state.
  */
 Circuit consolidateTwoQubitBlocks(const Circuit& circuit,
                                   MemArena& arena);

@@ -5,28 +5,44 @@
 
 namespace qiset {
 
+namespace {
+
+/** The circuit's SWAP entry, stored on first use. */
+UnitaryId
+swapEntry(Circuit& circuit, std::optional<UnitaryId>& swap)
+{
+    if (!swap)
+        swap = circuit.storeUnitary(gates::swap());
+    return *swap;
+}
+
+} // namespace
+
 void
-addSwapOp(Circuit& circuit, int slot_a, int slot_b)
+addSwapOp(Circuit& circuit, std::optional<UnitaryId>& swap, int slot_a,
+          int slot_b)
 {
     static const LabelId swap_label = internLabel("SWAP");
-    circuit.add2q(slot_a, slot_b, gates::swap(), swap_label);
+    circuit.add2q(slot_a, slot_b, swapEntry(circuit, swap), swap_label);
 }
 
 void
-addTeleportOp(Circuit& circuit, int slot_a, int slot_b,
-              double error_rate, double duration_ns)
+addTeleportOp(Circuit& circuit, std::optional<UnitaryId>& swap,
+              int slot_a, int slot_b, double error_rate,
+              double duration_ns)
 {
     static const LabelId teleport_label = internLabel("TELEPORT");
-    circuit.add2q(slot_a, slot_b, gates::swap(), teleport_label,
+    circuit.add2q(slot_a, slot_b, swapEntry(circuit, swap), teleport_label,
                   error_rate, duration_ns);
 }
 
 void
-addTeleportSwapOp(Circuit& circuit, int slot_a, int slot_b,
-                  double error_rate, double duration_ns)
+addTeleportSwapOp(Circuit& circuit, std::optional<UnitaryId>& swap,
+                  int slot_a, int slot_b, double error_rate,
+                  double duration_ns)
 {
     static const LabelId teleswap_label = internLabel("TELESWAP");
-    circuit.add2q(slot_a, slot_b, gates::swap(), teleswap_label,
+    circuit.add2q(slot_a, slot_b, swapEntry(circuit, swap), teleswap_label,
                   error_rate, duration_ns);
 }
 
@@ -73,13 +89,15 @@ routeCircuit(const Circuit& logical, const Topology& coupling)
     RoutedCircuit out;
     out.circuit = Circuit(n);
     // Output = every logical op plus inserted SWAPs; pre-size for the
-    // known part so the append loop rarely reallocates.
-    out.circuit.reserveOps(logical.size());
+    // known part so the append loop rarely reallocates. The table
+    // holds one entry per logical op and the shared SWAP.
+    out.circuit.reserveOps(logical.size(), logical.size() + 1);
 
     RoutingState state(n);
 
+    std::optional<UnitaryId> swap_entry;
     auto emit_swap = [&](int slot_a, int slot_b) {
-        addSwapOp(out.circuit, slot_a, slot_b);
+        addSwapOp(out.circuit, swap_entry, slot_a, slot_b);
         ++out.swaps_inserted;
         state.swapSlots(slot_a, slot_b);
     };

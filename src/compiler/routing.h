@@ -9,6 +9,7 @@
  * 1:1 when the instruction set has a hardware SWAP, as in R5/G7).
  */
 
+#include <optional>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -58,8 +59,15 @@ RoutedCircuit routeCircuit(const Circuit& logical,
  * Append the canonical application-level SWAP operation (the one
  * NuOp later decomposes, or maps 1:1 on hardware-SWAP sets). Every
  * router must emit SWAPs through this so label/unitary stay uniform.
+ *
+ * SWAP, TELEPORT and TELESWAP ops all carry gates::swap(), stored
+ * once per routed circuit: `swap` is that circuit's table entry,
+ * empty until the first such op stores it, and every later op
+ * references it. Pass the same optional for every op of one circuit,
+ * and a fresh one for each new circuit.
  */
-void addSwapOp(Circuit& circuit, int slot_a, int slot_b);
+void addSwapOp(Circuit& circuit, std::optional<UnitaryId>& swap,
+               int slot_a, int slot_b);
 
 /**
  * Append an inter-core exchange teleportation: SWAP semantics between
@@ -67,19 +75,22 @@ void addSwapOp(Circuit& circuit, int slot_a, int slot_b);
  * carrying the link's error rate / duration. Translation passes these
  * through untouched (the endpoints are not coupling-adjacent, so they
  * must never reach gate decomposition) and consolidation treats them
- * as fusion barriers.
+ * as fusion barriers. `swap` as for addSwapOp.
  */
-void addTeleportOp(Circuit& circuit, int slot_a, int slot_b,
-                   double error_rate, double duration_ns);
+void addTeleportOp(Circuit& circuit, std::optional<UnitaryId>& swap,
+                   int slot_a, int slot_b, double error_rate,
+                   double duration_ns);
 
 /**
  * Append a link SWAP across a teleport edge — the SWAP-only baseline
  * the teleport router compares against, implemented by gate
  * teleportation at a cost of three EPR pairs. Labeled "TELESWAP";
- * handled like TELEPORT by consolidation/translation.
+ * handled like TELEPORT by consolidation/translation. `swap` as for
+ * addSwapOp.
  */
-void addTeleportSwapOp(Circuit& circuit, int slot_a, int slot_b,
-                       double error_rate, double duration_ns);
+void addTeleportSwapOp(Circuit& circuit, std::optional<UnitaryId>& swap,
+                       int slot_a, int slot_b, double error_rate,
+                       double duration_ns);
 
 /**
  * The logical<->position mapping a router mutates while inserting

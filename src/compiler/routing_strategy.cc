@@ -282,10 +282,12 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     // cheaply breaks 2-cycles the pure distance score cannot see (a
     // comm-pair teleport leaves the score unchanged).
     std::pair<int, int> last_move{-1, -1};
+    // The emitted circuit's one SWAP entry, shared by every move.
+    std::optional<UnitaryId> swap_entry;
 
     auto apply_swap = [&](int slot_a, int slot_b) {
         if (out) {
-            addSwapOp(out->circuit, slot_a, slot_b);
+            addSwapOp(out->circuit, swap_entry, slot_a, slot_b);
             ++out->swaps_inserted;
         }
         state.swapSlots(slot_a, slot_b);
@@ -299,8 +301,8 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             QISET_ASSERT(a_ok && b_ok,
                          "comm qubit reserved twice for one crossing");
             if (teleport->use_teleport) {
-                addTeleportOp(out->circuit, link.comm_a, link.comm_b,
-                              1.0 - link.epr_fidelity,
+                addTeleportOp(out->circuit, swap_entry, link.comm_a,
+                              link.comm_b, 1.0 - link.epr_fidelity,
                               link.mean_attempts *
                                   link.attempt_duration_ns);
                 ++out->teleports_inserted;
@@ -308,8 +310,8 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             } else {
                 double pair3 = link.epr_fidelity * link.epr_fidelity *
                                link.epr_fidelity;
-                addTeleportSwapOp(out->circuit, link.comm_a, link.comm_b,
-                                  1.0 - pair3,
+                addTeleportSwapOp(out->circuit, swap_entry, link.comm_a,
+                                  link.comm_b, 1.0 - pair3,
                                   3.0 * link.mean_attempts *
                                       link.attempt_duration_ns);
                 ++out->swaps_inserted;
@@ -692,7 +694,8 @@ routeSabre(const Circuit& logical, const Topology& coupling,
     out.circuit = Circuit(n);
     // Emitted ops = every logical op plus the inserted moves; reserve
     // for the former so only an unusually move-heavy route regrows.
-    out.circuit.reserveOps(count);
+    // The table holds one entry per logical op and the shared SWAP.
+    out.circuit.reserveOps(count, count + 1);
     out.initial_positions = position;
     out.final_positions =
         runSabrePass(logical, forward_order, forward_rank, coupling,

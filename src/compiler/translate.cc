@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/error.h"
 #include "nuop/template_circuit.h"
@@ -158,7 +159,6 @@ groupBlocks(const Circuit& circuit, MemArena& arena, BlockSweep& sweep)
 {
     const auto& op_qubits = circuit.opQubits();
     const auto& op_labels = circuit.opLabels();
-    const auto& op_unitaries = circuit.opUnitaries();
     size_t capacity = 16;
     while (capacity < 2 * static_cast<size_t>(circuit.twoQubitGateCount()))
         capacity *= 2;
@@ -168,7 +168,7 @@ groupBlocks(const Circuit& circuit, MemArena& arena, BlockSweep& sweep)
     for (size_t i = 0; i < op_qubits.size(); ++i) {
         if (!op_qubits[i].isTwoQubit())
             continue;
-        const Matrix& unitary = op_unitaries[i];
+        const Matrix& unitary = circuit.opUnitary(i);
         uint64_t hash = bytesHash(unitary);
         size_t cell = hash & (capacity - 1);
         for (; table[cell] != kNoSlot; cell = (cell + 1) & (capacity - 1)) {
@@ -249,14 +249,12 @@ class EdgeFidelityTable
     size_t uncoupled_row_ = 0;
 };
 
-/** first_op of a FitEmission no block has emitted yet. */
-constexpr size_t kUnemitted = std::numeric_limits<size_t>::max();
-
 /**
  * One distinct (slot, fit) choice of a translation. The first block
  * that makes it builds its gates (the dressed U3 factors and the
- * layer gates) into the output, from `first_op` on; every later block
- * copies them from there.
+ * layer gates) and stores them in the output's unitary table in
+ * emission order, from `first` on; every block of the fit, the first
+ * one included, adds its ops by those ids.
  */
 struct FitEmission
 {
@@ -266,7 +264,8 @@ struct FitEmission
     uint32_t spec = 0;
     /** Next emission of the same slot, or kNoSlot. */
     uint32_t next = kNoSlot;
-    size_t first_op = kUnemitted;
+    /** Table id of the first gate; empty until a block emits it. */
+    std::optional<UnitaryId> first;
     LabelId label = kInvalidLabel;
     /** Served by the analytic engine (engine == "kak"). */
     bool analytic = false;
@@ -507,12 +506,13 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     // reads the block's slot and the edge's row of the fidelity table.
     // Blocks of one slot that choose the same fit emit the same gates,
     // so each distinct (slot, fit) gets one FitEmission, chained per
-    // slot. Each block expands to exactly 2 + 3*layers native ops, so
-    // summing the chosen fits sizes the output columns *exactly*: one
-    // reservation, no growth reallocations while emitting (the unitary
-    // column alone is megabytes on wide circuits), so copies out of
-    // the column stay valid. The slots keep every selected profile
-    // alive even if a bounded cache evicts the entries in between.
+    // slot, whose gates the output's unitary table holds once. Each
+    // block expands to exactly 2 + 3*layers native ops, so summing the
+    // chosen fits sizes the output columns *exactly*, and the table
+    // takes one entry per pass-through op plus 2 + 3*layers per
+    // emission: one reservation each, no growth reallocations while
+    // emitting. The slots keep every selected profile alive even if a
+    // bounded cache evicts the entries in between.
     const auto& op_qubits = routed.opQubits();
     const auto& op_labels = routed.opLabels();
     EdgeFidelityTable edges(device, specs, scratch);
@@ -525,11 +525,13 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         makeArenaVector<uint32_t>(scratch, sweep.slots.size(), kNoSlot);
     std::vector<const GateProfile*> profiles(num_specs);
     std::vector<double> fidelities(num_specs);
-    size_t exact_ops = 0;
+    size_t pass_through = 0;
+    size_t block_ops = 0;
+    size_t emission_gates = 0;
     for (size_t i = 0; i < op_qubits.size(); ++i) {
         uint32_t s = sweep.op_slot[i];
         if (s == kNoSlot || isLinkOp(op_labels[i])) {
-            ++exact_ops; // passes through as a single op.
+            ++pass_through; // a single op with its own entry.
             continue;
         }
         const auto& source = dress && sweep.dressings[s].fallback
@@ -560,24 +562,28 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
             emission.analytic = choice.profile->engine == "kak";
             e = slot_emissions[s] = static_cast<uint32_t>(emissions.size());
             emissions.push_back(emission);
+            emission_gates += 2 + 3 * choice.fit->layers;
         }
         blocks.push_back({choice.edge_fidelity, e});
-        exact_ops += 2 + 3 * choice.fit->layers;
+        block_ops += 2 + 3 * choice.fit->layers;
     }
-    result.circuit.reserveOps(exact_ops);
+    result.circuit.reserveOps(pass_through + block_ops,
+                              pass_through + emission_gates);
 
-    auto emit_1q = [&](int reg, const Matrix& unitary, LabelId label) {
+    // `unitary` is a Matrix for pass-through ops, a table id for
+    // template gates.
+    auto emit_1q = [&](int reg, const auto& unitary, LabelId label) {
         double error_rate = device.oneQubitError(physical[reg]);
         result.estimated_fidelity *= 1.0 - error_rate;
         result.circuit.add1q(reg, unitary, label, error_rate,
                              device.oneQubitDurationNs());
     };
 
-    // A first emission's gates: its 2(layers+1) U3s, then its layers.
+    // A first emission's 2(layers+1) U3s, dressed before they are
+    // stored.
     std::vector<Matrix> built;
-    built.reserve(3 * static_cast<size_t>(decomposer.options().max_layers) +
+    built.reserve(2 * static_cast<size_t>(decomposer.options().max_layers) +
                   2);
-    const std::vector<Matrix>& out = result.circuit.opUnitaries();
     // Native 2Q usage per spec, folded into the named map once.
     ArenaVector<int> usage = makeArenaVector<int>(scratch, num_specs, 0);
     size_t op_index = 0;
@@ -613,9 +619,7 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         if (emission.analytic)
             ++result.analytic_ops;
 
-        bool repeat = emission.first_op != kUnemitted;
-        if (!repeat) {
-            emission.first_op = result.circuit.size();
+        if (!emission.first) {
             TwoQubitTemplate templ =
                 profile.family == TemplateFamily::Fixed
                     ? TwoQubitTemplate(fit.layers, profile.unitary)
@@ -633,29 +637,30 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
                 built[2 * fit.layers + 1] =
                     dressing->post_b * built[2 * fit.layers + 1];
             }
-            for (int layer = 0; layer < fit.layers; ++layer)
-                built.push_back(templ.layerGate(fit.params, layer));
+            // Emission order: a U3 pair, then per layer the native
+            // gate and a U3 pair.
+            emission.first = result.circuit.storeUnitary(built[0]);
+            result.circuit.storeUnitary(built[1]);
+            for (int layer = 0; layer < fit.layers; ++layer) {
+                result.circuit.storeUnitary(
+                    templ.layerGate(fit.params, layer));
+                result.circuit.storeUnitary(built[2 * (layer + 1)]);
+                result.circuit.storeUnitary(built[2 * (layer + 1) + 1]);
+            }
         }
-        // In emission order a U3 pair, then per layer the native gate
-        // and a U3 pair: U3 k sits at k + k/2, layer l at 2 + 3l.
-        size_t first = emission.first_op;
-        auto u3 = [&](int k) -> const Matrix& {
-            return repeat ? out[first + k + k / 2] : built[k];
-        };
-        auto layer_gate = [&](int layer) -> const Matrix& {
-            return repeat ? out[first + 2 + 3 * layer]
-                          : built[2 * (fit.layers + 1) + layer];
-        };
+        // The fit's gates are consecutive entries, one per op.
+        auto next = static_cast<uint32_t>(*emission.first);
+        auto gate = [&next] { return UnitaryId{next++}; };
 
-        emit_1q(ra, u3(0), u3_label);
-        emit_1q(rb, u3(1), u3_label);
+        emit_1q(ra, gate(), u3_label);
+        emit_1q(rb, gate(), u3_label);
         for (int layer = 0; layer < fit.layers; ++layer) {
-            result.circuit.add2q(ra, rb, layer_gate(layer), emission.label,
+            result.circuit.add2q(ra, rb, gate(), emission.label,
                                  1.0 - block.edge_fidelity,
                                  device.twoQubitDurationNs());
             result.estimated_fidelity *= block.edge_fidelity;
-            emit_1q(ra, u3(2 * (layer + 1)), u3_label);
-            emit_1q(rb, u3(2 * (layer + 1) + 1), u3_label);
+            emit_1q(ra, gate(), u3_label);
+            emit_1q(rb, gate(), u3_label);
         }
         result.two_qubit_count += fit.layers;
         usage[emission.spec] += fit.layers;

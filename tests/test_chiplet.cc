@@ -25,6 +25,7 @@
 #include "device/device.h"
 #include "isa/gate_set.h"
 #include "metrics/trace_export.h"
+#include "qc/gates.h"
 
 namespace qiset {
 namespace {
@@ -194,6 +195,39 @@ TEST(TeleportRouter, BitIdenticalToSabreOnSingleCoreDevices)
         expectIdenticalRouted(sabre, tele);
         EXPECT_EQ(tele.teleports_inserted, 0);
         EXPECT_EQ(tele.epr_attempts, 0.0);
+    }
+}
+
+TEST(TeleportRouter, SwapsAndLinkCrossingsShareOneSwapEntry)
+{
+    Device d = chiplet2x2();
+    Circuit qft = makeQftCircuit(10);
+    std::vector<int> physical =
+        chooseMapping(d, qft.numQubits(), isa::singleTypeSet(3));
+    Topology coupling = d.topology().inducedSubgraph(physical);
+    ASSERT_GT(coupling.numCores(), 1);
+    for (bool use_teleport : {true, false}) {
+        SCOPED_TRACE(use_teleport ? "teleport" : "teleswap");
+        TeleportOptions teleport;
+        teleport.use_teleport = use_teleport;
+        RoutedCircuit routed =
+            TeleportRouter(SabreOptions(), teleport).route(qft, coupling);
+        const Circuit& c = routed.circuit;
+        std::vector<size_t> moves;
+        for (size_t i = 0; i < c.size(); ++i) {
+            const std::string& label = c.ops()[i].label();
+            if (label == "SWAP" || label == "TELEPORT" ||
+                label == "TELESWAP")
+                moves.push_back(i);
+        }
+        ASSERT_FALSE(moves.empty());
+        EXPECT_GT(use_teleport ? c.countLabel("TELEPORT")
+                               : c.countLabel("TELESWAP"),
+                  0);
+        for (size_t i : moves)
+            EXPECT_EQ(c.opUnitaryId(i), c.opUnitaryId(moves[0]));
+        EXPECT_EQ(c.opUnitary(moves[0]).maxAbsDiff(gates::swap()), 0.0);
+        EXPECT_EQ(c.unitaryTableSize(), qft.size() + 1);
     }
 }
 

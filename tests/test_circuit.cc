@@ -1,9 +1,11 @@
 // Circuit IR tests: construction, counting, depth, scheduling, the
-// full-unitary builder and structure stamps.
+// full-unitary builder, the unitary table and structure stamps.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +149,175 @@ TEST(Circuit, ToStringListsOps)
     c.add2q(0, 1, cz(), "CZ");
     std::string s = c.toString();
     EXPECT_NE(s.find("CZ q0, q1"), std::string::npos);
+}
+
+bool
+sameBytes(const Matrix& a, const Matrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+/** Every op's unitary, by value. */
+std::vector<Matrix>
+opBytes(const Circuit& c)
+{
+    std::vector<Matrix> out;
+    for (const auto& op : c.ops())
+        out.push_back(op.unitary());
+    return out;
+}
+
+void
+expectSameOpBytes(const Circuit& c, const std::vector<Matrix>& expected)
+{
+    ASSERT_EQ(c.size(), expected.size());
+    for (size_t i = 0; i < c.size(); ++i)
+        EXPECT_TRUE(sameBytes(c.opUnitary(i), expected[i])) << i;
+}
+
+/** Two shared entries and one per-op Matrix add, on three qubits. */
+Circuit
+sharedTableCircuit()
+{
+    Circuit c(3);
+    LabelId u3_label = internLabel("U3");
+    LabelId cz_label = internLabel("CZ");
+    UnitaryId u3_id = c.storeUnitary(u3(0.3, 0.2, 0.1));
+    UnitaryId cz_id = c.storeUnitary(cz());
+    c.add1q(0, u3_id, u3_label);
+    c.add2q(0, 1, cz_id, cz_label, 0.01, 40.0);
+    c.add1q(1, u3_id, u3_label);
+    c.add2q(1, 2, cz_id, cz_label);
+    c.add1q(2, hadamard(), "H");
+    c.add1q(2, u3_id, u3_label);
+    return c;
+}
+
+TEST(Circuit, OpsAddedByOneIdShareTheirBytes)
+{
+    Circuit c = sharedTableCircuit();
+    EXPECT_EQ(c.size(), 6u);
+    EXPECT_EQ(c.unitaryTableSize(), 3u); // U3, CZ and the H add
+    EXPECT_EQ(c.twoQubitGateCount(), 2);
+    EXPECT_EQ(c.opUnitaryId(0), c.opUnitaryId(2));
+    EXPECT_EQ(c.opUnitaryId(0), c.opUnitaryId(5));
+    EXPECT_EQ(c.opUnitaryId(1), c.opUnitaryId(3));
+    EXPECT_NE(c.opUnitaryId(0), c.opUnitaryId(4));
+    EXPECT_EQ(&c.opUnitary(0), &c.opUnitary(5));
+    EXPECT_EQ(&c.ops()[1].unitary(), &c.ops()[3].unitary());
+    EXPECT_TRUE(sameBytes(c.opUnitary(0), u3(0.3, 0.2, 0.1)));
+    EXPECT_TRUE(sameBytes(c.opUnitary(1), cz()));
+    EXPECT_TRUE(sameBytes(c.opUnitary(4), hadamard()));
+    EXPECT_DOUBLE_EQ(c.ops()[1].errorRate(), 0.01);
+    EXPECT_DOUBLE_EQ(c.ops()[1].durationNs(), 40.0);
+    EXPECT_EQ(c.ops()[3].label(), "CZ");
+}
+
+TEST(Circuit, SetUnitaryNeverRewritesASharedEntry)
+{
+    Circuit c = sharedTableCircuit();
+    std::vector<Matrix> before = opBytes(c);
+    uint64_t stamp = c.structureStamp();
+
+    c.mutableOps()[2].setUnitary(pauliX());
+    EXPECT_TRUE(sameBytes(c.opUnitary(2), pauliX()));
+    EXPECT_NE(c.opUnitaryId(2), c.opUnitaryId(0));
+    EXPECT_EQ(c.unitaryTableSize(), 4u);
+    before[2] = pauliX();
+    expectSameOpBytes(c, before); // ops 0 and 5 keep the U3
+    EXPECT_EQ(c.structureStamp(), stamp);
+
+    c.mutableOps()[1].setUnitary(iswap());
+    before[1] = iswap();
+    expectSameOpBytes(c, before); // op 3 keeps the CZ
+
+    // A shape that does not match the op's arity is rejected, and the
+    // op keeps its unitary.
+    EXPECT_THROW(c.mutableOps()[0].setUnitary(cz()), FatalError);
+    EXPECT_THROW(c.mutableOps()[1].setUnitary(hadamard()), FatalError);
+    expectSameOpBytes(c, before);
+}
+
+TEST(Circuit, CopiesMovesAndAppendsKeepEveryOpsBytes)
+{
+    Circuit c = sharedTableCircuit();
+    std::vector<Matrix> bytes = opBytes(c);
+
+    Circuit copy(c);
+    expectSameOpBytes(copy, bytes);
+    EXPECT_EQ(copy.unitaryTableSize(), c.unitaryTableSize());
+    EXPECT_EQ(copy.opUnitaryId(5), c.opUnitaryId(5));
+    // The copy owns its table: editing it leaves the source alone.
+    copy.mutableOps()[0].setUnitary(pauliY());
+    expectSameOpBytes(c, bytes);
+
+    Circuit assigned(1);
+    assigned = c;
+    expectSameOpBytes(assigned, bytes);
+
+    Circuit moved(std::move(copy));
+    std::vector<Matrix> edited = bytes;
+    edited[0] = pauliY();
+    expectSameOpBytes(moved, edited);
+
+    // append and cross-circuit add store one entry per op.
+    Circuit target(3);
+    target.add1q(1, sGate(), "S");
+    target.append(c);
+    std::vector<Matrix> appended = {sGate()};
+    appended.insert(appended.end(), bytes.begin(), bytes.end());
+    expectSameOpBytes(target, appended);
+    EXPECT_EQ(target.unitaryTableSize(), target.size());
+
+    Circuit picked(3);
+    for (size_t i = c.size(); i-- > 0;)
+        picked.add(c.ops()[i]);
+    picked.add(c.ops()[3], Qubits(2, 0));
+    std::vector<Matrix> reversed(bytes.rbegin(), bytes.rend());
+    reversed.push_back(bytes[3]);
+    expectSameOpBytes(picked, reversed);
+    EXPECT_EQ(picked.ops()[6].qubits(), Qubits(2, 0));
+}
+
+TEST(Circuit, UnitaryIsTheSameBuiltByIdsOrByMatrices)
+{
+    Circuit by_ids = sharedTableCircuit();
+    Circuit by_matrices(3);
+    for (const auto& op : by_ids.ops()) {
+        Operation copy;
+        copy.qubits = op.qubits();
+        copy.unitary = op.unitary();
+        copy.label = op.label();
+        by_matrices.add(copy);
+    }
+    EXPECT_EQ(by_matrices.unitaryTableSize(), by_matrices.size());
+    EXPECT_TRUE(sameBytes(by_ids.unitary(), by_matrices.unitary()));
+}
+
+TEST(Circuit, RejectsBadTableEntriesAndIds)
+{
+    Circuit c(2);
+    EXPECT_THROW(c.storeUnitary(Matrix::identity(3)), FatalError);
+    EXPECT_THROW(c.storeUnitary(Matrix(2, 4)), FatalError);
+    EXPECT_EQ(c.unitaryTableSize(), 0u);
+
+    UnitaryId one = c.storeUnitary(hadamard());
+    UnitaryId two = c.storeUnitary(cz());
+    LabelId label = internLabel("G");
+    EXPECT_THROW(c.add1q(0, UnitaryId{2}, label), FatalError);
+    EXPECT_THROW(c.add2q(0, 1, UnitaryId{7}, label), FatalError);
+    EXPECT_THROW(c.add1q(0, two, label), FatalError); // 4x4 on a 1Q op
+    EXPECT_THROW(c.add2q(0, 1, one, label), FatalError);
+    EXPECT_THROW(c.add2q(0, 0, two, label), FatalError);
+    EXPECT_THROW(c.add1q(2, one, label), FatalError);
+    EXPECT_EQ(c.size(), 0u);
+    EXPECT_EQ(c.twoQubitGateCount(), 0);
+
+    c.add1q(1, one, label);
+    c.add2q(1, 0, two, label);
+    EXPECT_EQ(c.size(), 2u);
+    EXPECT_EQ(c.twoQubitGateCount(), 1);
 }
 
 TEST(Circuit, StructureStampFollowsStructuralEdits)

@@ -224,6 +224,30 @@ TEST(RoutingStrategy, GreedyStrategyMatchesRouteCircuit)
                   static_cast<int>(l));
 }
 
+TEST(RoutingStrategy, EveryRouterStoresTheSwapOnce)
+{
+    Circuit qft = makeQftCircuit(9);
+    for (const std::string& name : routingStrategyNames()) {
+        SCOPED_TRACE(name);
+        RoutedCircuit routed =
+            makeRoutingStrategy(name)->route(qft, Topology::line(9));
+        ASSERT_GT(routed.swaps_inserted, 0);
+        // One entry per logical op, plus the one shared SWAP.
+        EXPECT_EQ(routed.circuit.unitaryTableSize(), qft.size() + 1);
+        LabelId swap_label = internLabel("SWAP");
+        std::vector<size_t> swaps;
+        for (size_t i = 0; i < routed.circuit.size(); ++i)
+            if (routed.circuit.opLabels()[i] == swap_label)
+                swaps.push_back(i);
+        ASSERT_EQ(swaps.size(), static_cast<size_t>(routed.swaps_inserted));
+        for (size_t i : swaps)
+            EXPECT_EQ(routed.circuit.opUnitaryId(i),
+                      routed.circuit.opUnitaryId(swaps[0]));
+        EXPECT_EQ(routed.circuit.opUnitary(swaps[0]).maxAbsDiff(swap()),
+                  0.0);
+    }
+}
+
 // -------------------------------------------------------------- sabre
 
 TEST(SabreRouter, PreservesCircuitSemantics)

@@ -163,6 +163,38 @@ TEST(Translate, EmittedCircuitImplementsTarget)
     EXPECT_EQ(result.two_qubit_count, 3);
 }
 
+TEST(Translate, BlocksOfOneFitShareTheirGates)
+{
+    Device d = twoQubitDevice(0.95, 0.0);
+    GateSet set = isa::singleTypeSet(3);
+    NuOpDecomposer decomposer(fastNuOp());
+    ProfileCache cache;
+
+    // Three blocks with equal bytes on one edge, the last reversed:
+    // one slot, one fit.
+    Circuit logical(2);
+    logical.add2q(0, 1, zz(0.4), "ZZ");
+    logical.add1q(0, hadamard(), "H");
+    logical.add2q(0, 1, zz(0.4), "ZZ");
+    logical.add2q(1, 0, zz(0.4), "ZZ");
+    TranslateResult result = translateCircuit(
+        logical, {0, 1}, d, set, decomposer, cache, true);
+    const Circuit& c = result.circuit;
+    ASSERT_EQ((c.size() - 1) % 3, 0u);
+    size_t per_block = (c.size() - 1) / 3;
+    ASSERT_GE(per_block, 2u);
+
+    // The table holds the H and the fit's gates, once.
+    EXPECT_EQ(c.unitaryTableSize(), 1 + per_block);
+    size_t starts[] = {0, per_block + 1, 2 * per_block + 1};
+    for (size_t j = 0; j < per_block; ++j) {
+        EXPECT_EQ(c.opUnitaryId(starts[1] + j), c.opUnitaryId(j)) << j;
+        EXPECT_EQ(c.opUnitaryId(starts[2] + j), c.opUnitaryId(j)) << j;
+    }
+    EXPECT_EQ(c.ops()[starts[2]].qubits(), Qubits(1));
+    EXPECT_EQ(c.ops()[per_block].label(), "H");
+}
+
 TEST(Translate, AnnotatesErrorRatesAndDurations)
 {
     Device d = twoQubitDevice(0.95, 0.0);
