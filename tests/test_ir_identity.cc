@@ -570,6 +570,114 @@ TEST(IrIdentity, FractionalTeleportWeightRouteMatchesGolden)
     EXPECT_EQ(routedHash(routed), 0xbf93780fa2c25fb1ull);
 }
 
+/** The G3 placement of `circuit` on `device`, as the mapping pass picks it. */
+Topology
+placedCoupling(const Circuit& circuit, const Device& device)
+{
+    std::vector<int> physical =
+        chooseMapping(device, circuit.numQubits(), isa::googleSet(3));
+    return device.topology().inducedSubgraph(physical);
+}
+
+/** perfbench recalibrate's 3x3 chiplet, before any drift. */
+Device
+recalibrateChiplet()
+{
+    Rng rng(10);
+    ChipletSpec spec;
+    spec.core_rows = 3;
+    spec.core_cols = 3;
+    return makeChipletDevice(spec, rng);
+}
+
+// SABRE routes on G3 placements on Sycamore, as recalibrate's "sabre"
+// recompiles route them: QFT-32 is that workload's slowest route, and
+// QV-24's wide fronts put front qubits at both ends of many candidate
+// SWAPs. Captured before the blocked iteration dropped its ordered
+// sets and candidate sort; must never drift.
+TEST(IrIdentity, SycamoreSabreRoutesMatchGoldens)
+{
+    Rng dev_rng(10);
+    Device sycamore = makeSycamore(dev_rng);
+    Circuit qft32 = makeQftCircuit(32);
+    EXPECT_EQ(routedHash(SabreRouter().route(
+                  qft32, placedCoupling(qft32, sycamore))),
+              0x5ecb7f648da2eecbull)
+        << "qft32";
+    Rng app_rng(24);
+    Circuit qv24 = makeQuantumVolumeCircuit(24, app_rng);
+    EXPECT_EQ(routedHash(SabreRouter().route(
+                  qv24, placedCoupling(qv24, sycamore))),
+              0xcfc58ca913c62c2bull)
+        << "qv24";
+}
+
+// QFT-14 on a drifted 3x3 chiplet cycles through link moves until the
+// stuck fallback forces progress (twice), in both link-op modes.
+TEST(IrIdentity, StuckFallbackTeleportRouteMatchesGoldens)
+{
+    Device chiplet = recalibrateChiplet();
+    Rng drift_rng(3);
+    chiplet.withDriftedCalibration(drift_rng, 3.0); // snapshot 0
+    Device snapshot = chiplet.withDriftedCalibration(drift_rng, 3.0);
+    Circuit qft14 = makeQftCircuit(14);
+    Topology coupling = placedCoupling(qft14, snapshot);
+    TeleportOptions teleport;
+    RoutedCircuit routed =
+        TeleportRouter(SabreOptions(), teleport).route(qft14, coupling);
+    EXPECT_GT(routed.teleports_inserted, 100);
+    EXPECT_EQ(routedHash(routed), 0x9eddf9b97a86a706ull) << "teleport";
+    teleport.use_teleport = false;
+    routed = TeleportRouter(SabreOptions(), teleport).route(qft14, coupling);
+    EXPECT_EQ(routedHash(routed), 0xa39f3578220eca68ull) << "teleswap";
+}
+
+// One digest over direct router calls on drifted calibrations: seeds
+// 2 and 3 x drift {1.2, 3} x two snapshots each. Per snapshot, QFT-32
+// under "sabre" on Sycamore and, on the 3x3 chiplet, QFT-14 and a
+// seeded QAOA-18 under telesabre with TELEPORT, with TELESWAP and at
+// teleport_weight 1.3 (full-sum scoring). Several chiplet routes
+// reach the stuck fallback.
+TEST(IrIdentity, DriftedRouteSweepMatchesGolden)
+{
+    Rng syc_rng(10);
+    Device sycamore = makeSycamore(syc_rng);
+    Device chiplet = recalibrateChiplet();
+    Circuit qft32 = makeQftCircuit(32);
+    Circuit qft14 = makeQftCircuit(14);
+    TeleportOptions teleswap;
+    teleswap.use_teleport = false;
+    TeleportOptions fractional;
+    fractional.teleport_weight = 1.3;
+    const TeleportRouter chiplet_routers[] = {
+        TeleportRouter(),
+        TeleportRouter(SabreOptions(), teleswap),
+        TeleportRouter(SabreOptions(), fractional),
+    };
+    uint64_t digest = 14695981039346656037ull;
+    for (uint64_t seed : {2u, 3u}) {
+        Rng app_rng(seed);
+        Circuit qaoa18 = makeRandomQaoaCircuit(18, app_rng);
+        for (double drift : {1.2, 3.0}) {
+            Rng chip_drift(seed);
+            Rng syc_drift(seed + 100);
+            for (int snapshot = 0; snapshot < 2; ++snapshot) {
+                Device syc = sycamore.withDriftedCalibration(syc_drift, drift);
+                digest = fnv1a(digest, routedHash(SabreRouter().route(
+                                           qft32, placedCoupling(qft32, syc))));
+                Device chip = chiplet.withDriftedCalibration(chip_drift, drift);
+                for (const Circuit* circuit : {&qft14, &qaoa18}) {
+                    Topology coupling = placedCoupling(*circuit, chip);
+                    for (const TeleportRouter& router : chiplet_routers)
+                        digest = fnv1a(digest, routedHash(router.route(
+                                                   *circuit, coupling)));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(digest, 0xa31c71709a5347f2ull);
+}
+
 /**
  * Eight qubits whose last three blocks stay open, opened on (5,6),
  * then (1,2), then (3,4): an order unlike their first qubits' order.
