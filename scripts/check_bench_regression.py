@@ -7,7 +7,9 @@ and BENCH_service.json against the committed baseline
 regresses beyond the baseline tolerance:
 
   - QFT-16 SABRE SWAP count (deterministic): fails when the router
-    inserts more than (1 + tolerance) * baseline SWAPs.
+    inserts more than (1 + tolerance) * baseline SWAPs. The same rule
+    gates every BENCH_routing.json workload under "sabre" and
+    "telesabre" against its <workload>_<strategy>_swaps baseline key.
   - Sharded batch throughput: fails when the sharded/serial speedup
     drops below (1 - tolerance) * baseline or below the hard floor
     (min_sharding_speedup).
@@ -149,6 +151,25 @@ def main() -> None:
         fail(
             f"QFT-16 SABRE SWAP count regressed: {swaps} > {swaps_limit:.1f}"
         )
+    # Every other workload under both lookahead routers, same rule.
+    for workload in routing["workloads"]:
+        for strategy in ("sabre", "telesabre"):
+            key = f"{workload['name']}_{strategy}_swaps"
+            if key == "qft16_grid4x4_sabre_swaps":
+                continue  # gated above
+            if key not in baseline:
+                fail(f"bench_baseline.json has no {key} baseline")
+            swaps = workload["strategies"][strategy]["swaps"]
+            swaps_limit = baseline[key] * (1.0 + tolerance)
+            print(
+                f"{workload['name']} {strategy} swaps: {swaps} "
+                f"(baseline {baseline[key]}, limit {swaps_limit:.1f})"
+            )
+            if swaps > swaps_limit:
+                fail(
+                    f"{workload['name']} {strategy} SWAP count regressed: "
+                    f"{swaps} > {swaps_limit:.1f}"
+                )
 
     # --- sharding: bit-identity (always) and throughput --------------
     if not sharding.get("bit_identical", False):

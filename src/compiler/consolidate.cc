@@ -19,6 +19,9 @@ struct Block
     int qubit_b = -1;
     /** Creation order, for the final flush. */
     uint32_t sequence = 0;
+    /** The input op that opened the block while nothing has fused
+     *  into it (its unitary is then that op's), else -1. */
+    int opener = -1;
     Matrix unitary;
 };
 
@@ -46,8 +49,29 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
 {
     Circuit out(circuit.numQubits());
     // Consolidation never grows the op list: every input op either
-    // passes through or fuses away.
-    out.reserveOps(circuit.size());
+    // passes through or fuses away. Ops that pass through unfused (one-
+    // op blocks included) share one output entry per input entry, so
+    // the table needs at most the input's entries plus one per fused
+    // block; each fused block absorbs ops whose entries then go unused,
+    // so unless those were shared it fits in the input's size.
+    out.reserveOps(circuit.size(), circuit.unitaryTableSize());
+    // shared[u]: the output entry of input entry u, stored on first use.
+    auto shared = makeArenaVector<int>(arena, circuit.unitaryTableSize(), -1);
+    auto entry_of = [&](size_t op) {
+        int& id = shared[static_cast<size_t>(circuit.opUnitaryId(op))];
+        if (id < 0)
+            id = static_cast<int>(out.storeUnitary(circuit.opUnitary(op)));
+        return static_cast<UnitaryId>(id);
+    };
+    auto pass_through = [&](ConstOpRef op) {
+        Qubits qs = op.qubits();
+        if (op.isTwoQubit())
+            out.add2q(qs[0], qs[1], entry_of(op.index()), op.labelId(),
+                      op.errorRate(), op.durationNs());
+        else
+            out.add1q(qs[0], entry_of(op.index()), op.labelId(),
+                      op.errorRate(), op.durationNs());
+    };
 
     // A qubit is in at most one live block, so each live block sits at
     // its first qubit in a register-sized table, and owner[q] is the
@@ -62,8 +86,13 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
     static const LabelId block_label = internLabel("block");
     auto flush = [&](int slot) {
         Block& block = live[static_cast<size_t>(slot)];
-        out.add2q(block.qubit_a, block.qubit_b, block.unitary,
-                  block_label);
+        if (block.opener >= 0)
+            out.add2q(block.qubit_a, block.qubit_b,
+                      entry_of(static_cast<size_t>(block.opener)),
+                      block_label);
+        else
+            out.add2q(block.qubit_a, block.qubit_b, block.unitary,
+                      block_label);
         owner[block.qubit_a] = -1;
         owner[block.qubit_b] = -1;
     };
@@ -82,8 +111,9 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
                 embedded = embed1q(op.unitary(), q == block.qubit_a);
                 Matrix::multiplyInto(product, embedded, block.unitary);
                 std::swap(block.unitary, product);
+                block.opener = -1;
             } else {
-                out.add(op);
+                pass_through(op);
             }
             continue;
         }
@@ -100,7 +130,7 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
             // would put that block on an uncoupled qubit pair.
             flush_qubit(a);
             flush_qubit(b);
-            out.add(op);
+            pass_through(op);
             continue;
         }
         if (owner[a] >= 0 && owner[a] == owner[b]) {
@@ -115,6 +145,7 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
             }
             Matrix::multiplyInto(product, embedded, block.unitary);
             std::swap(block.unitary, product);
+            block.opener = -1;
             continue;
         }
         // Different partners: close whatever these qubits were part of
@@ -126,6 +157,7 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
         block.qubit_a = a;
         block.qubit_b = b;
         block.sequence = opened++;
+        block.opener = static_cast<int>(op.index());
         block.unitary = op.unitary();
         owner[a] = a;
         owner[b] = a;

@@ -79,6 +79,8 @@ class RoutingPass : public Pass
                               routed.teleports_inserted);
             ctx.reportCounter("epr_attempts", routed.epr_attempts);
         }
+        if (routed.fallback_moves > 0)
+            ctx.reportCounter("fallback_moves", routed.fallback_moves);
         ctx.diagnostic("routing: strategy " + winner + " inserted " +
                        std::to_string(routed.swaps_inserted) + " SWAPs" +
                        (routed.teleports_inserted > 0

@@ -41,6 +41,11 @@ struct RoutedCircuit
      *  traffic (1 pair per teleport, 3 per link SWAP, times the
      *  link's mean attempts per pair). */
     double epr_attempts = 0.0;
+    /** Moves the lookahead routers' stuck fallback made: shortest-path
+     *  moves forced after 10 * n moves without executing a gate, or
+     *  when every candidate was the previous move's inverse. Counted
+     *  in the emitting pass only; 0 for the greedy router. */
+    int fallback_moves = 0;
 
     RoutedCircuit() : circuit(1) {}
 };

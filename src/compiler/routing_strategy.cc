@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <numeric>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -170,12 +171,6 @@ buildDag(const std::vector<Qubits>& op_qubits,
     return dag;
 }
 
-/** Ordered int set whose nodes bump-allocate from the pass arena. */
-using ArenaIntSet = std::set<int, std::less<int>, ArenaAllocator<int>>;
-using ArenaRankSet = std::set<std::pair<int, int>,
-                              std::less<std::pair<int, int>>,
-                              ArenaAllocator<std::pair<int, int>>>;
-
 /**
  * One SABRE pass over `order`. Starts from `position` (position[l] =
  * register slot of logical qubit l), returns the final mapping. When
@@ -193,6 +188,11 @@ using ArenaRankSet = std::set<std::pair<int, int>,
  * Fully deterministic: ties break on op/edge order, never on
  * randomness, and intra-core SWAPs win score ties against link
  * crossings (links are the expensive move).
+ *
+ * A blocked iteration redoes only what changed: it checks only the
+ * front ops that just entered the front or that a move relocated,
+ * reuses the extended set until an op executes, and scores each
+ * candidate move as it is enumerated, with no collection or sort.
  *
  * `hops`, when given, is `dist` as exact integers (see routeSabre).
  * Then each iteration sums the front and extended distances once, and
@@ -215,6 +215,7 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     // annotations are only touched when an executed op is emitted
     // (and then column-copied without re-interning or re-allocating).
     const std::vector<Qubits>& op_qubits = logical.opQubits();
+    const int count = static_cast<int>(op_qubits.size());
     const std::vector<TeleportEdge>& links =
         crossableLinks(coupling, teleport);
 
@@ -225,44 +226,79 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
         ledger.emplace(coupling);
 
     Dag dag = buildDag(op_qubits, order, n, arena);
-    ArenaIntSet front{ArenaAllocator<int>(arena)};
-    for (int id : order)
-        if (dag.in_degree[id] == 0)
-            front.insert(id);
+    // The front layer in ascending id order, and front_of[l], the front
+    // op on logical qubit l or -1 (front ops share no qubit).
+    auto front = makeArenaVector<int>(arena);
+    int* front_of = arena.allocateArray<int>(n);
+    std::fill(front_of, front_of + n, -1);
+    for (int id = 0; id < count; ++id)
+        if (dag.in_degree[id] == 0) {
+            front.push_back(id);
+            for (int q : op_qubits[static_cast<size_t>(id)])
+                front_of[q] = id;
+        }
+    auto in_front = [&](int id) {
+        return front_of[op_qubits[static_cast<size_t>(id)][0]] == id;
+    };
+    // The front ops whose executability may have changed, ascending:
+    // those that just entered the front, or whose qubits the last move
+    // relocated.
+    auto check = makeArenaVector<int>(arena);
+    check.assign(front.begin(), front.end());
 
-    // Unexecuted 2Q ops in lookahead priority order; the extended set
-    // is drawn from its head.
-    ArenaRankSet pending_2q{
-        ArenaAllocator<std::pair<int, int>>(arena)};
+    // Unexecuted 2Q ops in lookahead priority order (rank, id), as a
+    // doubly linked list over op ids with sentinel `count`, so an
+    // executed op unlinks in O(1). The extended set is drawn from its
+    // head.
+    auto by_rank = makeArenaVector<std::pair<int, int>>(arena);
     for (int id : order)
         if (op_qubits[static_cast<size_t>(id)].isTwoQubit())
-            pending_2q.emplace(lookahead_rank[id], id);
+            by_rank.emplace_back(lookahead_rank[id], id);
+    std::sort(by_rank.begin(), by_rank.end());
+    int* pending_next = arena.allocateArray<int>(count + 1);
+    int* pending_prev = arena.allocateArray<int>(count + 1);
+    int last = count;
+    for (const auto& [rank, id] : by_rank) {
+        pending_next[last] = id;
+        pending_prev[id] = last;
+        last = id;
+    }
+    pending_next[last] = count;
+    pending_prev[count] = last;
 
     double* decay = arena.allocateArray<double>(n);
     std::fill(decay, decay + n, 1.0);
 
-    // Link edges incident to each slot, for candidate collection and
-    // the link-aware fallback.
-    auto links_at = makeArenaVector<std::pair<int, int>>(arena);
-    for (size_t e = 0; e < links.size(); ++e) {
-        links_at.emplace_back(links[e].comm_a, static_cast<int>(e));
-        links_at.emplace_back(links[e].comm_b, static_cast<int>(e));
+    // Link edges incident to each slot, ascending by edge index, for
+    // candidates and the link-aware fallback: slot s's are
+    // link_at[link_start[s] .. link_start[s + 1]).
+    int* link_start = arena.allocateArray<int>(n + 2);
+    std::fill(link_start, link_start + n + 2, 0);
+    for (const TeleportEdge& link : links) {
+        ++link_start[link.comm_a + 2];
+        ++link_start[link.comm_b + 2];
     }
-    std::sort(links_at.begin(), links_at.end());
+    std::partial_sum(link_start, link_start + n + 2, link_start);
+    int* link_at = arena.allocateArray<int>(2 * links.size());
+    for (size_t e = 0; e < links.size(); ++e) {
+        link_at[link_start[links[e].comm_a + 1]++] = static_cast<int>(e);
+        link_at[link_start[links[e].comm_b + 1]++] = static_cast<int>(e);
+    }
 
     // Per-iteration worklists, hoisted so each keeps its high-water
     // capacity across the whole pass (one arena bump each).
     auto executable = makeArenaVector<int>(arena);
+    auto merged = makeArenaVector<int>(arena);
     auto extended = makeArenaVector<int>(arena);
-    auto front_gates = makeArenaVector<int>(arena);
-    auto swap_candidates = makeArenaVector<std::pair<int, int>>(arena);
-    auto link_candidates = makeArenaVector<int>(arena);
+    // The extended set depends only on the pending list and the front,
+    // so it is rebuilt only after an op executes.
+    bool extended_stale = true;
     // Delta scoring state, rebuilt per blocked iteration. A slot holds
-    // at most one front gate (front gates share no qubit):
-    // front_other[s] is its other endpoint (-1 for none), front_hops[s]
-    // its distance. The extended gates at slot s are entries
-    // touch_start[s] .. touch_start[s + 1] of touch_other (the other
-    // endpoint) and touch_hops (the gate's distance).
+    // at most one front gate: front_other[s] is its other endpoint
+    // (-1 for none), front_hops[s] its distance. The extended gates at
+    // slot s are entries touch_start[s] .. touch_start[s + 1] of
+    // touch_other (the other endpoint) and touch_hops (the gate's
+    // distance).
     int* front_other = arena.allocateArray<int>(n);
     int* front_hops = arena.allocateArray<int>(n);
     int* touch_start = arena.allocateArray<int>(n + 1);
@@ -285,13 +321,26 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     // The emitted circuit's one SWAP entry, shared by every move.
     std::optional<UnitaryId> swap_entry;
 
+    // Every move exchanges two slots' occupants; their front ops are
+    // the only ones it can make executable (checked in id order).
+    auto exchange = [&](int slot_a, int slot_b) {
+        state.swapSlots(slot_a, slot_b);
+        last_move = {std::min(slot_a, slot_b), std::max(slot_a, slot_b)};
+        int x = front_of[state.occupant[slot_a]];
+        int y = front_of[state.occupant[slot_b]];
+        if (x > y)
+            std::swap(x, y);
+        if (x >= 0)
+            check.push_back(x);
+        if (y >= 0 && y != x)
+            check.push_back(y);
+    };
     auto apply_swap = [&](int slot_a, int slot_b) {
         if (out) {
             addSwapOp(out->circuit, swap_entry, slot_a, slot_b);
             ++out->swaps_inserted;
         }
-        state.swapSlots(slot_a, slot_b);
-        last_move = {std::min(slot_a, slot_b), std::max(slot_a, slot_b)};
+        exchange(slot_a, slot_b);
     };
     auto apply_link = [&](int edge_idx) {
         const TeleportEdge& link = links[static_cast<size_t>(edge_idx)];
@@ -320,9 +369,7 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             ledger->release(link.comm_a);
             ledger->release(link.comm_b);
         }
-        state.swapSlots(link.comm_a, link.comm_b);
-        last_move = {std::min(link.comm_a, link.comm_b),
-                     std::max(link.comm_a, link.comm_b)};
+        exchange(link.comm_a, link.comm_b);
     };
 
     // Deterministic progress fallback: one move along a shortest path
@@ -333,7 +380,9 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     // exchange teleport would only swap the pair), the far comm slot
     // is vacated with an intra-core SWAP first.
     auto fallback_move = [&] {
-        Qubits qs = op_qubits[static_cast<size_t>(*front.begin())];
+        if (out)
+            ++out->fallback_moves;
+        Qubits qs = op_qubits[static_cast<size_t>(front.front())];
         int pa = state.position[qs[0]];
         int pb = state.position[qs[1]];
         if (!teleport) {
@@ -358,9 +407,8 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
                 hop_is_link = false;
             }
         }
-        for (const auto& [slot, e] : links_at) {
-            if (slot != pa)
-                continue;
+        for (int k = link_start[pa]; k < link_start[pa + 1]; ++k) {
+            int e = link_at[k];
             const TeleportEdge& link = links[static_cast<size_t>(e)];
             int far = link.comm_a == pa ? link.comm_b : link.comm_a;
             if (far == pb)
@@ -392,16 +440,20 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     };
 
     while (!front.empty()) {
-        // Execute everything executable under the current mapping.
+        // Execute everything executable under the current mapping, in
+        // id order. No front op outside `check` can have become so.
         executable.clear();
-        for (int id : front) {
+        for (int id : check) {
             Qubits qs = op_qubits[static_cast<size_t>(id)];
             if (!qs.isTwoQubit() ||
                 coupling.adjacent(state.position[qs[0]],
                                   state.position[qs[1]]))
                 executable.push_back(id);
         }
+        check.clear();
         if (!executable.empty()) {
+            // The ops this makes ready enter `check`, to execute in the
+            // next iteration.
             for (int id : executable) {
                 Qubits qs = op_qubits[static_cast<size_t>(id)];
                 if (out) {
@@ -413,14 +465,33 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
                     out->circuit.add(
                         logical.ops()[static_cast<size_t>(id)], moved);
                 }
-                if (qs.isTwoQubit())
-                    pending_2q.erase({lookahead_rank[id], id});
-                front.erase(id);
+                if (qs.isTwoQubit()) {
+                    pending_next[pending_prev[id]] = pending_next[id];
+                    pending_prev[pending_next[id]] = pending_prev[id];
+                }
+                for (int q : qs)
+                    front_of[q] = -1;
                 for (int s = dag.successorsBegin(id);
-                     s < dag.successorsEnd(id); ++s)
-                    if (--dag.in_degree[dag.succ[s]] == 0)
-                        front.insert(dag.succ[s]);
+                     s < dag.successorsEnd(id); ++s) {
+                    int next = dag.succ[s];
+                    if (--dag.in_degree[next] == 0) {
+                        check.push_back(next);
+                        for (int q : op_qubits[static_cast<size_t>(next)])
+                            front_of[q] = next;
+                    }
+                }
             }
+            // The new front: the ops still on their qubits, merged
+            // with the ones that just entered.
+            front.erase(std::remove_if(front.begin(), front.end(),
+                                       [&](int id) { return !in_front(id); }),
+                        front.end());
+            std::sort(check.begin(), check.end());
+            merged.clear();
+            std::merge(front.begin(), front.end(), check.begin(),
+                       check.end(), std::back_inserter(merged));
+            std::swap(front, merged);
+            extended_stale = true;
             std::fill(decay, decay + n, 1.0);
             swaps_since_reset = 0;
             swaps_since_progress = 0;
@@ -436,41 +507,16 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
 
         // Extended set: the next lookahead gates by schedule order,
         // at most extended_set_size of them.
-        extended.clear();
-        for (const auto& [rank, id] : pending_2q) {
-            if (static_cast<int>(extended.size()) >=
-                opt.extended_set_size)
-                break;
-            if (!front.count(id))
-                extended.push_back(id);
+        if (extended_stale) {
+            extended.clear();
+            for (int id = pending_next[count];
+                 id != count && static_cast<int>(extended.size()) <
+                                    opt.extended_set_size;
+                 id = pending_next[id])
+                if (!in_front(id))
+                    extended.push_back(id);
+            extended_stale = false;
         }
-
-        // Candidate moves: every coupling edge touching a position
-        // that holds a front-layer logical, plus the link crossings
-        // whose comm slot holds one. Collected into the reused
-        // worklists and deduped by sort+unique (same ascending order
-        // a std::set would yield, without per-node churn).
-        swap_candidates.clear();
-        link_candidates.clear();
-        for (int id : front) {
-            for (int l : op_qubits[static_cast<size_t>(id)]) {
-                int p = state.position[l];
-                for (int neighbor : coupling.neighbors(p))
-                    swap_candidates.emplace_back(std::min(p, neighbor),
-                                                 std::max(p, neighbor));
-                for (const auto& [slot, e] : links_at)
-                    if (slot == p)
-                        link_candidates.push_back(e);
-            }
-        }
-        std::sort(swap_candidates.begin(), swap_candidates.end());
-        swap_candidates.erase(
-            std::unique(swap_candidates.begin(), swap_candidates.end()),
-            swap_candidates.end());
-        std::sort(link_candidates.begin(), link_candidates.end());
-        link_candidates.erase(
-            std::unique(link_candidates.begin(), link_candidates.end()),
-            link_candidates.end());
 
         auto scored_distance = [&](const ArenaVector<int>& gate_ids,
                                    int slot_a, int slot_b) {
@@ -491,12 +537,11 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             }
             return total;
         };
-        front_gates.assign(front.begin(), front.end());
         int64_t front_base = 0;
         int64_t extended_base = 0;
         if (hops) {
             std::fill(front_other, front_other + n, -1);
-            for (int id : front_gates) {
+            for (int id : front) {
                 Qubits qs = op_qubits[static_cast<size_t>(id)];
                 int pa = state.position[qs[0]];
                 int pb = state.position[qs[1]];
@@ -538,7 +583,7 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
         auto moved_totals = [&](int slot_a, int slot_b, double& front_total,
                                 double& extended_total) {
             if (!hops) {
-                front_total = scored_distance(front_gates, slot_a, slot_b);
+                front_total = scored_distance(front, slot_a, slot_b);
                 extended_total = scored_distance(extended, slot_a, slot_b);
                 return;
             }
@@ -571,7 +616,7 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             double front_total, extended_total;
             moved_totals(slot_a, slot_b, front_total, extended_total);
             double score =
-                front_total / static_cast<double>(front_gates.size());
+                front_total / static_cast<double>(front.size());
             if (!extended.empty())
                 score += opt.extended_set_weight *
                          (extended_total /
@@ -579,32 +624,56 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             return score * std::max(decay[slot_a], decay[slot_b]);
         };
 
+        // Score each candidate as it is enumerated: the coupling edges
+        // and links at each slot holding a front qubit, an edge with
+        // front qubits at both ends once (from its lower slot). The
+        // SWAP with the least (score, (lo, hi)) wins, unless the link
+        // with the least (score, index) scores strictly lower: what a
+        // strict `<` over the ascending SWAPs, then links, picks. A
+        // score is symmetric in its two slots.
+        auto scored_elsewhere = [&](int slot, int far) {
+            return far < slot && front_of[state.occupant[far]] >= 0;
+        };
         double best_score = 0.0;
         std::pair<int, int> best_move{-1, -1};
-        int best_link = -1; // index into links when a crossing wins
-        for (const auto& move : swap_candidates) {
-            if (teleport && move == last_move)
-                continue;
-            double score = move_score(move.first, move.second);
-            if (best_move.first < 0 || score < best_score) {
-                best_score = score;
-                best_move = move;
+        double best_link_score = 0.0;
+        int best_link = -1; // index into links
+        for (int id : front) {
+            for (int l : op_qubits[static_cast<size_t>(id)]) {
+                int p = state.position[l];
+                for (int v : coupling.neighbors(p)) {
+                    std::pair<int, int> move{std::min(p, v),
+                                             std::max(p, v)};
+                    if (scored_elsewhere(p, v) ||
+                        (teleport && move == last_move))
+                        continue;
+                    double score = move_score(move.first, move.second);
+                    if (best_move.first < 0 || score < best_score ||
+                        (score == best_score && move < best_move)) {
+                        best_score = score;
+                        best_move = move;
+                    }
+                }
+                for (int k = link_start[p]; k < link_start[p + 1]; ++k) {
+                    int e = link_at[k];
+                    const TeleportEdge& link = links[static_cast<size_t>(e)];
+                    int far = link.comm_a == p ? link.comm_b : link.comm_a;
+                    if (scored_elsewhere(p, far) ||
+                        std::make_pair(std::min(p, far),
+                                       std::max(p, far)) == last_move)
+                        continue;
+                    double score = move_score(p, far);
+                    if (best_link < 0 || score < best_link_score ||
+                        (score == best_link_score && e < best_link)) {
+                        best_link_score = score;
+                        best_link = e;
+                    }
+                }
             }
         }
-        for (int e : link_candidates) {
-            const TeleportEdge& link = links[static_cast<size_t>(e)];
-            std::pair<int, int> move{std::min(link.comm_a, link.comm_b),
-                                     std::max(link.comm_a, link.comm_b)};
-            if (move == last_move)
-                continue;
-            double score = move_score(link.comm_a, link.comm_b);
-            if (best_move.first < 0 || score < best_score) {
-                best_score = score;
-                best_move = move;
-                best_link = e;
-            }
-        }
-        if (best_move.first < 0) {
+        bool cross = best_link >= 0 && (best_move.first < 0 ||
+                                        best_link_score < best_score);
+        if (!cross && best_move.first < 0) {
             // Every candidate was the previous move's inverse; force
             // progress along the shortest path instead of oscillating.
             QISET_ASSERT(teleport != nullptr,
@@ -612,13 +681,12 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
             fallback_move();
             continue;
         }
-
-        if (best_link >= 0)
+        if (cross)
             apply_link(best_link);
         else
             apply_swap(best_move.first, best_move.second);
-        decay[best_move.first] += opt.decay_increment;
-        decay[best_move.second] += opt.decay_increment;
+        decay[last_move.first] += opt.decay_increment;
+        decay[last_move.second] += opt.decay_increment;
         if (++swaps_since_reset >= opt.decay_reset_interval) {
             std::fill(decay, decay + n, 1.0);
             swaps_since_reset = 0;

@@ -18,6 +18,8 @@
 #include "apps/qft.h"
 #include "apps/qv.h"
 #include "compiler/mapping.h"
+#include "compiler/pass_manager.h"
+#include "compiler/passes.h"
 #include "compiler/pipeline.h"
 #include "compiler/routing_strategy.h"
 #include "compiler/service.h"
@@ -237,6 +239,50 @@ TEST(TeleportRouter, MadeByNameAsTelesabre)
     EXPECT_NE(std::find(names.begin(), names.end(), "telesabre"),
               names.end());
     EXPECT_EQ(makeRoutingStrategy("telesabre")->name(), "telesabre");
+}
+
+TEST(TeleportRouter, CountsStuckFallbackMoves)
+{
+    // QFT-14 on a drifted 3x3 chiplet cycles through link moves until
+    // the stuck fallback forces progress (pinned in test_ir_identity).
+    Rng dev_rng(10);
+    ChipletSpec spec;
+    spec.core_rows = 3;
+    spec.core_cols = 3;
+    Device chiplet = makeChipletDevice(spec, dev_rng);
+    Rng drift_rng(3);
+    chiplet.withDriftedCalibration(drift_rng, 3.0); // snapshot 0
+    Device snapshot = chiplet.withDriftedCalibration(drift_rng, 3.0);
+    Circuit qft14 = makeQftCircuit(14);
+    GateSet g3 = isa::googleSet(3);
+    Topology coupling = snapshot.topology().inducedSubgraph(
+        chooseMapping(snapshot, qft14.numQubits(), g3));
+    RoutedCircuit routed = TeleportRouter().route(qft14, coupling);
+    EXPECT_GT(routed.fallback_moves, 0);
+
+    // The routing pass reports the count as its counter.
+    ProfileCache cache;
+    CompilationContext ctx(qft14, snapshot, g3, fastCompile(), cache);
+    PassManager manager;
+    manager.append(makeMappingPass());
+    manager.append(makeRoutingPass("telesabre"));
+    manager.run(ctx);
+    const PassMetric& row = ctx.pass_metrics.back();
+    ASSERT_EQ(row.pass, "routing");
+    EXPECT_EQ(row.counters.at("fallback_moves"), routed.fallback_moves);
+
+    // A route that never stalls reports none, and the pass then
+    // reports no counter.
+    RoutedCircuit sabre =
+        SabreRouter().route(makeQftCircuit(16), Topology::grid(4, 4));
+    EXPECT_EQ(sabre.fallback_moves, 0);
+    Circuit qft4 = makeQftCircuit(4);
+    Device line = lineDevice("line", 6, 0.99);
+    CompilationContext line_ctx(qft4, line, isa::singleTypeSet(3),
+                                fastCompile(), cache);
+    manager.run(line_ctx);
+    EXPECT_EQ(line_ctx.pass_metrics.back().counters.count("fallback_moves"),
+              0u);
 }
 
 // ----------------------------------------------- capacity-aware layout

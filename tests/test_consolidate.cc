@@ -114,5 +114,34 @@ TEST(Consolidate, QaoaStyleChainShrinks)
     EXPECT_NEAR(traceFidelity(out.unitary(), c.unitary()), 1.0, 1e-10);
 }
 
+TEST(Consolidate, UnfusedOpsShareOutputEntries)
+{
+    // Two stored entries (H and CZ) serve every input op. The H ops
+    // pass through, and the blocks (0,1) and (2,3) close holding one
+    // CZ each, so all of them keep one output entry per input entry;
+    // only the block on (1,2), which fuses a second op, adds its own.
+    Circuit c(4);
+    LabelId h_label = internLabel("H");
+    LabelId cz_label = internLabel("CZ");
+    UnitaryId h = c.storeUnitary(hadamard());
+    UnitaryId z = c.storeUnitary(cz());
+    c.add1q(0, h, h_label);
+    c.add1q(1, h, h_label);
+    c.add2q(0, 1, z, cz_label);
+    c.add2q(2, 3, z, cz_label);
+    c.add2q(1, 2, z, cz_label); // closes (0,1) and (2,3), opens (1,2)
+    c.add1q(3, h, h_label);     // qubit 3 is free: passes through
+    c.add2q(2, 1, z, cz_label); // reversed: fuses into (1,2)
+    Circuit out = consolidateTwoQubitBlocks(c);
+    ASSERT_EQ(out.size(), 6u);
+    EXPECT_EQ(out.opUnitaryId(1), out.opUnitaryId(0));
+    EXPECT_EQ(out.opUnitaryId(4), out.opUnitaryId(0));
+    EXPECT_EQ(out.opUnitaryId(3), out.opUnitaryId(2));
+    EXPECT_EQ(out.ops()[2].label(), "block");
+    EXPECT_EQ(out.opUnitary(2).maxAbsDiff(cz()), 0.0);
+    EXPECT_EQ(out.unitaryTableSize(), 3u);
+    EXPECT_NEAR(traceFidelity(out.unitary(), c.unitary()), 1.0, 1e-10);
+}
+
 } // namespace
 } // namespace qiset

@@ -9,6 +9,7 @@
 #include "apps/qv.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "compiler/consolidate.h"
 #include "compiler/routing.h"
 #include "compiler/routing_strategy.h"
 #include "qc/gates.h"
@@ -246,6 +247,25 @@ TEST(RoutingStrategy, EveryRouterStoresTheSwapOnce)
         EXPECT_EQ(routed.circuit.opUnitary(swaps[0]).maxAbsDiff(swap()),
                   0.0);
     }
+}
+
+TEST(RoutingStrategy, ConsolidationKeepsTheSwapOneEntry)
+{
+    // Greedy SWAP chains rarely fuse: most SWAPs leave consolidation
+    // as one-op blocks or pass through, and all of them keep sharing
+    // the routed circuit's one SWAP entry.
+    Circuit qft = makeQftCircuit(16);
+    RoutedCircuit routed = GreedyRouter().route(qft, Topology::grid(4, 4));
+    Circuit fused = consolidateTwoQubitBlocks(routed.circuit);
+    std::vector<size_t> swaps;
+    for (size_t i = 0; i < fused.size(); ++i)
+        if (fused.ops()[i].isTwoQubit() &&
+            fused.opUnitary(i).maxAbsDiff(swap()) == 0.0)
+            swaps.push_back(i);
+    ASSERT_GT(swaps.size(), 1u);
+    for (size_t i : swaps)
+        EXPECT_EQ(fused.opUnitaryId(i), fused.opUnitaryId(swaps[0]));
+    EXPECT_LE(fused.unitaryTableSize(), routed.circuit.unitaryTableSize());
 }
 
 // -------------------------------------------------------------- sabre
