@@ -49,14 +49,15 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
 {
     Circuit out(circuit.numQubits());
     // Consolidation never grows the op list: every input op either
-    // passes through or fuses away. Ops that pass through unfused (one-
-    // op blocks included) share one output entry per input entry, so
-    // the table needs at most the input's entries plus one per fused
-    // block; each fused block absorbs ops whose entries then go unused,
-    // so unless those were shared it fits in the input's size.
+    // passes through or fuses away. Unfused ops (one-op blocks
+    // included) share one output entry per input entry, and a fused
+    // block's own entry takes the place of the entries of the ops it
+    // absorbed, so the input's table size suffices unless those ops
+    // shared their entries.
     out.reserveOps(circuit.size(), circuit.unitaryTableSize());
     // shared[u]: the output entry of input entry u, stored on first use.
-    auto shared = makeArenaVector<int>(arena, circuit.unitaryTableSize(), -1);
+    auto shared =
+        makeArenaVector<int>(arena, circuit.unitaryTableSize(), -1);
     auto entry_of = [&](size_t op) {
         int& id = shared[static_cast<size_t>(circuit.opUnitaryId(op))];
         if (id < 0)
@@ -65,12 +66,13 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
     };
     auto pass_through = [&](ConstOpRef op) {
         Qubits qs = op.qubits();
+        UnitaryId entry = entry_of(op.index());
         if (op.isTwoQubit())
-            out.add2q(qs[0], qs[1], entry_of(op.index()), op.labelId(),
-                      op.errorRate(), op.durationNs());
+            out.add2q(qs[0], qs[1], entry, op.labelId(), op.errorRate(),
+                      op.durationNs());
         else
-            out.add1q(qs[0], entry_of(op.index()), op.labelId(),
-                      op.errorRate(), op.durationNs());
+            out.add1q(qs[0], entry, op.labelId(), op.errorRate(),
+                      op.durationNs());
     };
 
     // A qubit is in at most one live block, so each live block sits at
@@ -86,13 +88,10 @@ consolidateTwoQubitBlocks(const Circuit& circuit, MemArena& arena)
     static const LabelId block_label = internLabel("block");
     auto flush = [&](int slot) {
         Block& block = live[static_cast<size_t>(slot)];
-        if (block.opener >= 0)
-            out.add2q(block.qubit_a, block.qubit_b,
-                      entry_of(static_cast<size_t>(block.opener)),
-                      block_label);
-        else
-            out.add2q(block.qubit_a, block.qubit_b, block.unitary,
-                      block_label);
+        UnitaryId entry =
+            block.opener >= 0 ? entry_of(static_cast<size_t>(block.opener))
+                              : out.storeUnitary(block.unitary);
+        out.add2q(block.qubit_a, block.qubit_b, entry, block_label);
         owner[block.qubit_a] = -1;
         owner[block.qubit_b] = -1;
     };

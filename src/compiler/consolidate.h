@@ -25,14 +25,17 @@ class MemArena;
  * unitaries (labeled "block"). Single-qubit ops merge into the
  * enclosing block when one exists on their qubit; otherwise they pass
  * through unchanged. Operation order across disjoint qubit sets is
- * preserved up to commuting reorderings.
+ * preserved up to commuting reorderings. Ops that pass through, and
+ * blocks holding a single op, share one output table entry per input
+ * entry (a routed circuit's SWAP stays one entry).
  */
 Circuit consolidateTwoQubitBlocks(const Circuit& circuit);
 
 /**
- * Arena variant: the ownership table and the register-sized table of
- * in-flight blocks bump-allocate from `arena` (dead by return; the
- * caller resets). The returned Circuit holds only regular heap state.
+ * Arena variant: the ownership table, the register-sized table of
+ * in-flight blocks and the input-to-output entry map bump-allocate
+ * from `arena` (dead by return; the caller resets). The returned
+ * Circuit holds only regular heap state.
  */
 Circuit consolidateTwoQubitBlocks(const Circuit& circuit,
                                   MemArena& arena);

@@ -628,9 +628,9 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
         // and links at each slot holding a front qubit, an edge with
         // front qubits at both ends once (from its lower slot). The
         // SWAP with the least (score, (lo, hi)) wins, unless the link
-        // with the least (score, index) scores strictly lower: what a
-        // strict `<` over the ascending SWAPs, then links, picks. A
-        // score is symmetric in its two slots.
+        // with the least (score, index) scores strictly lower, so the
+        // choice does not depend on enumeration order. A score is
+        // symmetric in its two slots.
         auto scored_elsewhere = [&](int slot, int far) {
             return far < slot && front_of[state.occupant[far]] >= 0;
         };
