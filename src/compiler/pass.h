@@ -53,27 +53,26 @@ struct CompileOptions
      * Routing strategy name, built by makeRoutingStrategy
      * (routing_strategy.h): "greedy" (nearest-neighbor SWAP chains,
      * the paper's baseline), "sabre" (bidirectional lookahead; fewer
-     * SWAPs on long-range workloads), "telesabre" (chiplet-aware
-     * SABRE, forced on multi-core couplings), or "best-of"
-     * (meta-router: route with greedy and with sabre and keep the
-     * best predicted-fidelity result).
+     * SWAPs on long-range workloads) or "telesabre" (chiplet-aware
+     * SABRE, forced on multi-core couplings). Any other name raises
+     * FatalError on every device.
      */
     std::string routing = "greedy";
     /**
      * Decomposition engine name, built by makeDecompositionStrategy
      * (nuop/decomposition_strategy.h):
      * "nuop" (BFGS multistarts, the paper's engine — bit-identical to
-     * the historical path), "kak" (analytic Cartan synthesis, the
-     * Cirq-style baseline), or "auto" (analytic when it reaches the
-     * exact threshold, NuOp fallback otherwise — bypasses the BFGS
-     * hot path on every analytically reachable target).
+     * the historical path) or "auto" (analytic Cartan synthesis when
+     * it reaches the exact threshold, NuOp fallback otherwise —
+     * bypasses the BFGS hot path on every analytically reachable
+     * target).
      */
     std::string decomposition = "nuop";
     /**
-     * SABRE tuning of the "sabre" and "telesabre" routers (and of
-     * best-of's sabre candidate): lookahead window, decay, refinement
-     * rounds. Per-compile — and therefore per-shard in a sharded
-     * batch — so each target can tune its router.
+     * SABRE tuning of the "sabre" and "telesabre" routers: lookahead
+     * window, decay, refinement rounds. Per-compile — and therefore
+     * per-shard in a sharded batch — so each target can tune its
+     * router.
      */
     SabreOptions sabre;
     /**

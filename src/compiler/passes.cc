@@ -1,10 +1,7 @@
 #include "compiler/passes.h"
 
-#include <algorithm>
-#include <iterator>
 #include <memory>
 #include <sstream>
-#include <vector>
 
 #include "common/error.h"
 #include "compiler/consolidate.h"
@@ -51,20 +48,33 @@ class RoutingPass : public Pass
         Topology coupling =
             ctx.device().topology().inducedSubgraph(ctx.physical);
 
-        RoutedCircuit routed;
-        std::string winner = strategy_;
-        if (coupling.numCores() > 1 && strategy_ != "telesabre") {
-            // Multi-core couplings are disconnected in the plain graph
-            // sense; only the teleport router can cross cores.
-            winner = "telesabre";
+        // Building the requested router first rejects an unknown name
+        // on every coupling. Multi-core couplings are disconnected in
+        // the plain graph sense; only the teleport router can cross
+        // cores, so it replaces any other request there.
+        const CompileOptions& options = ctx.options();
+        std::unique_ptr<RoutingStrategy> router = makeRoutingStrategy(
+            strategy_, options.sabre, options.teleport);
+        if (coupling.numCores() > 1 && router->name() != "telesabre") {
             ctx.diagnostic("routing: multi-core coupling forces "
                            "telesabre (requested " +
                            strategy_ + ")");
-            routed = routeWith(ctx, coupling, winner);
-        } else if (strategy_ == "best-of") {
-            routed = routeBestOf(ctx, coupling, winner);
-        } else {
-            routed = routeWith(ctx, coupling, strategy_);
+            router = makeRoutingStrategy("telesabre", options.sabre,
+                                         options.teleport);
+        }
+        RoutedCircuit routed;
+        {
+            // Routing scratch (distance tables, DAG, frontier sets)
+            // bumps from the compile arena and is rewound after the
+            // route. Only lookahead strategies need the pre-routing
+            // schedule; don't build one the greedy path would throw
+            // away.
+            ArenaResetGuard scratch(ctx.arena());
+            routed = router->wantsSchedule()
+                         ? router->route(ctx.circuit, coupling,
+                                         ctx.ensureSchedule(), ctx.arena())
+                         : router->route(ctx.circuit, coupling,
+                                         Schedule(), ctx.arena());
         }
         ctx.circuit = std::move(routed.circuit);
         ctx.schedule.invalidate(); // SWAPs rewrote the circuit
@@ -81,7 +91,8 @@ class RoutingPass : public Pass
         }
         if (routed.fallback_moves > 0)
             ctx.reportCounter("fallback_moves", routed.fallback_moves);
-        ctx.diagnostic("routing: strategy " + winner + " inserted " +
+        ctx.diagnostic("routing: strategy " + router->name() +
+                       " inserted " +
                        std::to_string(routed.swaps_inserted) + " SWAPs" +
                        (routed.teleports_inserted > 0
                             ? " and " +
@@ -92,100 +103,6 @@ class RoutingPass : public Pass
     }
 
   private:
-    RoutedCircuit routeWith(CompilationContext& ctx,
-                            const Topology& coupling,
-                            const std::string& name) const
-    {
-        std::unique_ptr<RoutingStrategy> router = makeRoutingStrategy(
-            name, ctx.options().sabre, ctx.options().teleport);
-        // Routing scratch (distance tables, DAG, frontier sets) bumps
-        // from the compile arena; rewind it per candidate so best-of
-        // runs reuse the same warm blocks instead of accumulating.
-        ArenaResetGuard scratch(ctx.arena());
-        // Only lookahead strategies need the pre-routing schedule;
-        // don't build one the greedy path would throw away.
-        return router->wantsSchedule()
-                   ? router->route(ctx.circuit, coupling,
-                                   ctx.ensureSchedule(), ctx.arena())
-                   : router->route(ctx.circuit, coupling, Schedule(),
-                                   ctx.arena());
-    }
-
-    /**
-     * Predicted fidelity of a routed candidate: the shard planner's
-     * product-model proxy evaluated per edge — each routed 2Q op
-     * contributes the edge's best calibrated fidelity under the gate
-     * set, and each SWAP is charged as ~3 native gates (its generic
-     * decomposition cost).
-     */
-    double predictedFidelity(CompilationContext& ctx,
-                             const RoutedCircuit& routed) const
-    {
-        static const LabelId swap_label = internLabel("SWAP");
-        static const LabelId teleport_label = internLabel("TELEPORT");
-        static const LabelId teleswap_label = internLabel("TELESWAP");
-        double fidelity = 1.0;
-        for (const auto& op : routed.circuit.ops()) {
-            if (!op.isTwoQubit())
-                continue;
-            if (op.labelId() == teleport_label ||
-                op.labelId() == teleswap_label) {
-                // Link ops carry their own EPR-model error rate; the
-                // endpoints are not coupling-adjacent, so edge lookup
-                // would misread them as dead edges.
-                fidelity *= 1.0 - op.errorRate();
-                continue;
-            }
-            Qubits qs = op.qubits();
-            int pa = ctx.physical[qs[0]];
-            int pb = ctx.physical[qs[1]];
-            double edge =
-                bestEdgeFidelity(ctx.device(), pa, pb, ctx.gateSet());
-            if (edge <= 0.0)
-                return 0.0; // candidate routes over a dead edge.
-            double cost = op.labelId() == swap_label ? 3.0 : 1.0;
-            fidelity *= std::pow(edge, cost);
-        }
-        return fidelity;
-    }
-
-    /**
-     * The best-of meta-router: route with each distinct router and
-     * keep the best predicted-fidelity result (ties break on fewer
-     * SWAPs, then candidate order, so the choice is deterministic).
-     * It only runs on single-core couplings, where "telesabre" routes
-     * exactly as "sabre", so the candidates are greedy and sabre.
-     */
-    RoutedCircuit routeBestOf(CompilationContext& ctx,
-                              const Topology& coupling,
-                              std::string& winner) const
-    {
-        static const char* const kCandidates[] = {"greedy", "sabre"};
-        RoutedCircuit best;
-        double best_fidelity = -1.0;
-        std::ostringstream summary;
-        for (const char* name : kCandidates) {
-            RoutedCircuit candidate = routeWith(ctx, coupling, name);
-            double fidelity = predictedFidelity(ctx, candidate);
-            summary << ' ' << name << "=" << candidate.swaps_inserted
-                    << " swaps/" << fidelity << " fid";
-            bool take = fidelity > best_fidelity ||
-                        (fidelity == best_fidelity &&
-                         candidate.swaps_inserted < best.swaps_inserted);
-            if (take) {
-                best_fidelity = fidelity;
-                best = std::move(candidate);
-                winner = name;
-            }
-        }
-        ctx.reportCounter("best_of_candidates",
-                          static_cast<double>(std::size(kCandidates)));
-        ctx.reportCounter("best_of_predicted_fidelity", best_fidelity);
-        ctx.diagnostic("routing: best-of candidates:" + summary.str());
-        winner = "best-of[" + winner + "]";
-        return best;
-    }
-
     std::string strategy_;
 };
 
@@ -246,6 +163,18 @@ class TranslationPass : public Pass
                 std::to_string(translated.dressing_fallbacks) +
                 " op(s) fell back from canonical dressing to raw "
                 "NuOp profiles");
+        }
+        if (translated.exact_fallbacks > 0) {
+            // Exact mode met its threshold nowhere for these blocks
+            // and emitted the best lossy fit instead.
+            ctx.reportCounter(
+                "exact_fallbacks",
+                static_cast<double>(translated.exact_fallbacks));
+            ctx.diagnostic(
+                "translation: " +
+                std::to_string(translated.exact_fallbacks) +
+                " op(s) met no exact-threshold fit and fell back to "
+                "the best lossy fit");
         }
         // This circuit's own traffic (the shared cache's global stats
         // also include concurrently-compiling circuits).

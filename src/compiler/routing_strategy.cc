@@ -180,10 +180,9 @@ buildDag(const std::vector<Qubits>& op_qubits,
  *
  * With `teleport` set (telesabre on a multi-core coupling) the pass
  * adds the link-only parts: exchange teleportations across the
- * coupling's links are candidate moves next to intra-core SWAPs, each
- * crossing is emitted under a CommQubitLedger reservation, the exact
- * inverse of the previous move is skipped, and the progress fallback
- * walks the weighted distance table through links.
+ * coupling's links are candidate moves next to intra-core SWAPs, the
+ * exact inverse of the previous move is skipped, and the progress
+ * fallback walks the weighted distance table through links.
  *
  * Fully deterministic: ties break on op/edge order, never on
  * randomness, and intra-core SWAPs win score ties against link
@@ -218,12 +217,6 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     const int count = static_cast<int>(op_qubits.size());
     const std::vector<TeleportEdge>& links =
         crossableLinks(coupling, teleport);
-
-    // Comm-qubit occupancy: both endpoints of a link are reserved
-    // exclusively for the duration of each crossing.
-    std::optional<CommQubitLedger> ledger;
-    if (teleport)
-        ledger.emplace(coupling);
 
     Dag dag = buildDag(op_qubits, order, n, arena);
     // The front layer in ascending id order, and front_of[l], the front
@@ -345,10 +338,6 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
     auto apply_link = [&](int edge_idx) {
         const TeleportEdge& link = links[static_cast<size_t>(edge_idx)];
         if (out) {
-            bool a_ok = ledger->reserve(link.comm_a);
-            bool b_ok = ledger->reserve(link.comm_b);
-            QISET_ASSERT(a_ok && b_ok,
-                         "comm qubit reserved twice for one crossing");
             if (teleport->use_teleport) {
                 addTeleportOp(out->circuit, swap_entry, link.comm_a,
                               link.comm_b, 1.0 - link.epr_fidelity,
@@ -366,8 +355,6 @@ runSabrePass(const Circuit& logical, const std::vector<int>& order,
                 ++out->swaps_inserted;
                 out->epr_attempts += 3.0 * link.mean_attempts;
             }
-            ledger->release(link.comm_a);
-            ledger->release(link.comm_b);
         }
         exchange(link.comm_a, link.comm_b);
     };

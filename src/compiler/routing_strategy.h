@@ -181,9 +181,7 @@ class SabreRouter : public RoutingStrategy
  * model — over a weighted all-pairs distance table (coupling hop = 1,
  * link hop = TeleportOptions::teleport_weight). Chosen teleports are
  * emitted as explicit "TELEPORT" ops (addTeleportOp) that the rest of
- * the pipeline passes through as native link operations; comm-qubit
- * occupancy is modeled through a CommQubitLedger reservation around
- * every link crossing.
+ * the pipeline passes through as native link operations.
  *
  * With TeleportOptions::use_teleport = false the router routes
  * identically but crosses links with "TELESWAP" ops — the SWAP-only

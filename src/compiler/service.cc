@@ -216,9 +216,6 @@ struct CompileService::Impl
      * i.e. back = highest priority, earliest sequence number.
      */
     std::vector<std::vector<QueueEntry>> queues;
-    /** Gauge: circuits dispatched but not yet finished, per shard
-     *  (threaded mode only; drives max_in_flight_per_shard). */
-    std::vector<size_t> shard_in_flight;
     /** Gauge: predicted ns admitted but not yet compiled, per shard. */
     std::vector<double> backlog_ns;
     /** Monotonic predicted ns ever admitted, per shard. */
@@ -363,17 +360,10 @@ struct CompileService::Impl
     {
         if (!pool)
             return;
-        size_t per_shard_cap = opts.planner.max_in_flight_per_shard;
         while (!paused && in_flight < pool->size()) {
             int best_shard = -1;
             for (size_t s = 0; s < queues.size(); ++s) {
                 if (queues[s].empty())
-                    continue;
-                // Per-shard cap: a saturated shard's queue waits, but
-                // other shards keep dispatching — finishEntry re-pumps
-                // when a slot frees up, so nothing is ever lost.
-                if (per_shard_cap > 0 &&
-                    shard_in_flight[s] >= per_shard_cap)
                     continue;
                 if (best_shard < 0 ||
                     dispatchesBefore(
@@ -410,7 +400,6 @@ struct CompileService::Impl
                 continue;
             }
             ++in_flight;
-            ++shard_in_flight[static_cast<size_t>(best_shard)];
             auto self = shared_from_this();
             pool->submit([self, entry] { self->runEntry(entry); });
         }
@@ -491,11 +480,6 @@ struct CompileService::Impl
                 maybeFinalizeJobLocked(entry.job);
             }
             --in_flight;
-            // Inline submits never touch the per-shard gauges, so
-            // only pool dispatches pay one back here.
-            if (pool)
-                --shard_in_flight[static_cast<size_t>(
-                    entry.job->plan.assignments[entry.index].shard)];
             idle_cv.notify_all();
         }
         fireReadyCallbacks();
@@ -557,8 +541,6 @@ struct CompileService::Impl
                 maybeFinalizeJobLocked(entry.job);
             }
             --in_flight;
-            if (pool)
-                --shard_in_flight[s];
             pumpLocked();
             idle_cv.notify_all();
         }
@@ -836,7 +818,6 @@ CompileService::CompileService(DeviceFleet fleet, GateSet gate_set,
 
     size_t shards = impl_->fleet.size();
     impl_->queues.resize(shards);
-    impl_->shard_in_flight.assign(shards, 0);
     impl_->backlog_ns.assign(shards, 0.0);
     impl_->admitted_ns.assign(shards, 0.0);
     impl_->shard_accum.resize(shards);

@@ -190,10 +190,6 @@ planShardAssignments(const std::vector<Circuit>& apps,
 {
     QISET_REQUIRE(fleet.size() > 0,
                   "cannot plan a sharded batch over an empty fleet");
-    QISET_REQUIRE(planner.policy == "greedy" ||
-                      planner.policy == "round-robin",
-                  "unknown shard policy \"", planner.policy,
-                  "\"; known: greedy round-robin");
     QISET_REQUIRE(initial_queue_ns.empty() ||
                       initial_queue_ns.size() == fleet.size(),
                   "initial_queue_ns must carry one entry per shard (",
@@ -222,8 +218,7 @@ planShardAssignments(const std::vector<Circuit>& apps,
     }
 
     // All (circuit, shard) candidates up front: cheap (schedule
-    // summaries + calibration aggregates), and both policies need the
-    // per-pair durations.
+    // summaries + calibration aggregates).
     std::vector<std::vector<Candidate>> candidates(apps.size());
     for (size_t c = 0; c < apps.size(); ++c) {
         candidates[c].reserve(fleet.size());
@@ -232,37 +227,8 @@ planShardAssignments(const std::vector<Circuit>& apps,
                 features[c], aggregates[s], fleet.shard(s).device));
     }
 
-    auto assign = [&](size_t c, size_t s) {
-        const Candidate& candidate = candidates[c][s];
-        plan.assignments[c].shard = static_cast<int>(s);
-        plan.assignments[c].predicted_fidelity = candidate.fidelity;
-        plan.assignments[c].predicted_duration_ns = candidate.duration_ns;
-        plan.queues[s].push_back(c);
-        plan.queue_ns[s] += candidate.duration_ns;
-    };
-    auto requireFeasible = [&](size_t c, bool found) {
-        QISET_REQUIRE(found, "circuit ", c, " (", features[c].qubits,
-                      " qubits, ", features[c].two_q,
-                      " 2Q gates) fits no shard of the fleet");
-    };
-
-    if (planner.policy == "round-robin") {
-        for (size_t c = 0; c < apps.size(); ++c) {
-            bool found = false;
-            for (size_t off = 0; off < fleet.size() && !found; ++off) {
-                size_t s = (c + off) % fleet.size();
-                if (candidates[c][s].feasible) {
-                    assign(c, s);
-                    found = true;
-                }
-            }
-            requireFeasible(c, found);
-        }
-        return plan;
-    }
-
-    // Greedy ranked assignment, longest predicted duration first so
-    // big circuits anchor the balance and small ones fill the gaps.
+    // Ranked assignment, longest predicted duration first so big
+    // circuits anchor the balance and small ones fill the gaps.
     std::vector<double> sort_dur(apps.size(), 0.0);
     double total_min_dur = 0.0;
     for (size_t c = 0; c < apps.size(); ++c) {
@@ -275,7 +241,9 @@ planShardAssignments(const std::vector<Circuit>& apps,
                     std::max(sort_dur[c], candidate.duration_ns);
                 min_dur = std::min(min_dur, candidate.duration_ns);
             }
-        requireFeasible(c, found);
+        QISET_REQUIRE(found, "circuit ", c, " (", features[c].qubits,
+                      " qubits, ", features[c].two_q,
+                      " 2Q gates) fits no shard of the fleet");
         total_min_dur += min_dur;
     }
     std::vector<size_t> order(apps.size());
@@ -290,8 +258,11 @@ planShardAssignments(const std::vector<Circuit>& apps,
     // time scales.
     double scale = std::max(1.0, total_min_dur / fleet.size());
     for (size_t c : order) {
-        int best = -1;
-        double best_score = -std::numeric_limits<double>::max();
+        // The first feasible shard is taken whatever its score (an
+        // infinite load_weight scores every shard -inf), and a later
+        // one only on a strictly higher score.
+        size_t best = fleet.size();
+        double best_score = 0.0;
         for (size_t s = 0; s < fleet.size(); ++s) {
             const Candidate& candidate = candidates[c][s];
             if (!candidate.feasible)
@@ -300,12 +271,17 @@ planShardAssignments(const std::vector<Circuit>& apps,
                 (plan.queue_ns[s] + candidate.duration_ns) / scale;
             double score =
                 candidate.fidelity - planner.load_weight * load;
-            if (score > best_score) {
+            if (best == fleet.size() || score > best_score) {
                 best_score = score;
-                best = static_cast<int>(s);
+                best = s;
             }
         }
-        assign(c, static_cast<size_t>(best));
+        const Candidate& chosen = candidates[c][best];
+        plan.assignments[c].shard = static_cast<int>(best);
+        plan.assignments[c].predicted_fidelity = chosen.fidelity;
+        plan.assignments[c].predicted_duration_ns = chosen.duration_ns;
+        plan.queues[best].push_back(c);
+        plan.queue_ns[best] += chosen.duration_ns;
     }
     return plan;
 }

@@ -82,29 +82,8 @@ class DeviceFleet
 /** Shard-planner knobs. */
 struct ShardPlannerOptions
 {
-    /**
-     * Assignment policy:
-     *  - "greedy": rank circuits by predicted duration (longest
-     *    first), then give each to the shard maximizing
-     *    predicted_fidelity minus a queue-depth penalty proportional
-     *    to the shard's accumulated load.
-     *  - "round-robin": circuit i -> feasible shard i mod k
-     *    (baseline; ignores fidelity and load).
-     */
-    std::string policy = "greedy";
     /** Weight of the normalized queue-load penalty. */
     double load_weight = 1.0;
-    /**
-     * Cap on the circuits of one shard the CompileService will hold
-     * in flight simultaneously (0 = unlimited, the default). A planner
-     * option rather than a service one because it shapes the same
-     * trade the planner's load term does — per-shard backlog versus
-     * fleet throughput — and rides the same options plumbing into the
-     * service. Inert outside the threaded service dispatch loop
-     * (inline service submits and compileBatchSharded never consult
-     * it).
-     */
-    size_t max_in_flight_per_shard = 0;
 };
 
 /** One circuit's planned placement. */
@@ -134,14 +113,17 @@ struct ShardPlan
  * one shard. Candidate scoring is cheap by construction: one Schedule
  * build per circuit (depth / critical path), plus per-shard
  * calibration aggregates (mean edge fidelity under the gate set,
- * mean coupling distance as a routing-overhead proxy). Deterministic;
+ * mean coupling distance as a routing-overhead proxy). Circuits are
+ * ranked by predicted duration (longest first), then each goes to the
+ * shard maximizing predicted fidelity minus a queue-depth penalty
+ * proportional to the shard's accumulated load. Deterministic;
  * throws FatalError when a circuit fits no shard or the fleet is
  * empty.
  *
  * `initial_queue_ns` seeds the per-shard predicted load (one value
  * per shard, or empty for an idle fleet): the CompileService re-plans
  * every arriving request against its live backlog this way, so the
- * greedy policy steers new work away from busy shards. The returned
+ * planner steers new work away from busy shards. The returned
  * plan's queue_ns is cumulative (initial load plus this workload).
  */
 ShardPlan planShardAssignments(const std::vector<Circuit>& apps,

@@ -267,7 +267,7 @@ struct FitEmission
     /** Table id of the first gate; empty until a block emits it. */
     std::optional<UnitaryId> first;
     LabelId label = kInvalidLabel;
-    /** Served by the analytic engine (engine == "kak"). */
+    /** Served by the analytic tier (engine == "kak"). */
     bool analytic = false;
 };
 
@@ -546,6 +546,11 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         GateChoice choice =
             selectGate(profiles, fidelities, f1q_avg, approximate,
                        decomposer.options().exact_threshold);
+        // Exact mode admits only threshold-meeting fits unless
+        // selection fell back.
+        if (!approximate &&
+            choice.fit->fd < decomposer.options().exact_threshold)
+            ++result.exact_fallbacks;
         uint32_t e = slot_emissions[s];
         while (e != kNoSlot && emissions[e].fit != choice.fit)
             e = emissions[e].next;

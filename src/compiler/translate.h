@@ -68,7 +68,9 @@ struct GateChoice
 /**
  * Noise-adaptive selection (Eq. 2) across the profiles available on an
  * edge. In exact mode the smallest depth reaching the exact threshold
- * wins per type; in approximate mode Fu is maximized over depths.
+ * wins per type (when no fit reaches it, the best-Fu fit of any
+ * fidelity wins; translation counts these as exact_fallbacks); in
+ * approximate mode Fu is maximized over depths.
  * Exact Fu ties break deterministically — fewer layers first, then
  * lexicographically smaller gate-type name — so the choice never
  * depends on the order profiles are supplied in.
@@ -95,7 +97,7 @@ struct TranslateResult
      */
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
-    /** 2Q blocks served by the analytic engine (engine == "kak"). */
+    /** 2Q blocks served by the analytic tier (engine == "kak"). */
     int analytic_ops = 0;
     /**
      * 2Q blocks whose canonical-representative dressing failed and
@@ -105,6 +107,13 @@ struct TranslateResult
      * cold BFGS solves, so a growing count flags a cold-path cliff.
      */
     int dressing_fallbacks = 0;
+    /**
+     * Exact-mode 2Q blocks for which no fit met the exact threshold,
+     * so selectGate took the best-Fu fit of any fidelity (a lossy
+     * zero-layer fit included): each such block is implemented only
+     * approximately.
+     */
+    int exact_fallbacks = 0;
 
     TranslateResult() : circuit(1) {}
 };

@@ -519,43 +519,4 @@ Topology::gridOfGrids(int core_rows, int core_cols, int rows, int cols,
     return t;
 }
 
-CommQubitLedger::CommQubitLedger(const Topology& topology)
-    : comm_(static_cast<size_t>(topology.numQubits()), false),
-      held_(static_cast<size_t>(topology.numQubits()), false)
-{
-    for (int c = 0; c < topology.numCores(); ++c)
-        for (int q : topology.core(c).comm_qubits)
-            comm_[static_cast<size_t>(q)] = true;
-}
-
-bool
-CommQubitLedger::isCommQubit(int q) const
-{
-    return q >= 0 && q < static_cast<int>(comm_.size()) &&
-           comm_[static_cast<size_t>(q)];
-}
-
-bool
-CommQubitLedger::reserve(int q)
-{
-    if (!isCommQubit(q) || held_[static_cast<size_t>(q)])
-        return false;
-    held_[static_cast<size_t>(q)] = true;
-    return true;
-}
-
-void
-CommQubitLedger::release(int q)
-{
-    if (q >= 0 && q < static_cast<int>(held_.size()))
-        held_[static_cast<size_t>(q)] = false;
-}
-
-bool
-CommQubitLedger::held(int q) const
-{
-    return q >= 0 && q < static_cast<int>(held_.size()) &&
-           held_[static_cast<size_t>(q)];
-}
-
 } // namespace qiset

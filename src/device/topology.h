@@ -203,34 +203,6 @@ class Topology
     std::vector<int> core_of_;
 };
 
-/**
- * Exclusive-reservation ledger over a topology's communication qubits.
- * A comm qubit can mediate only one EPR generation at a time; routers
- * and schedulers reserve() both endpoints of a link for the duration
- * of a teleport and release() them afterwards. reserve() on a held or
- * non-comm qubit fails (returns false) without changing state.
- */
-class CommQubitLedger
-{
-  public:
-    explicit CommQubitLedger(const Topology& topology);
-
-    /** True if q is a designated comm qubit of some core. */
-    bool isCommQubit(int q) const;
-
-    /** Acquire q; false when q is not a comm qubit or already held. */
-    bool reserve(int q);
-
-    /** Release q (no-op when not held). */
-    void release(int q);
-
-    bool held(int q) const;
-
-  private:
-    std::vector<bool> comm_;
-    std::vector<bool> held_;
-};
-
 } // namespace qiset
 
 #endif // QISET_DEVICE_TOPOLOGY_H

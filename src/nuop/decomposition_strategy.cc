@@ -472,40 +472,6 @@ class NuOpStrategy : public DecompositionStrategy
     }
 };
 
-class KakStrategy : public DecompositionStrategy
-{
-  public:
-    std::string name() const override { return "kak"; }
-
-    bool canonicalizesTargets() const override { return true; }
-
-    Matrix profileTarget(const Matrix& target) const override
-    {
-        return canonicalGate(canonicalWeylCoordinates(target));
-    }
-
-    void cacheKeyInto(std::string& out, const Matrix& target,
-                      const GateSpec& spec) const override
-    {
-        out += "kak|";
-        out += spec.type_name;
-        out += '|';
-        appendWeylKey(out, target);
-    }
-
-    GateProfile computeProfile(const Matrix& target, const GateSpec& spec,
-                               const NuOpDecomposer& decomposer)
-        const override
-    {
-        // Purely analytic — the decomposer only supplies the layer
-        // bound and exact threshold, never the optimizer. An empty
-        // fit list means "this engine cannot implement the class with
-        // this gate type" — selection skips the profile, and the
-        // translator reports a clear error when no type can serve.
-        return kakLadder(profileTarget(target), spec, decomposer);
-    }
-};
-
 class AutoStrategy : public DecompositionStrategy
 {
   public:
@@ -555,12 +521,10 @@ makeDecompositionStrategy(const std::string& name)
 {
     if (name == "nuop")
         return std::make_unique<NuOpStrategy>();
-    if (name == "kak")
-        return std::make_unique<KakStrategy>();
     if (name == "auto")
         return std::make_unique<AutoStrategy>();
     fatal("unknown decomposition strategy \"", name,
-          "\"; known: auto kak nuop");
+          "\"; known: auto nuop");
 }
 
 const DecompositionStrategy&

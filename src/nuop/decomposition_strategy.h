@@ -14,22 +14,22 @@
  *  - "nuop": the paper's numerical engine — BFGS multistarts over
  *    layered templates (Section V). Bit-identical to the historical
  *    hard-wired path.
- *  - "kak":  analytic Cartan synthesis, the paper's Cirq-style
- *    baseline (Section VII.A). Local targets cost zero layers; any
- *    target locally equivalent to the gate costs one; CZ-class gates
- *    synthesize every SU(4) target in the Shende-Bullock-Markov
- *    minimal count (1/2/3) with closed-form locals — no optimizer.
- *  - "auto": tiered — take the analytic path whenever it reaches the
- *    exact threshold, fall back to NuOp otherwise. This bypasses the
- *    BFGS hot path (the dominant cold-cache compile cost) on every
- *    analytically reachable target.
+ *  - "auto": tiered — take the analytic path (Cartan synthesis, see
+ *    kakSynthesize) whenever it reaches the exact threshold, fall
+ *    back to NuOp otherwise. Analytically, local targets cost zero
+ *    layers, any target locally equivalent to the gate costs one, and
+ *    CZ-class gates synthesize every SU(4) target in the
+ *    Shende-Bullock-Markov minimal count (1/2/3) with closed-form
+ *    locals. This bypasses the BFGS hot path (the dominant cold-cache
+ *    compile cost) on every analytically reachable target. Profiles
+ *    the analytic tier serves carry the engine tag "kak".
  *
- * "kak" and "auto" additionally canonicalize cache keys by
- * Weyl-chamber coordinates: locally-equivalent targets (rampant across
- * the QFT/QAOA controlled-phase families once routing and
- * consolidation dress them with 1Q factors) share one profile entry,
- * and the translator re-dresses the cached circuit with the exact
- * local factors at emission time (localFactorsBetween).
+ * "auto" additionally canonicalizes cache keys by Weyl-chamber
+ * coordinates: locally-equivalent targets (rampant across the QFT/QAOA
+ * controlled-phase families once routing and consolidation dress them
+ * with 1Q factors) share one profile entry, and the translator
+ * re-dresses the cached circuit with the exact local factors at
+ * emission time (localFactorsBetween).
  */
 
 #include <memory>
@@ -60,7 +60,10 @@ struct GateProfile
     TemplateFamily family = TemplateFamily::Fixed;
     Matrix unitary; // Fixed family only.
     std::vector<LayerFit> fits;
-    /** Engine that computed the fits ("nuop" or "kak"). */
+    /**
+     * Engine that computed the fits: "nuop" for the BFGS ladder, "kak"
+     * for the analytic tier of "auto".
+     */
     std::string engine = "nuop";
 };
 
@@ -95,7 +98,7 @@ class DecompositionStrategy
   public:
     virtual ~DecompositionStrategy() = default;
 
-    /** Engine name ("nuop", "kak", "auto"). */
+    /** Engine name ("nuop" or "auto"). */
     virtual std::string name() const = 0;
 
     /**
@@ -139,7 +142,7 @@ class DecompositionStrategy
 };
 
 /**
- * Build the engine called `name` ("nuop", "kak" or "auto"). Throws
+ * Build the engine called `name` ("nuop" or "auto"). Throws
  * FatalError for any other name (the message lists the known ones).
  */
 std::unique_ptr<DecompositionStrategy>

@@ -1,8 +1,8 @@
 // Chiplet subsystem tests: grid-of-grids device construction, core /
-// teleport-link metadata, comm-qubit reservation exclusivity, the
-// TeleportRouter's bit-identity with SABRE on single-core devices,
-// capacity-aware placement and shard planning, per-shard in-flight
-// caps, and the teleport trace events' conformance to
+// teleport-link metadata, the TeleportRouter's bit-identity with SABRE
+// on single-core devices, unknown router and engine names on every
+// device kind, capacity-aware placement and shard planning, service
+// plumbing, and the teleport trace events' conformance to
 // scripts/trace_lint.py.
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "apps/qaoa.h"
 #include "apps/qft.h"
 #include "apps/qv.h"
+#include "common/error.h"
 #include "compiler/mapping.h"
 #include "compiler/pass_manager.h"
 #include "compiler/passes.h"
@@ -134,28 +135,6 @@ TEST(GridOfGrids, DistanceMatrices)
     EXPECT_EQ(
         topo.intraCoreDistance(core.qubits[0], topo.core(1).qubits[0]),
         -1);
-}
-
-TEST(GridOfGrids, CommQubitReservationIsExclusive)
-{
-    Topology topo = Topology::gridOfGrids(2, 2, 2, 3);
-    CommQubitLedger ledger(topo);
-    int comm = topo.teleportEdges().front().comm_a;
-    int plain = -1;
-    for (int q : topo.core(topo.coreOf(comm)).qubits)
-        if (!ledger.isCommQubit(q)) {
-            plain = q;
-            break;
-        }
-    ASSERT_GE(plain, 0);
-
-    EXPECT_FALSE(ledger.reserve(plain)); // not a comm qubit
-    EXPECT_TRUE(ledger.reserve(comm));
-    EXPECT_TRUE(ledger.held(comm));
-    EXPECT_FALSE(ledger.reserve(comm)); // second reservation refused
-    ledger.release(comm);
-    EXPECT_FALSE(ledger.held(comm));
-    EXPECT_TRUE(ledger.reserve(comm)); // reusable after release
 }
 
 TEST(ChipletDevice, CalibratedLikeAMonolithicDevice)
@@ -315,11 +294,11 @@ TEST(ChipletMapping, WideCircuitSpansCoresThroughCommQubits)
 
     // Every selected core holds at least one comm qubit, so the
     // routed circuit can actually reach the rest of the selection.
-    CommQubitLedger ledger(topo);
     for (int c : cores) {
+        const std::vector<int>& comm = topo.core(c).comm_qubits;
         bool has_comm = false;
         for (int q : physical)
-            if (topo.coreOf(q) == c && ledger.isCommQubit(q))
+            if (std::find(comm.begin(), comm.end(), q) != comm.end())
                 has_comm = true;
         EXPECT_TRUE(has_comm) << "core " << c << " has no comm qubit";
     }
@@ -403,6 +382,31 @@ TEST(ChipletPipeline, TeleportsCrossCoresAndPreserveTheRegister)
     EXPECT_GT(forced.teleports_inserted, 0);
 }
 
+TEST(ChipletPipeline, UnknownNamesFailOnEveryDevice)
+{
+    // Names are checked before a multi-core coupling forces
+    // telesabre, so an unknown router or engine fails on a chiplet as
+    // it does on a monolithic device.
+    GateSet set = isa::singleTypeSet(3);
+    Circuit app = makeQftCircuit(10);
+    std::vector<Device> devices = {lineDevice("line10", 10, 0.995),
+                                   chiplet2x2()};
+    for (const Device& d : devices) {
+        SCOPED_TRACE(d.name());
+        ProfileCache cache;
+        for (const char* routing : {"no-such-router", "best-of"}) {
+            CompileOptions options = fastCompile();
+            options.routing = routing;
+            EXPECT_THROW(compileCircuit(app, d, set, cache, options),
+                         FatalError)
+                << routing;
+        }
+        CompileOptions kak = fastCompile();
+        kak.decomposition = "kak";
+        EXPECT_THROW(compileCircuit(app, d, set, cache, kak), FatalError);
+    }
+}
+
 TEST(ChipletPipeline, KnobOffSwapOnlyLinksCostMoreFidelity)
 {
     Device d = chiplet2x2();
@@ -455,42 +459,28 @@ TEST(ChipletPipeline, SingleCoreCompileBitIdenticalToSabre)
 
 // --------------------------------------------------- service plumbing
 
-TEST(ChipletService, PerShardInFlightCapStillCompletesEverything)
+TEST(ChipletService, MonolithicShardsCompleteWithoutTeleports)
 {
     GateSet set = isa::singleTypeSet(3);
     std::vector<Circuit> apps;
     for (int i = 0; i < 6; ++i)
         apps.push_back(makeQftCircuit(4));
 
-    auto run = [&](size_t cap) {
-        DeviceFleet fleet(fastCompile());
-        fleet.addDevice(lineDevice("alpha", 6, 0.995));
-        fleet.addDevice(lineDevice("beta", 6, 0.990));
-        CompileServiceOptions options;
-        options.workers = 3;
-        options.planner.max_in_flight_per_shard = cap;
-        CompileService service(fleet, set, options);
-        CompileRequest request;
-        request.circuits = apps;
-        CompileJob job = service.submit(std::move(request));
-        EXPECT_EQ(job.wait(), JobStatus::Done);
-        // Monolithic shards never teleport, and their telemetry says
-        // so explicitly.
-        for (const PassMetric& row : service.shardTelemetry())
-            EXPECT_EQ(row.counters.at("teleports_inserted"), 0.0);
-        return job.results();
-    };
-
-    std::vector<CompileResult> capped = run(1);
-    std::vector<CompileResult> uncapped = run(0);
-    ASSERT_EQ(capped.size(), apps.size());
-    ASSERT_EQ(uncapped.size(), apps.size());
-    // The cap throttles dispatch, never results.
-    for (size_t i = 0; i < apps.size(); ++i) {
-        EXPECT_EQ(capped[i].circuit.size(), uncapped[i].circuit.size());
-        EXPECT_DOUBLE_EQ(capped[i].estimated_fidelity,
-                         uncapped[i].estimated_fidelity);
-    }
+    DeviceFleet fleet(fastCompile());
+    fleet.addDevice(lineDevice("alpha", 6, 0.995));
+    fleet.addDevice(lineDevice("beta", 6, 0.990));
+    CompileServiceOptions options;
+    options.workers = 3;
+    CompileService service(fleet, set, options);
+    CompileRequest request;
+    request.circuits = apps;
+    CompileJob job = service.submit(std::move(request));
+    EXPECT_EQ(job.wait(), JobStatus::Done);
+    EXPECT_EQ(job.results().size(), apps.size());
+    // Monolithic shards never teleport, and their telemetry says so
+    // explicitly.
+    for (const PassMetric& row : service.shardTelemetry())
+        EXPECT_EQ(row.counters.at("teleports_inserted"), 0.0);
 }
 
 // ------------------------------------------------------ trace linting

@@ -64,16 +64,19 @@ cacheKey(const DecompositionStrategy& strategy, const Matrix& target,
 
 TEST(DecompositionEngines, MadeByName)
 {
-    for (const char* name : {"nuop", "kak", "auto"})
+    for (const char* name : {"nuop", "auto"})
         EXPECT_EQ(makeDecompositionStrategy(name)->name(), name);
-    try {
-        makeDecompositionStrategy("no-such-engine");
-        ADD_FAILURE() << "unknown engine name accepted";
-    } catch (const FatalError& error) {
-        // The message names every engine that does exist.
-        std::string message = error.what();
-        for (const char* name : {"nuop", "kak", "auto"})
-            EXPECT_NE(message.find(name), std::string::npos) << name;
+    // "kak" names the analytic tier's profiles, not an engine.
+    for (const char* unknown : {"no-such-engine", "kak"}) {
+        try {
+            makeDecompositionStrategy(unknown);
+            ADD_FAILURE() << "unknown engine name accepted: " << unknown;
+        } catch (const FatalError& error) {
+            // The message names every engine that does exist.
+            EXPECT_NE(std::string(error.what()).find("known: auto nuop"),
+                      std::string::npos)
+                << error.what();
+        }
     }
 }
 
@@ -194,26 +197,25 @@ TEST(LocalEquivalenceSolver, RejectsInequivalentPairs)
 TEST(CanonicalKeys, LocallyEquivalentTargetsShareOneEntry)
 {
     // The cache-hit-rate multiplier: dressed variants of one
-    // interaction class miss once and then hit, under "kak" and
-    // "auto" alike.
+    // interaction class miss once and then hit.
     NuOpDecomposer decomposer(fastNuOp());
-    auto kak = makeDecompositionStrategy("kak");
+    auto automatic = makeDecompositionStrategy("auto");
     ProfileCache cache;
     Matrix base = zz(0.42);
     Matrix dressed = u3(0.8, 2.0, 0.1).kron(u3(1.1, 0.4, 2.6)) * base *
                      u3(0.3, 1.8, 0.9).kron(u3(2.4, 0.2, 1.2));
-    EXPECT_EQ(cacheKey(*kak, base, czSpec()),
-              cacheKey(*kak, dressed, czSpec()));
-    auto first = cache.get(base, czSpec(), decomposer, *kak);
-    auto second = cache.get(dressed, czSpec(), decomposer, *kak);
+    EXPECT_EQ(cacheKey(*automatic, base, czSpec()),
+              cacheKey(*automatic, dressed, czSpec()));
+    auto first = cache.get(base, czSpec(), decomposer, *automatic);
+    auto second = cache.get(dressed, czSpec(), decomposer, *automatic);
     EXPECT_EQ(first.get(), second.get());
     ProfileCacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
 
     // Different classes stay separate.
-    EXPECT_NE(cacheKey(*kak, zz(0.42), czSpec()),
-              cacheKey(*kak, zz(0.17), czSpec()));
+    EXPECT_NE(cacheKey(*automatic, zz(0.42), czSpec()),
+              cacheKey(*automatic, zz(0.17), czSpec()));
     // Raw "nuop" keys keep dressed variants apart (pre-refactor
     // behavior).
     const DecompositionStrategy& nuop = nuopDecompositionStrategy();
@@ -248,18 +250,18 @@ TEST(AutoStrategy, TiersAnalyticAndNumericFallback)
     EXPECT_GT(numeric.fits.size(), 1u);
 }
 
-TEST(KakStrategy, ProfilesCanonicalRepresentative)
+TEST(AutoStrategy, ProfilesCanonicalRepresentative)
 {
     NuOpDecomposer decomposer(fastNuOp());
-    auto kak = makeDecompositionStrategy("kak");
+    auto automatic = makeDecompositionStrategy("auto");
     Matrix dressed = u3(1.9, 0.3, 0.8).kron(u3(0.5, 1.1, 2.0)) * zz(0.31);
     GateProfile profile =
-        kak->computeProfile(dressed, czSpec(), decomposer);
+        automatic->computeProfile(dressed, czSpec(), decomposer);
     ASSERT_FALSE(profile.fits.empty());
     EXPECT_EQ(profile.engine, "kak");
     // The stored exact fit implements the class representative, not
     // the dressed target (the translator re-dresses at emission).
-    Matrix representative = kak->profileTarget(dressed);
+    Matrix representative = automatic->profileTarget(dressed);
     const LayerFit& exact = profile.fits.back();
     EXPECT_EQ(exact.layers, 2); // controlled-phase class
     TwoQubitTemplate templ(exact.layers, cz());
@@ -267,10 +269,10 @@ TEST(KakStrategy, ProfilesCanonicalRepresentative)
                 1.0, 1e-9);
 }
 
-TEST(TranslateWithStrategies, KakEmissionImplementsDressedTargets)
+TEST(TranslateWithStrategies, AutoEmissionImplementsDressedTargets)
 {
     // End-to-end: a circuit of dressed controlled-phase blocks and a
-    // generic SU(4) translates exactly through the analytic engine,
+    // generic SU(4) translates exactly through the analytic tier,
     // including the canonical-representative re-dressing.
     Device d("pair", Topology::line(2));
     d.setEdgeFidelity(0, 1, "S3", 0.99);
@@ -278,7 +280,7 @@ TEST(TranslateWithStrategies, KakEmissionImplementsDressedTargets)
     d.setOneQubitError(1, 0.001);
     GateSet set = isa::singleTypeSet(3);
     NuOpDecomposer decomposer(fastNuOp());
-    auto kak = makeDecompositionStrategy("kak");
+    auto automatic = makeDecompositionStrategy("auto");
     ProfileCache cache;
 
     Rng rng(26);
@@ -289,7 +291,7 @@ TEST(TranslateWithStrategies, KakEmissionImplementsDressedTargets)
     logical.add2q(0, 1, randomSu4(rng), "SU4");
 
     TranslateResult result =
-        translateCircuit(logical, {0, 1}, d, set, decomposer, *kak,
+        translateCircuit(logical, {0, 1}, d, set, decomposer, *automatic,
                          cache, /*approximate=*/false);
     EXPECT_NEAR(traceFidelity(result.circuit.unitary(),
                               logical.unitary()),

@@ -281,12 +281,12 @@ TEST(IrIdentity, TeleportRoutesMatchGoldens)
     }
 }
 
-TEST(IrIdentity, BestOfCompileMatchesGolden)
+TEST(IrIdentity, SabreCompileMatchesGolden)
 {
     Rng dev_rng(4242);
     Device device = makeSycamore(dev_rng);
     CompileOptions options = goldenOptions();
-    options.routing = "best-of";
+    options.routing = "sabre";
     ProfileCache cache;
     CompileResult result = compileCircuit(makeQftCircuit(8), device,
                                           isa::singleTypeSet(3), cache,
@@ -294,10 +294,10 @@ TEST(IrIdentity, BestOfCompileMatchesGolden)
     EXPECT_EQ(resultHash(result), 0x3c3d5c368ef63a7cull);
 }
 
-// Compiles through the canonicalizing engines ("kak", "auto"), whose
-// cached profiles implement a Weyl-chamber representative that
-// translation re-dresses per concrete block. Captured before each
-// distinct block was resolved once per compile; must never drift.
+// Compiles through the canonicalizing engine "auto", whose cached
+// profiles implement a Weyl-chamber representative that translation
+// re-dresses per concrete block. Captured before each distinct block
+// was resolved once per compile; must never drift.
 TEST(IrIdentity, CanonicalEngineCompilesMatchGoldens)
 {
     Rng dev_rng(4242);
@@ -311,7 +311,6 @@ TEST(IrIdentity, CanonicalEngineCompilesMatchGoldens)
         uint64_t warm;
     };
     const Case cases[] = {
-        {"kak", 0xc45b47d4b387eccfull, 0xc45b47d4b387eccfull},
         {"auto", 0x238c8a46ccb69ed4ull, 0x238c8a46ccb69ed4ull},
     };
     for (const Case& c : cases) {

@@ -282,49 +282,6 @@ TEST(Pipeline, UnknownRoutingStrategyFailsLoudly)
         FatalError);
 }
 
-TEST(Pipeline, BestOfMetaRouterMatchesBestStrategy)
-{
-    // options.routing = "best-of" routes with greedy and sabre (the
-    // distinct routers on a single-core coupling) and keeps the best
-    // predicted-fidelity result — on a QFT workload that must be
-    // bit-identical to one of the individual strategies, and
-    // deterministic across runs.
-    Rng rng(93);
-    Device d = makeSycamore(rng);
-    Circuit app = makeQftCircuit(6);
-    ProfileCache cache;
-    CompileOptions opts = fastCompile();
-    opts.routing = "best-of";
-    CompileResult best =
-        compileCircuit(app, d, isa::googleSet(3), cache, opts);
-    CompileResult best_again =
-        compileCircuit(app, d, isa::googleSet(3), cache, opts);
-    EXPECT_EQ(best.swaps_inserted, best_again.swaps_inserted);
-    EXPECT_EQ(best.estimated_fidelity, best_again.estimated_fidelity);
-    int routing_rows = 0;
-    for (const PassMetric& metric : best.pass_metrics) {
-        if (metric.pass != "routing")
-            continue;
-        ++routing_rows;
-        EXPECT_EQ(metric.counters.at("best_of_candidates"), 2.0);
-    }
-    EXPECT_EQ(routing_rows, 1);
-
-    std::vector<int> candidate_swaps;
-    for (const char* name : {"greedy", "sabre"}) {
-        CompileOptions single = fastCompile();
-        single.routing = name;
-        candidate_swaps.push_back(
-            compileCircuit(app, d, isa::googleSet(3), cache, single)
-                .swaps_inserted);
-    }
-    EXPECT_NE(std::find(candidate_swaps.begin(), candidate_swaps.end(),
-                        best.swaps_inserted),
-              candidate_swaps.end());
-    // And it still produces a correct circuit.
-    EXPECT_GT(best.estimated_fidelity, 0.0);
-}
-
 TEST(Pipeline, AutoDecompositionCompilesExactly)
 {
     // End-to-end options.decomposition = "auto" on a perfect device:

@@ -264,7 +264,7 @@ TEST(ProfileCacheCore, V3RoundTripsCanonicalStrategies)
 
 TEST(ProfileCacheCore, LoadRejectsMismatchedStrategy)
 {
-    // Raw "nuop" keys and canonical "auto"/"kak" keys are not
+    // Raw "nuop" keys and canonical "auto" keys are not
     // interchangeable; files stamped with a different strategy are
     // rejected wholesale.
     NuOpDecomposer decomposer(fastNuOp());

@@ -2,6 +2,7 @@
 // extraction correctness, planner determinism and load balance, and
 // bit-identity of sharded results with single-device compiles.
 
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -220,19 +221,19 @@ TEST(ShardPlan, PrefersHigherFidelityShardWhenLoadIsFree)
         EXPECT_EQ(a.shard, 1) << "load-free planning must chase fidelity";
 }
 
-TEST(ShardPlan, RoundRobinCyclesFeasibleShards)
+TEST(ShardPlan, InfiniteLoadWeightStillPicksAFeasibleShard)
 {
+    // Every score is -inf, so none beats a finite floor; the first
+    // feasible shard must still be chosen, never an infeasible one.
     GateSet set = isa::rigettiSet(1);
     DeviceFleet fleet(fastCompile());
-    fleet.addDevice(lineDevice("alpha", 4, 0.995));
-    fleet.addDevice(lineDevice("beta", 4, 0.995));
-    std::vector<Circuit> apps = makeWorkload(6, 3);
-
+    fleet.addDevice(lineDevice("tiny", 2, 0.995));
+    fleet.addDevice(lineDevice("big", 5, 0.990));
     ShardPlannerOptions planner;
-    planner.policy = "round-robin";
-    ShardPlan plan = planShardAssignments(apps, fleet, set, planner);
-    for (size_t c = 0; c < apps.size(); ++c)
-        EXPECT_EQ(plan.assignments[c].shard, static_cast<int>(c % 2));
+    planner.load_weight = std::numeric_limits<double>::infinity();
+    ShardPlan plan =
+        planShardAssignments({makeQftCircuit(4)}, fleet, set, planner);
+    EXPECT_EQ(plan.assignments[0].shard, 1);
 }
 
 TEST(ShardPlan, SkipsShardsTooSmallAndThrowsWhenNoneFit)
@@ -251,10 +252,6 @@ TEST(ShardPlan, SkipsShardsTooSmallAndThrowsWhenNoneFit)
     EXPECT_ANY_THROW(planShardAssignments(apps, small_fleet, set));
     EXPECT_ANY_THROW(
         planShardAssignments(apps, DeviceFleet(fastCompile()), set));
-
-    ShardPlannerOptions bad;
-    bad.policy = "nope";
-    EXPECT_ANY_THROW(planShardAssignments(apps, fleet, set, bad));
 }
 
 // -------------------------------------------------------- execution

@@ -584,7 +584,6 @@ TEST(Translate, CanonicalEngineCacheTrafficMatchesGoldens)
         CacheTraffic warm;
     };
     const Case cases[] = {
-        {"kak", {1428, 64, 373, 0, 1428, 64}, {1492, 0, 373, 0, 2920, 64}},
         {"auto", {1428, 64, 98, 0, 1428, 64}, {1492, 0, 98, 0, 2920, 64}},
     };
     for (const Case& c : cases) {
@@ -660,6 +659,41 @@ TEST(Translate, TypeUsageAccounting)
         logical, {0, 1}, d, set, decomposer, cache, false);
     EXPECT_EQ(result.type_usage.at("S3"), result.two_qubit_count);
     EXPECT_EQ(result.two_qubit_count, 4); // 2 layers per ZZ
+}
+
+TEST(Translate, CountsExactModeFallbacks)
+{
+    // SWAP needs three CZs. With fewer layers allowed no fit meets the
+    // exact threshold, so exact-mode selection takes the best lossy
+    // fit; translation counts the block and the pass reports it.
+    Device d = twoQubitDevice(0.99, 0.0);
+    GateSet set = isa::singleTypeSet(3);
+    Circuit logical(2);
+    logical.add2q(0, 1, swap(), "SWAP");
+    const int expected[] = {1, 1, 0}; // max_layers 1, 2, 3
+    for (int max_layers = 1; max_layers <= 3; ++max_layers) {
+        SCOPED_TRACE(max_layers);
+        int want = expected[max_layers - 1];
+        CompileOptions options;
+        options.approximate = false;
+        options.nuop = fastNuOp();
+        options.nuop.max_layers = max_layers;
+        NuOpDecomposer decomposer(options.nuop);
+        ProfileCache cache;
+        TranslateResult result = translateCircuit(
+            logical, {0, 1}, d, set, decomposer, cache, false);
+        EXPECT_EQ(result.exact_fallbacks, want);
+
+        CompileResult compiled =
+            compileCircuit(logical, d, set, cache, options);
+        for (const PassMetric& metric : compiled.pass_metrics) {
+            if (metric.pass != "translation")
+                continue;
+            auto it = metric.counters.find("exact_fallbacks");
+            EXPECT_EQ(it == metric.counters.end() ? 0.0 : it->second,
+                      want);
+        }
+    }
 }
 
 } // namespace
