@@ -8,8 +8,12 @@
 // or emits — operand packing, label interning, column ordering —
 // shows up here as a hash mismatch.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iomanip>
+#include <map>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -765,6 +769,353 @@ TEST(IrIdentity, RenderedTextMatchesPreSoaGoldens)
               0x1b4e7722cbdd78cdull);
     EXPECT_EQ(fnvString(14695981039346656037ull, qft4.toString()),
               0x6ed0bf2c3f23620dull);
+}
+
+// ---------------------------------------------------------------------
+// Decision pins. The goldens above pin bytes; these pin what the NuOp
+// compiles behind them decided: the native 2Q count and the per-type
+// usage exactly, and the estimated fidelity to a relative 1e-6. A
+// change that moves only the low bits of NuOp's solves (its gradient,
+// say) re-pins the goldens above and must leave these as they are.
+
+/** What a compile decided. */
+struct Decisions
+{
+    int two_qubit_count;
+    std::map<std::string, int> type_usage;
+    double estimated_fidelity;
+};
+
+/** Relative tolerance on a pinned estimated fidelity. */
+constexpr double kPinnedFidelityTol = 1e-6;
+
+/** Decisions in the initializer syntax of the pins below. */
+std::string
+renderDecisions(const Decisions& d)
+{
+    std::ostringstream out;
+    out << std::setprecision(17) << "{" << d.two_qubit_count << ", {";
+    const char* sep = "";
+    for (const auto& [type, count] : d.type_usage) {
+        out << sep << "{\"" << type << "\", " << count << "}";
+        sep = ", ";
+    }
+    out << "}, " << d.estimated_fidelity << "}";
+    return out.str();
+}
+
+/** Decisions of a CompileResult or a TranslateResult. */
+template <typename Result>
+Decisions
+decisionsOf(const Result& result)
+{
+    return {result.two_qubit_count, result.type_usage,
+            result.estimated_fidelity};
+}
+
+/** A single decomposition decides its gate type and layer count. */
+Decisions
+decisionsOf(const Decomposition& d)
+{
+    return {d.layers, {{d.gate_name, d.layers}}, d.decomposition_fidelity};
+}
+
+::testing::AssertionResult
+sameDecisions(const Decisions& actual, const Decisions& pinned)
+{
+    if (actual.two_qubit_count == pinned.two_qubit_count &&
+        actual.type_usage == pinned.type_usage &&
+        std::abs(actual.estimated_fidelity - pinned.estimated_fidelity) <=
+            kPinnedFidelityTol * std::abs(pinned.estimated_fidelity))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "decided " << renderDecisions(actual) << ", pinned "
+           << renderDecisions(pinned);
+}
+
+TEST(DecisionPins, PreSoaGoldenCompiles)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    const Decisions pinned[] = {
+        {140, {{"S3", 140}}, 0.34985903459267753},
+        {164, {{"S3", 164}}, 0.25754467420690091},
+        {36, {{"S3", 36}}, 0.75174837210166701},
+    };
+    for (size_t k = 0; k < 3; ++k) {
+        ProfileCache cache;
+        CompileResult result =
+            compileCircuit(goldenApp(kGolden[k].name), device,
+                           isa::singleTypeSet(3), cache, goldenOptions());
+        EXPECT_TRUE(sameDecisions(decisionsOf(result), pinned[k]))
+            << kGolden[k].name;
+    }
+}
+
+TEST(DecisionPins, SabreCompile)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    CompileOptions options = goldenOptions();
+    options.routing = "sabre";
+    ProfileCache cache;
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(compileCircuit(makeQftCircuit(8), device,
+                                   isa::singleTypeSet(3), cache, options)),
+        {103, {{"S3", 103}}, 0.43700954557876293}));
+}
+
+TEST(DecisionPins, CanonicalEngineCompiles)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    CompileOptions options = goldenOptions();
+    options.decomposition = "auto";
+    ProfileCache cache;
+    const Decisions pinned = {
+        957,
+        {{"S1", 377}, {"S2", 246}, {"S3", 204}, {"S4", 130}},
+        0.0015662277809074321};
+    for (const char* pass : {"cold", "warm"})
+        EXPECT_TRUE(sameDecisions(
+            decisionsOf(compileCircuit(makeQftCircuit(16), device,
+                                       isa::googleSet(3), cache, options)),
+            pinned))
+            << pass;
+}
+
+TEST(DecisionPins, DressingFallbackTranslation)
+{
+    Device pair("pair", Topology::line(2));
+    for (const char* type : {"S1", "S2", "S3", "S4"})
+        pair.setEdgeFidelity(0, 1, type, 0.99);
+    pair.setOneQubitError(0, 0.001);
+    pair.setOneQubitError(1, 0.002);
+    NuOpDecomposer decomposer(goldenOptions().nuop);
+    auto automatic = makeDecompositionStrategy("auto");
+    ProfileCache cache;
+    const Decisions pinned = {
+        6, {{"S1", 2}, {"S3", 4}}, 0.90384662920629544};
+    for (const char* pass : {"cold", "warm"})
+        EXPECT_TRUE(sameDecisions(
+            decisionsOf(translateCircuit(dressingFallbackCircuit(), {0, 1},
+                                         pair, isa::googleSet(3),
+                                         decomposer, *automatic, cache,
+                                         goldenOptions().approximate)),
+            pinned))
+            << pass;
+}
+
+TEST(DecisionPins, ContinuousFamilyCompiles)
+{
+    Rng aspen_rng(4242);
+    Device aspen = makeAspen8(aspen_rng);
+    Rng syc_rng(4242);
+    Device sycamore = makeSycamore(syc_rng);
+    struct Case
+    {
+        const char* name;
+        const Device* device;
+        GateSet set;
+        Decisions approximate;
+        Decisions exact;
+    };
+    const Case cases[] = {
+        {"FullXY", &aspen, isa::fullXy(),
+         {3, {{"XY", 3}}, 0.92585123351263654},
+         {7, {{"XY", 7}}, 0.89345179065487412}},
+        {"FullfSim", &sycamore, isa::fullFsim(),
+         {4, {{"fSim", 4}}, 0.97373345885108087},
+         {4, {{"fSim", 4}}, 0.97373345885108087}},
+        {"FullCZt", &sycamore, isa::fullCphase(),
+         {4, {{"CZt", 3}, {"S4", 1}}, 0.97425391996457644},
+         {7, {{"CZt", 4}, {"S4", 3}}, 0.96892037189066027}},
+    };
+    for (const Case& c : cases) {
+        for (bool approximate : {true, false}) {
+            CompileOptions options = goldenOptions();
+            options.approximate = approximate;
+            ProfileCache cache;
+            EXPECT_TRUE(sameDecisions(
+                decisionsOf(compileCircuit(continuousFamilyCircuit(),
+                                           *c.device, c.set, cache,
+                                           options)),
+                approximate ? c.approximate : c.exact))
+                << c.name << (approximate ? " approximate" : " exact");
+        }
+    }
+}
+
+TEST(DecisionPins, ExactFixedGateCompile)
+{
+    Rng dev_rng(4242);
+    Device device = makeSycamore(dev_rng);
+    CompileOptions options = goldenOptions();
+    options.approximate = false;
+    ProfileCache cache;
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(compileCircuit(makeQftCircuit(4), device,
+                                   isa::singleTypeSet(1), cache, options)),
+        {18, {{"S1", 18}}, 0.88629778881669408}));
+}
+
+TEST(DecisionPins, NuOpLayerSweeps)
+{
+    NuOpDecomposer decomposer(goldenOptions().nuop);
+    Rng rng(909);
+    Matrix su4 = randomSu4(rng);
+    std::vector<HardwareGate> gates = {
+        makeFixedGate("SYC", gates::sycamore(), 0.993),
+        makeFixedGate("CZ", gates::cz(), 0.995),
+    };
+    HardwareGate xy;
+    xy.name = "XY";
+    xy.family = TemplateFamily::FullXy;
+    xy.fidelity = 0.99;
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(decomposer.decomposeExact(su4, gates[0])),
+        {3, {{"SYC", 3}}, 0.9999999379918979}))
+        << "exact SYC";
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(decomposer.decomposeApproximate(su4, gates[1])),
+        {3, {{"CZ", 3}}, 0.99999992214004552}))
+        << "approximate CZ";
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(decomposer.decomposeExact(
+            gates::cphase(gates::kPi / 3), xy)),
+        {2, {{"XY", 2}}, 0.99999997798212903}))
+        << "exact XY";
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(decomposer.decomposeBest(su4, gates)),
+        {3, {{"CZ", 3}}, 0.99999992214004552}))
+        << "best";
+}
+
+TEST(DecisionPins, RecalibrationRecompiles)
+{
+    Rng dev_rng(10);
+    Device sycamore = makeSycamore(dev_rng);
+    Rng drift_rng(2021);
+    const Device snapshots[] = {
+        sycamore.withDriftedCalibration(drift_rng, 3.0),
+        sycamore.withDriftedCalibration(drift_rng, 3.0),
+    };
+    struct Case
+    {
+        const char* routing;
+        Decisions snapshot[2];
+    };
+    const Case cases[] = {
+        {"greedy",
+         {{459,
+           {{"S1", 42}, {"S2", 91}, {"S3", 94}, {"S4", 232}},
+           0.084327807734463689},
+          {477,
+           {{"S1", 76}, {"S2", 31}, {"S3", 241}, {"S4", 129}},
+           0.088336952125641272}}},
+        {"sabre",
+         {{222,
+           {{"S1", 16}, {"S2", 56}, {"S3", 61}, {"S4", 89}},
+           0.26680198890719042},
+          {255,
+           {{"S1", 92}, {"S2", 21}, {"S3", 106}, {"S4", 36}},
+           0.23894069881873259}}},
+    };
+    ProfileCache cache;
+    for (const char* pass : {"cold", "warm"})
+        for (const Case& c : cases)
+            for (size_t k = 0; k < 2; ++k) {
+                CompileOptions options = goldenOptions();
+                options.routing = c.routing;
+                EXPECT_TRUE(sameDecisions(
+                    decisionsOf(compileCircuit(makeQftCircuit(12),
+                                               snapshots[k],
+                                               isa::googleSet(3), cache,
+                                               options)),
+                    c.snapshot[k]))
+                    << c.routing << " snapshot " << k << " " << pass;
+            }
+}
+
+TEST(DecisionPins, ChipletG3Compile)
+{
+    Rng dev_rng(10);
+    ChipletSpec spec;
+    spec.core_rows = 3;
+    spec.core_cols = 3;
+    Device chiplet = makeChipletDevice(spec, dev_rng);
+    ProfileCache cache;
+    EXPECT_TRUE(sameDecisions(
+        decisionsOf(compileCircuit(makeQftCircuit(8), chiplet,
+                                   isa::googleSet(3), cache,
+                                   goldenOptions())),
+        {87,
+         {{"S1", 5}, {"S2", 10}, {"S3", 24}, {"S4", 48}, {"TELEPORT", 6}},
+         0.5867009620361785}));
+}
+
+// Cold QV compiles with the figure benches' options (goldenOptions):
+// the two golden QV-4 compiles first, then eight more of the service's
+// novel-request shape, and QV-6 on Sycamore with the four-type G3 set.
+TEST(DecisionPins, ColdQv4OnAspen8R3)
+{
+    Rng dev_rng(4242);
+    Device aspen = makeAspen8(dev_rng);
+    Rng golden_rng(4);
+    const Decisions golden_pins[] = {
+        {11, {{"S2", 6}, {"S5", 5}}, 0.72820215484029338},
+        {12, {{"S2", 6}, {"S5", 6}}, 0.71943653845778111},
+    };
+    for (const Decisions& pinned : golden_pins) {
+        ProfileCache cache;
+        EXPECT_TRUE(sameDecisions(
+            decisionsOf(compileCircuit(
+                makeQuantumVolumeCircuit(4, golden_rng), aspen,
+                isa::rigettiSet(3), cache, goldenOptions())),
+            pinned));
+    }
+    Rng app_rng(2204);
+    const Decisions pinned[] = {
+        {10, {{"S2", 5}, {"S5", 5}}, 0.74680150169892945},
+        {12, {{"S2", 6}, {"S5", 6}}, 0.75681863887753886},
+        {10, {{"S2", 6}, {"S5", 4}}, 0.7313557080334272},
+        {24, {{"S2", 6}, {"S5", 18}}, 0.54704220934379388},
+        {7, {{"S2", 2}, {"S5", 5}}, 0.83612570461465607},
+        {13, {{"S2", 6}, {"S5", 7}}, 0.66533495845883439},
+        {4, {{"S2", 2}, {"S5", 2}}, 0.92540059182788337},
+        {15, {{"S2", 6}, {"S5", 9}}, 0.68836999066808935},
+    };
+    for (size_t k = 0; k < 8; ++k) {
+        ProfileCache cache;
+        EXPECT_TRUE(sameDecisions(
+            decisionsOf(compileCircuit(
+                makeQuantumVolumeCircuit(4, app_rng), aspen,
+                isa::rigettiSet(3), cache, goldenOptions())),
+            pinned[k]))
+            << "circuit " << k;
+    }
+}
+
+TEST(DecisionPins, ColdQv6OnSycamoreG3)
+{
+    Rng dev_rng(4242);
+    Device sycamore = makeSycamore(dev_rng);
+    Rng app_rng(2206);
+    const Decisions pinned[] = {
+        {68, {{"S1", 19}, {"S2", 45}, {"S3", 4}}, 0.6547697128352008},
+        {66, {{"S1", 23}, {"S2", 40}, {"S3", 3}}, 0.64148416682305909},
+        {86, {{"S1", 27}, {"S2", 55}, {"S3", 4}}, 0.57339449507717921},
+        {87, {{"S1", 31}, {"S2", 53}, {"S3", 3}}, 0.59040323924891958},
+    };
+    for (size_t k = 0; k < 4; ++k) {
+        ProfileCache cache;
+        EXPECT_TRUE(sameDecisions(
+            decisionsOf(compileCircuit(
+                makeQuantumVolumeCircuit(6, app_rng), sycamore,
+                isa::googleSet(3), cache, goldenOptions())),
+            pinned[k]))
+            << "circuit " << k;
+    }
 }
 
 TEST(LabelTable, InternRoundTripsAndDedupes)
