@@ -305,7 +305,6 @@ sameNuOpOptions(const NuOpOptions& a, const NuOpOptions& b)
            a.bfgs.max_iterations == b.bfgs.max_iterations &&
            a.bfgs.gradient_tol == b.bfgs.gradient_tol &&
            a.bfgs.value_tol == b.bfgs.value_tol &&
-           a.bfgs.finite_diff_eps == b.bfgs.finite_diff_eps &&
            a.bfgs.stop_below == b.bfgs.stop_below;
 }
 

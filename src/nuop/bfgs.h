@@ -8,11 +8,12 @@
  * The paper's NuOp pass optimizes template-circuit rotation angles with
  * scipy's BFGS; this is the equivalent C++ implementation: inverse-
  * Hessian BFGS updates and a backtracking Armijo line search. The
- * gradient comes from the caller: NuOp passes its template's
- * incremental central differences (TwoQubitTemplate::
- * infidelityGradient), and numericalGradientInto below is the plain
- * central-difference reference for any other objective. Problem sizes
- * are tiny (6-50 variables), so dense O(n^2) updates are ideal.
+ * gradient comes from the caller: NuOp passes its template's exact
+ * adjoint-method gradient (TwoQubitTemplate::infidelityGradient), and
+ * numericalGradientInto below is the plain central-difference
+ * reference for any other objective (and the template gradient's test
+ * reference). Problem sizes are tiny (6-50 variables), so dense
+ * O(n^2) updates are ideal.
  */
 
 #include <functional>
@@ -36,11 +37,6 @@ struct BfgsOptions
     double gradient_tol = 1e-10;
     /** Stop when the objective improvement drops below this. */
     double value_tol = 1e-14;
-    /**
-     * Central-difference step. minimizeBfgs takes its gradient from
-     * the caller; NuOp hands this step to its template gradient.
-     */
-    double finite_diff_eps = 1e-7;
     /**
      * Early exit once the objective drops below this value (useful
      * when any point past a fidelity threshold is equally acceptable).

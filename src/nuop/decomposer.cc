@@ -100,17 +100,16 @@ NuOpDecomposer::bestFidelityForLayers(const Matrix& target,
     {
         const TwoQubitTemplate& templ;
         const Matrix& target;
-        double eps;
         TwoQubitTemplate::BuildScratch& build;
-    } problem{templ, target, bfgs.finite_diff_eps, scratch.build};
+    } problem{templ, target, scratch.build};
     const ObjectiveFn objective = [&problem](const std::vector<double>& x) {
         return problem.templ.infidelityWithScratch(x, problem.target,
                                                    problem.build);
     };
     const GradientFn gradient = [&problem](const std::vector<double>& x,
                                            std::vector<double>& grad) {
-        problem.templ.infidelityGradient(x, problem.target, problem.eps,
-                                         grad, problem.build);
+        problem.templ.infidelityGradient(x, problem.target, grad,
+                                         problem.build);
     };
 
     // Seed deterministically per (target, gate, layers, start index):

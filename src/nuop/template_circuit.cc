@@ -1,5 +1,6 @@
 #include "nuop/template_circuit.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/error.h"
@@ -49,9 +50,9 @@ TwoQubitTemplate::numParams() const
 size_t
 TwoQubitTemplate::slotCount(int layers)
 {
-    // u3 2(k+1), pair k+1, gate k, product and probe_product 2k+1
-    // each, and the three single probe slots.
-    return 8 * static_cast<size_t>(layers) + 8;
+    // u3 2(k+1), pair k+1, gate k, product 2k+1, and the backward
+    // sweep's two adjoint slots and one environment slot.
+    return 6 * static_cast<size_t>(layers) + 7;
 }
 
 void
@@ -70,10 +71,8 @@ TwoQubitTemplate::slotsIn(BuildScratch& scratch) const
     s.pair = s.u3 + 2 * (layers_ + 1);
     s.gate = s.pair + (layers_ + 1);
     s.product = s.gate + layers_;
-    s.probe_product = s.product + (2 * layers_ + 1);
-    s.probe_u3 = s.probe_product + (2 * layers_ + 1);
-    s.probe_pair = s.probe_u3 + 1;
-    s.probe_gate = s.probe_pair + 1;
+    s.adjoint = s.product + (2 * layers_ + 1);
+    s.env = s.adjoint + 2;
     return s;
 }
 
@@ -97,31 +96,18 @@ TwoQubitTemplate::layerGateInto(Matrix& out, const double* angles) const
 }
 
 const Matrix&
-TwoQubitTemplate::productsFrom(int from, const Matrix& factor,
-                               const Matrix* below, Matrix* out,
-                               const Slots& s) const
+TwoQubitTemplate::stageFactor(const Slots& s, int stage) const
 {
-    // Every product goes through multiplyInto (bit-identical to
-    // operator*) in this one order, which is what makes a probe's
-    // partial rebuild equal its full build bit for bit.
-    const Matrix* f = &factor;
-    const Matrix* acc = below;
-    for (int j = from;; ++j) {
-        if (acc) {
-            Matrix::multiplyInto(out[j], *f, *acc);
-            acc = &out[j];
-        } else {
-            acc = f;
-        }
-        if (j == 2 * layers_)
-            return *acc;
-        int next = j + 1;
-        if (next % 2 == 0)
-            f = &s.pair[next / 2];
-        else
-            f = family_ == TemplateFamily::Fixed ? &fixed_gate_
-                                                 : &s.gate[next / 2];
-    }
+    if (stage % 2 == 0)
+        return s.pair[stage / 2];
+    return family_ == TemplateFamily::Fixed ? fixed_gate_
+                                            : s.gate[stage / 2];
+}
+
+const Matrix&
+TwoQubitTemplate::runningProduct(const Slots& s, int stage) const
+{
+    return stage == 0 ? s.pair[0] : s.product[stage];
 }
 
 const Matrix&
@@ -141,7 +127,12 @@ TwoQubitTemplate::buildWithScratch(const std::vector<double>& params,
         if (b < layers_ && family_ != TemplateFamily::Fixed)
             layerGateInto(s.gate[b], p + 6);
     }
-    return productsFrom(0, s.pair[0], nullptr, s.product, s);
+    // Stage j multiplies its factor onto the running product from the
+    // left: P_j = F_j P_(j-1).
+    for (int j = 1; j <= 2 * layers_; ++j)
+        Matrix::multiplyInto(s.product[j], stageFactor(s, j),
+                             runningProduct(s, j - 1));
+    return runningProduct(s, 2 * layers_);
 }
 
 Matrix
@@ -167,58 +158,144 @@ TwoQubitTemplate::infidelityWithScratch(const std::vector<double>& params,
     return 1.0 - traceFidelity(buildWithScratch(params, scratch), target);
 }
 
+namespace {
+
+/**
+ * Partial derivatives of Tr(M dU) for U = U3(alpha, beta, lambda)
+ * (the gates::u3 convention) with respect to its three angles, where
+ * Tr(M dU) = sum_pq dU[p][q] m[q][p].
+ */
+void
+u3Partials(const double* angles, const Matrix& u, const cplx m[2][2],
+           cplx out[3])
+{
+    const cplx i(0.0, 1.0);
+    const double c = std::cos(angles[0] / 2.0);
+    const double s = std::sin(angles[0] / 2.0);
+    const cplx e_beta = std::exp(i * angles[1]);
+    const cplx e_lambda = std::exp(i * angles[2]);
+    const cplx e_both = std::exp(i * (angles[1] + angles[2]));
+    // dU/dalpha = U3(alpha + pi, beta, lambda) / 2
+    //           = [[-s, -e^(i lambda) c], [e^(i beta) c, -e^(i(beta +
+    //             lambda)) s]] / 2.
+    out[0] = 0.5 * (-s * m[0][0] - e_lambda * c * m[1][0] +
+                    e_beta * c * m[0][1] - e_both * s * m[1][1]);
+    // dU/dbeta = i diag(0, 1) U and dU/dlambda = i U diag(0, 1).
+    out[1] = i * (u(1, 0) * m[0][1] + u(1, 1) * m[1][1]);
+    out[2] = i * (u(0, 1) * m[1][0] + u(1, 1) * m[1][1]);
+}
+
+/**
+ * dw = Tr(E dF) for the six U3 angles of a pair stage F = A (x) B,
+ * F[2p+k][2q+l] = A[p][q] B[k][l]: E contracted against B is A's
+ * slot, and against A it is B's.
+ */
+void
+pairPartials(const Matrix& e, const Matrix& a, const Matrix& b,
+             const double* angles, cplx dw[6])
+{
+    cplx ma[2][2], mb[2][2];
+    for (int row = 0; row < 2; ++row)
+        for (int col = 0; col < 2; ++col) {
+            cplx sum_a = 0.0, sum_b = 0.0;
+            for (int k = 0; k < 2; ++k)
+                for (int l = 0; l < 2; ++l) {
+                    sum_a += e(2 * row + l, 2 * col + k) * b(k, l);
+                    sum_b += e(2 * k + row, 2 * l + col) * a(l, k);
+                }
+            ma[row][col] = sum_a;
+            mb[row][col] = sum_b;
+        }
+    u3Partials(angles, a, ma, dw);
+    u3Partials(angles + 3, b, mb, dw + 3);
+}
+
+} // namespace
+
+int
+TwoQubitTemplate::gatePartials(const Matrix& e, const double* angles,
+                               cplx dw[2]) const
+{
+    // dw = Tr(E dG) = sum_ab E[a][b] dG[b][a] over dG's nonzero
+    // entries.
+    const cplx i(0.0, 1.0);
+    switch (family_) {
+      case TemplateFamily::Fixed:
+        return 0;
+      case TemplateFamily::FullXy: {
+        // [1][1] = [2][2] = cos(t/2), [1][2] = [2][1] = i sin(t/2).
+        const double c = 0.5 * std::cos(angles[0] / 2.0);
+        const double s = 0.5 * std::sin(angles[0] / 2.0);
+        dw[0] = -s * (e(1, 1) + e(2, 2)) + i * c * (e(1, 2) + e(2, 1));
+        return 1;
+      }
+      case TemplateFamily::FullFsim: {
+        // [1][1] = [2][2] = cos theta, [1][2] = [2][1] = -i sin theta,
+        // [3][3] = e^(-i phi).
+        const double c = std::cos(angles[0]);
+        const double s = std::sin(angles[0]);
+        dw[0] = -s * (e(1, 1) + e(2, 2)) - i * c * (e(1, 2) + e(2, 1));
+        dw[1] = -i * std::exp(-i * angles[1]) * e(3, 3);
+        return 2;
+      }
+      case TemplateFamily::FullCphase:
+        // CPhase(phi) = fSim(0, phi).
+        dw[0] = -i * std::exp(-i * angles[0]) * e(3, 3);
+        return 1;
+    }
+    return 0;
+}
+
 void
 TwoQubitTemplate::infidelityGradient(const std::vector<double>& x,
-                                     const Matrix& target, double eps,
+                                     const Matrix& target,
                                      std::vector<double>& grad,
                                      BuildScratch& scratch) const
 {
-    buildWithScratch(x, scratch);
+    // f = 1 - |z| / 4 with z = hilbertSchmidt(U, T) = conj(w) and
+    // w = Tr(T^dag U), so df = -Re(z dw) / (4 |z|). With U = S_j F_j
+    // P_(j-1) (S_j the stages above j), w = Tr(E_j F_j) for the
+    // environment E_j = P_(j-1) R_j and R_j = T^dag S_j, so each
+    // angle's dw is a trace of E_j against its factor's derivative.
+    const Matrix& top = buildWithScratch(x, scratch);
     Slots s = slotsIn(scratch);
-    const int per_layer = gateParamsPerLayer();
-    const int stride = 6 + per_layer;
-    grad.resize(x.size());
-    for (size_t i = 0; i < x.size(); ++i) {
-        const int b = static_cast<int>(i) / stride;
-        const int r = static_cast<int>(i) % stride;
-        const double* p = &x[b * stride];
-        // The probe point's value of x[i], as numericalGradientInto
-        // forms it.
-        const double shifted[2] = {x[i] + eps, x[i] - eps};
-        double f[2];
-        for (int side = 0; side < 2; ++side) {
-            const Matrix* top;
-            if (r < 6) {
-                // A U3 angle: rebuild that U3, its pair, and the
-                // products from stage 2b up.
-                const int first = r < 3 ? 0 : 3;
-                double angles[3] = {p[first], p[first + 1], p[first + 2]};
-                angles[r - first] = shifted[side];
-                gates::u3Into(*s.probe_u3, angles[0], angles[1], angles[2]);
-                if (r < 3)
-                    Matrix::kronInto(*s.probe_pair, *s.probe_u3,
-                                     s.u3[2 * b + 1]);
-                else
-                    Matrix::kronInto(*s.probe_pair, s.u3[2 * b],
-                                     *s.probe_u3);
-                const Matrix* below =
-                    b == 0 ? nullptr : &s.product[2 * b - 1];
-                top = &productsFrom(2 * b, *s.probe_pair, below,
-                                    s.probe_product, s);
-            } else {
-                // A layer-gate angle: rebuild layer b's gate and the
-                // products from stage 2b+1 up.
-                double angles[2] = {p[6], per_layer > 1 ? p[7] : 0.0};
-                angles[r - 6] = shifted[side];
-                layerGateInto(*s.probe_gate, angles);
-                const Matrix* below =
-                    b == 0 ? &s.pair[0] : &s.product[2 * b];
-                top = &productsFrom(2 * b + 1, *s.probe_gate, below,
-                                    s.probe_product, s);
+    grad.assign(x.size(), 0.0);
+    const cplx z = hilbertSchmidt(top, target);
+    const double abs_z = std::abs(z);
+    if (abs_z == 0.0)
+        return;
+    const double scale = -0.25 / abs_z;
+
+    const int stride = 6 + gateParamsPerLayer();
+    Matrix* r = &s.adjoint[0];
+    Matrix* r_next = &s.adjoint[1];
+    *r = target.dagger(); // R_2L = T^dag
+    for (int j = 2 * layers_; j >= 0; --j) {
+        const bool pair_stage = j % 2 == 0;
+        if (pair_stage || family_ != TemplateFamily::Fixed) {
+            const Matrix* e = r; // E_0 = R_0
+            if (j > 0) {
+                Matrix::multiplyInto(*s.env, runningProduct(s, j - 1), *r);
+                e = s.env;
             }
-            f[side] = 1.0 - traceFidelity(*top, target);
+            const int b = j / 2;
+            const double* p = &x[b * stride];
+            cplx dw[6];
+            int first = 0, count = 6;
+            if (pair_stage) {
+                pairPartials(*e, s.u3[2 * b], s.u3[2 * b + 1], p, dw);
+            } else {
+                first = 6;
+                count = gatePartials(*e, p + 6, dw);
+            }
+            for (int k = 0; k < count; ++k)
+                grad[b * stride + first + k] = scale * (z * dw[k]).real();
         }
-        grad[i] = (f[0] - f[1]) / (2.0 * eps);
+        if (j > 0) {
+            // R_(j-1) = R_j F_j
+            Matrix::multiplyInto(*r_next, *r, stageFactor(s, j));
+            std::swap(r, r_next);
+        }
     }
 }
 

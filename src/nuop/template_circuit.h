@@ -58,14 +58,14 @@ class TwoQubitTemplate
     Matrix build(const std::vector<double>& params) const;
 
     /**
-     * Reusable matrix scratch for the template product: one slot per
-     * U3 factor, Kronecker pair, continuous-family layer gate and
-     * running product of the last build, plus the slots a
-     * finite-difference probe rebuilds (one factor, its pair and the
-     * running products above it). Every matrix is SBO-inline
-     * (<= 4x4), so the slot vector is the scratch's only allocation;
-     * reserve() sizes it once for a whole layer sweep, and reusing
-     * one scratch across the ~10^5 objective evaluations of a BFGS
+     * Reusable matrix scratch for the template product and its
+     * gradient: one slot per U3 factor, Kronecker pair,
+     * continuous-family layer gate and running product of the last
+     * build, plus the gradient's backward sweep (two adjoint slots
+     * and one environment slot). Every matrix is SBO-inline (<= 4x4),
+     * so the slot vector is the scratch's only allocation; reserve()
+     * sizes it once for a whole layer sweep, and reusing one scratch
+     * across the ~10^5 objective and gradient evaluations of a BFGS
      * multistart sweep keeps the optimizer's inner loop
      * allocation-free.
      */
@@ -93,18 +93,23 @@ class TwoQubitTemplate
                                  BuildScratch& scratch) const;
 
     /**
-     * Central-difference gradient of infidelityWithScratch at x, into
-     * `grad`: bit-identical to numericalGradientInto (bfgs.h) over
-     * that objective, at a fraction of its cost. The template is
-     * built once at x; each of the 2n probes then recomputes only
-     * the factor its angle moves (a U3, or a continuous family's
-     * layer gate), that factor's pair and the running products above
-     * it. Every kernel call sees the bytes the full probe build would
-     * give it, so every probe value is bit-identical to
-     * infidelityWithScratch at the probe point.
+     * Exact gradient of infidelityWithScratch at x, into `grad`, by
+     * one forward build and one backward sweep (the adjoint method).
+     * With U = F_2L ... F_1 F_0 the template's stage factors (pairs at
+     * even stages, layer gates at odd ones), P_j = F_j ... F_0 the
+     * build's running products and R_j = T^dag F_2L ... F_(j+1), each
+     * stage's environment E_j = P_(j-1) R_j gives w = Tr(T^dag U) =
+     * Tr(E_j F_j), so every angle of stage j differentiates w as a
+     * trace of E_j against its factor's closed-form derivative. The
+     * sweep costs about two builds whatever the parameter count, where
+     * central differences cost 2n. The result agrees with
+     * numericalGradientInto to within its truncation error, and is
+     * byte-identical on every kernel tier. A target orthogonal to the
+     * template's unitary (|Tr(T^dag U)| = 0, where |w| has no
+     * gradient) gets the zero vector.
      */
     void infidelityGradient(const std::vector<double>& x,
-                            const Matrix& target, double eps,
+                            const Matrix& target,
                             std::vector<double>& grad,
                             BuildScratch& scratch) const;
 
@@ -145,16 +150,14 @@ class TwoQubitTemplate
     /** Where each kind of matrix lives in a BuildScratch's slots. */
     struct Slots
     {
-        Matrix* u3;            ///< 2(layers+1): [a0, b0, a1, b1, ...]
-        Matrix* pair;          ///< layers+1: a_b (x) b_b
-        Matrix* gate;          ///< layers: continuous-family gates
-        Matrix* product;       ///< 2 layers+1: [j] is stage j's
-                               ///< running product (stage 0's is
-                               ///< pair[0], so [0] stays unused)
-        Matrix* probe_product; ///< 2 layers+1: a probe's products
-        Matrix* probe_u3;      ///< a probe's U3
-        Matrix* probe_pair;    ///< a probe's pair
-        Matrix* probe_gate;    ///< a probe's layer gate
+        Matrix* u3;      ///< 2(layers+1): [a0, b0, a1, b1, ...]
+        Matrix* pair;    ///< layers+1: a_b (x) b_b
+        Matrix* gate;    ///< layers: continuous-family gates
+        Matrix* product; ///< 2 layers+1: [j] is stage j's running
+                         ///< product (stage 0's is pair[0], so [0]
+                         ///< stays unused)
+        Matrix* adjoint; ///< 2: the gradient's R_j, ping-ponged
+        Matrix* env;     ///< 1: the gradient's stage environment
     };
 
     /** Slots of this template in `scratch` (sizing it if needed). */
@@ -164,17 +167,20 @@ class TwoQubitTemplate
     void layerGateInto(Matrix& out, const double* angles) const;
 
     /**
-     * The one template product loop, from stage `from` up. Stage 2b
-     * multiplies pair b onto the running product from the left, stage
-     * 2L+1 the gate of layer L; `factor` stands in for stage `from`'s
-     * own factor and `below` is the running product under it
-     * (nullptr at stage 0, whose running product is its pair).
-     * Stages above `from` read their factors from the slots. Stage
-     * j's product lands in out[j]; returns the top product.
+     * Stage j's factor: pair j/2 at even stages, the layer gate of
+     * layer j/2 at odd ones.
      */
-    const Matrix& productsFrom(int from, const Matrix& factor,
-                               const Matrix* below, Matrix* out,
-                               const Slots& slots) const;
+    const Matrix& stageFactor(const Slots& slots, int stage) const;
+
+    /** The running product P_j = F_j ... F_0 of the last build. */
+    const Matrix& runningProduct(const Slots& slots, int stage) const;
+
+    /**
+     * Tr(E dG) for each angle of a layer gate G at `angles`, given the
+     * stage's environment E, into dw; returns the angle count.
+     */
+    int gatePartials(const Matrix& env, const double* angles,
+                     cplx dw[2]) const;
 
     /**
      * Build every factor and running product of params into the

@@ -22,11 +22,8 @@ namespace {
 GradientFn
 centralDifferences(const ObjectiveFn& f)
 {
-    return [f, probe = std::vector<double>()](
-               const std::vector<double>& x,
-               std::vector<double>& grad) mutable {
-        numericalGradientInto(f, x, BfgsOptions().finite_diff_eps, grad,
-                              probe);
+    return [f](const std::vector<double>& x, std::vector<double>& grad) {
+        grad = numericalGradient(f, x);
     };
 }
 
@@ -125,11 +122,16 @@ TEST(Bfgs, ReportsIterationCount)
     EXPECT_TRUE(r.converged);
 }
 
-TEST(Bfgs, TemplateGradientRunsBitIdenticalToCentralDifferences)
+TEST(Bfgs, TemplateGradientRunsConvergeLikeCentralDifferences)
 {
-    // NuOp's objective under its incremental template gradient and
-    // under the plain central-difference reference: the same BFGS run,
-    // bit for bit.
+    // NuOp's objective under its adjoint template gradient and under
+    // the plain central-difference reference, from the same start and
+    // at the default iteration cap: both runs converge, to the same
+    // final infidelity within kValueTolerance. The two gradients
+    // differ by the reference's truncation error, so the runs' low
+    // bits part ways (their final values differ by about 1e-15), but
+    // not their basin: distinct local minima lie 1e-3 or more apart.
+    constexpr double kValueTolerance = 1e-12;
     struct Case
     {
         TwoQubitTemplate templ;
@@ -149,33 +151,25 @@ TEST(Bfgs, TemplateGradientRunsBitIdenticalToCentralDifferences)
         for (double& value : x0)
             value = rng.uniform(0.0, 2.0 * gates::kPi);
         BfgsOptions options;
-        options.max_iterations = 60;
 
         TwoQubitTemplate::BuildScratch scratch;
         ObjectiveFn objective = [&](const std::vector<double>& x) {
             return c.templ.infidelityWithScratch(x, target, scratch);
         };
-        GradientFn incremental = [&](const std::vector<double>& x,
-                                     std::vector<double>& grad) {
-            c.templ.infidelityGradient(x, target, options.finite_diff_eps,
-                                       grad, scratch);
+        GradientFn adjoint = [&](const std::vector<double>& x,
+                                 std::vector<double>& grad) {
+            c.templ.infidelityGradient(x, target, grad, scratch);
         };
-        BfgsResult fast = minimizeBfgs(objective, incremental, x0, options);
+        BfgsResult fast = minimizeBfgs(objective, adjoint, x0, options);
         BfgsResult reference =
             minimizeBfgs(objective, centralDifferences(objective), x0,
                          options);
 
         SCOPED_TRACE(::testing::Message() << "seed " << c.seed);
         EXPECT_GT(reference.iterations, 1);
-        ASSERT_EQ(fast.x.size(), reference.x.size());
-        EXPECT_EQ(std::memcmp(fast.x.data(), reference.x.data(),
-                              fast.x.size() * sizeof(double)),
-                  0);
-        EXPECT_EQ(std::memcmp(&fast.value, &reference.value,
-                              sizeof(double)),
-                  0);
-        EXPECT_EQ(fast.iterations, reference.iterations);
-        EXPECT_EQ(fast.converged, reference.converged);
+        EXPECT_TRUE(fast.converged);
+        EXPECT_TRUE(reference.converged);
+        EXPECT_NEAR(fast.value, reference.value, kValueTolerance);
     }
 }
 

@@ -1,6 +1,9 @@
 // Template-circuit tests (Fig. 4 structure).
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include "nuop/bfgs.h"
 #include "nuop/template_circuit.h"
 #include "qc/gates.h"
+#include "qc/kernels.h"
 #include "qc/linalg.h"
 
 namespace qiset {
@@ -119,20 +123,30 @@ TEST(Template, U3MatricesReconstructBuild)
     EXPECT_LT(rebuilt.maxAbsDiff(t.build(params)), 1e-10);
 }
 
-TEST(Template, IncrementalGradientMatchesCentralDifferencesBitwise)
+TEST(Template, AdjointGradientMatchesCentralDifferences)
 {
     // Every family at layers 0-6, 50 seeded points each (angles well
-    // past +-2 pi), two steps: the incremental gradient must equal
-    // numericalGradientInto over infidelityWithScratch byte for byte.
-    // One scratch, sized for a deeper template, serves every
-    // incremental call, as in a NuOp layer sweep.
+    // past +-2 pi): the adjoint gradient against numericalGradientInto
+    // over infidelityWithScratch at eps 1e-5. Those central
+    // differences err by about eps^2/6 times f's third derivative,
+    // which grows where |Tr(T^dag U)| is small, plus a rounding error
+    // near 1e-16 / eps. The worst point here differs by a few 1e-9,
+    // so kTolerance keeps a margin of about 20, while a wrong partial
+    // (a sign, a swapped factor, a missing stage) misses it by orders
+    // of magnitude. The gradient must also be byte-identical under
+    // the scalar kernel tier. One scratch, sized for a deeper
+    // template, serves every adjoint call, as in a NuOp layer sweep.
+    constexpr double kEps = 1e-5;
+    constexpr double kTolerance = 1e-7;
+    const std::string active_tier = kernels::tierName();
     const TemplateFamily families[] = {
         TemplateFamily::Fixed, TemplateFamily::FullXy,
         TemplateFamily::FullFsim, TemplateFamily::FullCphase};
     TwoQubitTemplate::BuildScratch shared;
     shared.reserve(8);
     TwoQubitTemplate::BuildScratch reference_scratch;
-    std::vector<double> fast, reference, probe;
+    std::vector<double> adjoint, scalar, reference, probe;
+    double worst = 0.0;
     Rng rng(2026);
     for (TemplateFamily family : families) {
         for (int layers = 0; layers <= 6; ++layers) {
@@ -149,22 +163,47 @@ TEST(Template, IncrementalGradientMatchesCentralDifferencesBitwise)
                     return t.infidelityWithScratch(p, target,
                                                    reference_scratch);
                 };
-                for (double eps : {1e-7, 1e-4}) {
-                    t.infidelityGradient(x, target, eps, fast, shared);
-                    numericalGradientInto(objective, x, eps, reference,
-                                          probe);
-                    ASSERT_EQ(fast.size(), x.size());
-                    ASSERT_EQ(reference.size(), x.size());
-                    ASSERT_EQ(std::memcmp(fast.data(), reference.data(),
-                                          x.size() * sizeof(double)),
-                              0)
-                        << "family " << static_cast<int>(family)
-                        << " layers " << layers << " point " << point
-                        << " eps " << eps;
+                t.infidelityGradient(x, target, adjoint, shared);
+                numericalGradientInto(objective, x, kEps, reference,
+                                      probe);
+                ASSERT_TRUE(kernels::setTier("scalar"));
+                t.infidelityGradient(x, target, scalar, shared);
+                ASSERT_TRUE(kernels::setTier(active_tier.c_str()));
+
+                SCOPED_TRACE(::testing::Message()
+                             << "family " << static_cast<int>(family)
+                             << " layers " << layers << " point "
+                             << point);
+                ASSERT_EQ(adjoint.size(), x.size());
+                ASSERT_EQ(reference.size(), x.size());
+                for (size_t i = 0; i < x.size(); ++i) {
+                    ASSERT_NEAR(adjoint[i], reference[i], kTolerance)
+                        << "parameter " << i;
+                    worst = std::max(worst,
+                                     std::abs(adjoint[i] - reference[i]));
                 }
+                ASSERT_EQ(scalar.size(), x.size());
+                ASSERT_EQ(std::memcmp(adjoint.data(), scalar.data(),
+                                      x.size() * sizeof(double)),
+                          0);
             }
         }
     }
+    RecordProperty("worst_abs_diff", ::testing::PrintToString(worst));
+}
+
+TEST(Template, GradientIsZeroWhereTheOverlapVanishes)
+{
+    // The all-zero template is exactly the identity, and
+    // Tr((Z (x) I)^dag I) is exactly 0: |w| has no gradient there.
+    TwoQubitTemplate t(0, cz());
+    std::vector<double> x(t.numParams(), 0.0);
+    Matrix target = pauliZ().kron(identity1q());
+    ASSERT_EQ(t.infidelity(x, target), 1.0);
+    TwoQubitTemplate::BuildScratch scratch;
+    std::vector<double> grad(3, 1.0);
+    t.infidelityGradient(x, target, grad, scratch);
+    EXPECT_EQ(grad, std::vector<double>(x.size(), 0.0));
 }
 
 TEST(Template, BuildMatchesScratchObjectiveBitwise)
