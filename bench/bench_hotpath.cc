@@ -24,7 +24,11 @@
  * profile optimizations (compute-bound, where the intra-circuit
  * fan-out pays off). The parallel path must be bit-identical to
  * serial — checked here and gated in CI alongside the latency/speedup
- * baselines (scripts/check_bench_regression.py).
+ * baselines (scripts/check_bench_regression.py). The QV leg's cold
+ * reps also rerun each serial compile on the forced-scalar kernel
+ * tier. Every gated ratio (serial over parallel, scalar over SIMD,
+ * warm "auto" over "nuop") divides the fastest reps of two legs whose
+ * reps alternate, so a slow host stretch slows both sides alike.
  *
  * Emits a single JSON object on stdout (scripts/bench_smoke.sh
  * captures it as BENCH_hotpath.json).
@@ -336,57 +340,92 @@ emitPasses(const std::vector<std::pair<std::string, double>>& pass_p50)
     std::cout << "}";
 }
 
+/**
+ * Fastest rep of `num` over fastest rep of `den`, for two legs whose
+ * reps alternate. A host stall only ever adds time, so each side's
+ * fastest rep is its least disturbed one, and a slow host stretch
+ * covers reps of both sides instead of one whole leg.
+ */
+double
+bestRatio(const std::vector<double>& num, const std::vector<double>& den)
+{
+    if (num.empty() || den.empty())
+        return 0.0;
+    double best_den = *std::min_element(den.begin(), den.end());
+    return best_den > 0.0
+               ? *std::min_element(num.begin(), num.end()) / best_den
+               : 0.0;
+}
+
 struct WorkloadReport
 {
     std::string name;
     double cold_p50 = 0.0, cold_p95 = 0.0;
     double warm_p50 = 0.0, warm_p95 = 0.0;
     double parallel_p50 = 0.0, parallel_p95 = 0.0;
+    /** Fastest serial cold rep over fastest parallel cold rep. */
     double speedup = 0.0;
+    /** Forced-scalar serial cold p50 (scalar leg only). */
+    double scalar_p50 = 0.0;
+    /** Fastest forced-scalar cold rep over fastest SIMD cold rep. */
+    double speedup_vs_scalar = 1.0;
     AllocDelta cold_alloc, warm_alloc;
     /** Warm p50 wall-clock per pass ("-" in pass names becomes "_"). */
     std::vector<std::pair<std::string, double>> warm_pass_p50;
     bool bit_identical = false;
 };
 
+/**
+ * Cold reps (fresh cache each), then warm reps. Every cold rep is one
+ * serial compile on the active kernel tier, one on the scalar tier
+ * when `scalar_leg` is set and the active tier is not scalar already
+ * (the two in alternating order from rep to rep), and one parallel
+ * compile over `pool`, back to back; the speedups are bestRatio()s of
+ * these interleaved legs.
+ */
 WorkloadReport
 runWorkload(const std::string& name, const Circuit& app,
             const Device& device, const GateSet& set,
             const CompileOptions& options, ThreadPool& pool,
-            int cold_reps, int warm_reps)
+            int cold_reps, int warm_reps, bool scalar_leg)
 {
     WorkloadReport report;
     report.name = name;
+    const std::string active_tier = kernels::tierName();
+    scalar_leg = scalar_leg && active_tier != "scalar";
 
-    // Serial cold: fresh cache per rep, every profile recomputed. The
-    // first rep's result anchors the bit-identity check, and its
-    // allocation delta is the deterministic counter reported below.
-    std::vector<double> cold_ms;
-    CompileResult serial_result;
-    for (int rep = 0; rep < cold_reps; ++rep) {
+    // The first serial rep's result anchors the bit-identity check
+    // against the first parallel rep, and its allocation delta is the
+    // deterministic counter reported below. The parallel compiles fan
+    // the circuit's independent profile optimizations over the pool
+    // (cooperative parallelFor; no cap).
+    std::vector<double> cold_ms, scalar_ms, parallel_ms;
+    CompileResult serial_result, parallel_result;
+    auto coldScalar = [&] {
+        kernels::setTier("scalar");
         ProfileCache cache;
-        std::uint64_t c0 = g_alloc_count.load();
-        std::uint64_t b0 = g_alloc_bytes.load();
-        TimedCompile timed =
-            timedCompile(app, device, set, options, cache, nullptr);
-        if (rep == 0) {
-            report.cold_alloc.count = g_alloc_count.load() - c0;
-            report.cold_alloc.bytes = g_alloc_bytes.load() - b0;
-            serial_result = std::move(timed.result);
-        }
-        cold_ms.push_back(timed.ms);
-    }
-
-    WarmTimings warm =
-        warmReps(name, app, device, set, options, warm_reps,
-                 &report.warm_alloc);
-    report.warm_pass_p50 = std::move(warm.pass_p50);
-
-    // Parallel cold: the worker pool fans the circuit's independent
-    // profile optimizations (cooperative parallelFor; no cap).
-    std::vector<double> parallel_ms;
-    CompileResult parallel_result;
+        scalar_ms.push_back(
+            timedCompile(app, device, set, options, cache, nullptr).ms);
+        kernels::setTier(active_tier.c_str());
+    };
     for (int rep = 0; rep < cold_reps; ++rep) {
+        if (scalar_leg && rep % 2 == 1)
+            coldScalar();
+        {
+            ProfileCache cache;
+            std::uint64_t c0 = g_alloc_count.load();
+            std::uint64_t b0 = g_alloc_bytes.load();
+            TimedCompile timed =
+                timedCompile(app, device, set, options, cache, nullptr);
+            if (rep == 0) {
+                report.cold_alloc.count = g_alloc_count.load() - c0;
+                report.cold_alloc.bytes = g_alloc_bytes.load() - b0;
+                serial_result = std::move(timed.result);
+            }
+            cold_ms.push_back(timed.ms);
+        }
+        if (scalar_leg && rep % 2 == 0)
+            coldScalar();
         ProfileCache cache;
         TimedCompile timed =
             timedCompile(app, device, set, options, cache, &pool);
@@ -395,15 +434,23 @@ runWorkload(const std::string& name, const Circuit& app,
         parallel_ms.push_back(timed.ms);
     }
 
+    WarmTimings warm =
+        warmReps(name, app, device, set, options, warm_reps,
+                 &report.warm_alloc);
+    report.warm_pass_p50 = std::move(warm.pass_p50);
+
     report.cold_p50 = percentile(cold_ms, 0.50);
     report.cold_p95 = percentile(cold_ms, 0.95);
     report.warm_p50 = percentile(warm.ms, 0.50);
     report.warm_p95 = percentile(warm.ms, 0.95);
     report.parallel_p50 = percentile(parallel_ms, 0.50);
     report.parallel_p95 = percentile(parallel_ms, 0.95);
-    report.speedup = report.parallel_p50 > 0.0
-                         ? report.cold_p50 / report.parallel_p50
-                         : 0.0;
+    report.speedup = bestRatio(cold_ms, parallel_ms);
+    report.scalar_p50 = report.cold_p50;
+    if (scalar_leg) {
+        report.scalar_p50 = percentile(scalar_ms, 0.50);
+        report.speedup_vs_scalar = bestRatio(scalar_ms, cold_ms);
+    }
     report.bit_identical =
         bench::resultsBitIdentical(serial_result, parallel_result);
     return report;
@@ -532,13 +579,18 @@ main(int argc, char** argv)
 
     // QFT-32 is sub-second per compile: enough reps for a stable p95.
     // QV-32 pays ~500 BFGS optimizations per cold rep; keep it to a
-    // handful (its p95 is effectively the max of the reps).
+    // handful (its p95 is effectively the max of the reps). The QV
+    // leg also carries the SIMD-vs-scalar A/B: each cold rep reruns
+    // the serial compile with the dispatch tier pinned to scalar. Same
+    // circuit, same seeds, bit-identical results (the kernel contract)
+    // — the only difference is kernel width, so the ratio isolates the
+    // SIMD payoff from everything else in this binary.
     WorkloadReport qft_report =
         runWorkload("qft32", qft, device, set, options, pool,
-                    quick ? 3 : 7, quick ? 5 : 15);
+                    quick ? 3 : 7, quick ? 5 : 15, false);
     WorkloadReport qv_report = runWorkload(
         quick ? "qv24" : "qv32", qv, device, set, options, pool,
-        quick ? 2 : 3, quick ? 2 : 3);
+        quick ? 9 : 5, quick ? 2 : 3, true);
 
     bool bit_identical =
         qft_report.bit_identical && qv_report.bit_identical;
@@ -546,8 +598,9 @@ main(int argc, char** argv)
     // Warm "auto" against warm "nuop" on the same circuit, device and
     // set: "auto" canonicalizes keys and re-dresses each distinct
     // block. Reps alternate the engines, each on its own warmed cache,
-    // so host drift hits both alike; the p50 ratio is serial and
-    // same-host, so it is gated on every runner.
+    // and the ratio is their bestRatio(), so host drift hits both
+    // alike; it is serial and same-host, so it is gated on every
+    // runner.
     CompileOptions auto_options = options;
     auto_options.decomposition = "auto";
     std::vector<double> paired_nuop_ms, auto_ms;
@@ -566,9 +619,7 @@ main(int argc, char** argv)
         }
     }
     double auto_warm_p50 = percentile(auto_ms, 0.50);
-    double paired_nuop_p50 = percentile(paired_nuop_ms, 0.50);
-    double auto_over_nuop =
-        paired_nuop_p50 > 0.0 ? auto_warm_p50 / paired_nuop_p50 : 0.0;
+    double auto_over_nuop = bestRatio(auto_ms, paired_nuop_ms);
 
     // Warm QFT-32 with the four-type G3 set under "sabre", the shape
     // of the recalibration recompiles: Eq. 2 selection over several
@@ -580,31 +631,6 @@ main(int argc, char** argv)
     WarmTimings g3_warm = warmReps("qft32_g3_sabre", qft, device,
                                    isa::googleSet(3), g3_sabre,
                                    quick ? 5 : 15, &g3_alloc);
-
-    // SIMD-vs-scalar A/B leg: rerun the QV serial cold compiles with
-    // the dispatch tier pinned to scalar, then restore. Same circuit,
-    // same seeds, bit-identical results (the kernel contract) — the
-    // only difference is kernel width, so the p50 ratio isolates the
-    // SIMD payoff from everything else in this binary.
-    std::string active_tier = kernels::tierName();
-    double qv_scalar_p50 = qv_report.cold_p50;
-    double cold_speedup_vs_scalar = 1.0;
-    if (active_tier != "scalar") {
-        kernels::setTier("scalar");
-        std::vector<double> scalar_ms;
-        int reps = quick ? 2 : 3;
-        for (int rep = 0; rep < reps; ++rep) {
-            ProfileCache cache;
-            scalar_ms.push_back(
-                timedCompile(qv, device, set, options, cache, nullptr)
-                    .ms);
-        }
-        kernels::setTier(active_tier.c_str());
-        qv_scalar_p50 = percentile(scalar_ms, 0.50);
-        cold_speedup_vs_scalar = qv_report.cold_p50 > 0.0
-                                     ? qv_scalar_p50 / qv_report.cold_p50
-                                     : 0.0;
-    }
 
     // Serial cold QV-24 on SYC, which only BFGS can decompose: the
     // compile's p50 and the translation pass's share of each rep's
@@ -624,6 +650,8 @@ main(int argc, char** argv)
     }
 
     KernelThroughput kt = measureKernelThroughput(quick);
+    const std::string active_tier = kernels::tierName();
+    const double cold_speedup_vs_scalar = qv_report.speedup_vs_scalar;
 
     std::cout << "{\n  \"bench\": \"hotpath\",\n"
               << "  \"mode\": \"" << (quick ? "quick" : "full")
@@ -660,7 +688,7 @@ main(int argc, char** argv)
     std::cout << ",\n"
               << "  \"qv24_cold_p50_ms\": " << qv_report.cold_p50
               << ",\n"
-              << "  \"qv24_cold_scalar_p50_ms\": " << qv_scalar_p50
+              << "  \"qv24_cold_scalar_p50_ms\": " << qv_report.scalar_p50
               << ",\n"
               << "  \"cold_speedup_vs_scalar\": "
               << cold_speedup_vs_scalar << ",\n"

@@ -35,11 +35,11 @@ regresses beyond the baseline tolerance:
     are serial, seeded and mode-invariant (--quick shrinks only the
     QV leg), so — like the SWAP-count gate — they are enforced on
     every runner regardless of thread count. So is the QFT-32 warm
-    "auto"/"nuop" p50 ratio (qft32_warm_auto_over_nuop, a serial
-    same-host ratio), which must stay at or below
+    "auto"/"nuop" ratio (qft32_warm_auto_over_nuop, a serial
+    same-host ratio of the fastest reps), which must stay at or below
     hotpath_auto_warm_ratio: per-block canonical dressing would push
     it back to about 2. On AVX2 hosts the QV
-    cold p50 speedup of the SIMD kernels over the forced-scalar leg
+    cold speedup of the SIMD kernels over the forced-scalar leg
     (cold_speedup_vs_scalar) must also hold its floor
     (min_hotpath_simd_speedup); other dispatch tiers skip that gate
     with a warning.
@@ -280,7 +280,7 @@ def main() -> None:
     auto_ratio = hotpath["qft32_warm_auto_over_nuop"]
     auto_limit = baseline["hotpath_auto_warm_ratio"]
     print(
-        f"qft32 warm auto/nuop p50 ratio: {auto_ratio:.2f} "
+        f"qft32 warm auto/nuop ratio: {auto_ratio:.2f} "
         f"(limit {auto_limit})"
     )
     if auto_ratio > auto_limit:

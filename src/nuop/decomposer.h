@@ -91,10 +91,9 @@ struct Decomposition
 
 /**
  * Preallocated scratch for one layer sweep: the BFGS workspace, the
- * template's matrix slots (every factor and running product at the
- * incumbent point, which the incremental gradient's probes rebuild
- * from), the block of multistart starting points, and the best
- * parameter vector. One instance serves a whole layer sweep — the
+ * template's matrix slots (every factor and running product of the
+ * last build, plus the gradient's backward-sweep slots), the block of
+ * multistart starting points, and the best parameter vector. One instance serves a whole layer sweep — the
  * profile ladder's or decomposeExact/decomposeApproximate's; the
  * sweep sizes the matrix slots once for its deepest template and the
  * other buffers are resized per problem — so the optimizer's inner
