@@ -210,16 +210,18 @@ pairPartials(const Matrix& e, const Matrix& a, const Matrix& b,
     u3Partials(angles + 3, b, mb, dw + 3);
 }
 
-} // namespace
-
+/**
+ * dw = Tr(E dG) for each angle of a continuous family's layer gate G
+ * at `angles`, given the stage's environment E; returns the angle
+ * count.
+ */
 int
-TwoQubitTemplate::gatePartials(const Matrix& e, const double* angles,
-                               cplx dw[2]) const
+gatePartials(TemplateFamily family, const Matrix& e, const double* angles,
+             cplx dw[2])
 {
-    // dw = Tr(E dG) = sum_ab E[a][b] dG[b][a] over dG's nonzero
-    // entries.
+    // Tr(E dG) = sum_ab E[a][b] dG[b][a] over dG's nonzero entries.
     const cplx i(0.0, 1.0);
-    switch (family_) {
+    switch (family) {
       case TemplateFamily::Fixed:
         return 0;
       case TemplateFamily::FullXy: {
@@ -245,6 +247,8 @@ TwoQubitTemplate::gatePartials(const Matrix& e, const double* angles,
     }
     return 0;
 }
+
+} // namespace
 
 void
 TwoQubitTemplate::infidelityGradient(const std::vector<double>& x,
@@ -286,7 +290,7 @@ TwoQubitTemplate::infidelityGradient(const std::vector<double>& x,
                 pairPartials(*e, s.u3[2 * b], s.u3[2 * b + 1], p, dw);
             } else {
                 first = 6;
-                count = gatePartials(*e, p + 6, dw);
+                count = gatePartials(family_, *e, p + 6, dw);
             }
             for (int k = 0; k < count; ++k)
                 grad[b * stride + first + k] = scale * (z * dw[k]).real();

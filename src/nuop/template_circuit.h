@@ -101,12 +101,12 @@ class TwoQubitTemplate
      * stage's environment E_j = P_(j-1) R_j gives w = Tr(T^dag U) =
      * Tr(E_j F_j), so every angle of stage j differentiates w as a
      * trace of E_j against its factor's closed-form derivative. The
-     * sweep costs about two builds whatever the parameter count, where
-     * central differences cost 2n. The result agrees with
-     * numericalGradientInto to within its truncation error, and is
-     * byte-identical on every kernel tier. A target orthogonal to the
-     * template's unitary (|Tr(T^dag U)| = 0, where |w| has no
-     * gradient) gets the zero vector.
+     * sweep costs about 2.5 objective evaluations whatever the
+     * parameter count, where central differences cost 2n. The result
+     * agrees with numericalGradientInto to within its truncation
+     * error, and is byte-identical on every kernel tier. A target
+     * orthogonal to the template's unitary (|Tr(T^dag U)| = 0, where
+     * |w| has no gradient) gets the zero vector.
      */
     void infidelityGradient(const std::vector<double>& x,
                             const Matrix& target,
@@ -174,13 +174,6 @@ class TwoQubitTemplate
 
     /** The running product P_j = F_j ... F_0 of the last build. */
     const Matrix& runningProduct(const Slots& slots, int stage) const;
-
-    /**
-     * Tr(E dG) for each angle of a layer gate G at `angles`, given the
-     * stage's environment E, into dw; returns the angle count.
-     */
-    int gatePartials(const Matrix& env, const double* angles,
-                     cplx dw[2]) const;
 
     /**
      * Build every factor and running product of params into the
