@@ -1,7 +1,6 @@
 // BFGS optimizer tests on standard problems.
 
 #include <cmath>
-#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -130,7 +129,8 @@ TEST(Bfgs, TemplateGradientRunsConvergeLikeCentralDifferences)
     // final infidelity within kValueTolerance. The two gradients
     // differ by the reference's truncation error, so the runs' low
     // bits part ways (their final values differ by about 1e-15), but
-    // not their basin: distinct local minima lie 1e-3 or more apart.
+    // not their basin: another local minimum would move the final
+    // value by far more than kValueTolerance.
     constexpr double kValueTolerance = 1e-12;
     struct Case
     {
