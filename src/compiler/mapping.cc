@@ -12,29 +12,29 @@ fidelityKeys(const GateSet& gate_set)
     std::vector<std::string> keys;
     for (const auto& type : gate_set.types)
         keys.push_back(type.name);
-    if (gate_set.continuous == ContinuousFamily::FullXy)
-        keys.push_back("XY");
-    else if (gate_set.continuous == ContinuousFamily::FullFsim)
-        keys.push_back("fSim");
-    else if (gate_set.continuous == ContinuousFamily::FullCphase)
-        keys.push_back("CZt");
+    if (gate_set.isContinuous())
+        keys.push_back(gate_set.familyKey());
     return keys;
 }
 
-double
-bestEdgeFidelity(const Device& device, int a, int b,
-                 const GateSet& gate_set)
+std::vector<int>
+fidelityTypeIds(const Device& device, const GateSet& gate_set)
 {
-    return bestEdgeFidelity(device, a, b, fidelityKeys(gate_set));
+    std::vector<int> ids;
+    for (const auto& type : gate_set.types)
+        ids.push_back(device.gateTypeId(type.name));
+    if (gate_set.isContinuous())
+        ids.push_back(device.gateTypeId(gate_set.familyKey()));
+    return ids;
 }
 
 double
-bestEdgeFidelity(const Device& device, int a, int b,
-                 const std::vector<std::string>& keys)
+bestEdgeFidelity(const Device& device, int edge,
+                 const std::vector<int>& type_ids)
 {
     double best = 0.0;
-    for (const auto& key : keys)
-        best = std::max(best, device.edgeFidelity(a, b, key));
+    for (int type : type_ids)
+        best = std::max(best, device.edgeFidelity(edge, type));
     return best;
 }
 
@@ -50,7 +50,7 @@ namespace {
  * seeds, starts from the best calibrated edge inside the allowed set.
  */
 std::vector<int>
-growWithin(const Device& device, const std::vector<std::string>& keys,
+growWithin(const Device& device, const std::vector<int>& types,
            const std::vector<char>& allowed, std::vector<int> chosen,
            int target)
 {
@@ -75,7 +75,7 @@ growWithin(const Device& device, const std::vector<std::string>& keys,
             if (!allowed[static_cast<size_t>(a)] ||
                 !allowed[static_cast<size_t>(b)])
                 continue;
-            double f = bestEdgeFidelity(device, a, b, keys);
+            double f = bestEdgeFidelity(device, device.edgeId(a, b), types);
             if (f > best_fid) {
                 best_fid = f;
                 seed = {a, b};
@@ -111,8 +111,8 @@ growWithin(const Device& device, const std::vector<std::string>& keys,
                 int degree = in_set_degree(nbr, -1);
                 double fid = 0.0;
                 for (int m2 : chosen)
-                    if (topo.adjacent(nbr, m2))
-                        fid += bestEdgeFidelity(device, nbr, m2, keys);
+                    fid += bestEdgeFidelity(device, device.edgeId(nbr, m2),
+                                            types);
                 int lookahead = 0;
                 for (int m2 : chosen)
                     for (int v : topo.neighbors(m2)) {
@@ -160,7 +160,7 @@ growWithin(const Device& device, const std::vector<std::string>& keys,
  */
 std::vector<int>
 chooseChipletMapping(const Device& device, int num_logical,
-                     const std::vector<std::string>& keys)
+                     const std::vector<int>& types)
 {
     const Topology& topo = device.topology();
     int num_cores = topo.numCores();
@@ -173,7 +173,7 @@ chooseChipletMapping(const Device& device, int num_logical,
         if (c != topo.coreOf(b))
             continue;
         core_score[static_cast<size_t>(c)] +=
-            bestEdgeFidelity(device, a, b, keys);
+            bestEdgeFidelity(device, device.edgeId(a, b), types);
         ++core_edges[static_cast<size_t>(c)];
     }
     for (int c = 0; c < num_cores; ++c)
@@ -202,7 +202,7 @@ chooseChipletMapping(const Device& device, int num_logical,
     }
     if (best_single >= 0) {
         std::vector<int> chosen =
-            growWithin(device, keys, core_allowed(best_single), {},
+            growWithin(device, types, core_allowed(best_single), {},
                        num_logical);
         std::sort(chosen.begin(), chosen.end());
         return chosen;
@@ -290,7 +290,7 @@ chooseChipletMapping(const Device& device, int num_logical,
     physical.reserve(static_cast<size_t>(num_logical));
     for (int c : sel_order) {
         std::vector<int> chosen = growWithin(
-            device, keys, core_allowed(c),
+            device, types, core_allowed(c),
             required[static_cast<size_t>(c)],
             quota[static_cast<size_t>(c)]);
         std::sort(chosen.begin(), chosen.end());
@@ -314,16 +314,16 @@ chooseMapping(const Device& device, int num_logical,
     if (num_logical == 1)
         return {0};
 
-    // One key list for the whole mapping; every edge query below
-    // reads it instead of rebuilding the strings.
-    const std::vector<std::string> keys = fidelityKeys(gate_set);
+    // The set's type ids, resolved once; every edge query below reads
+    // the device's table by id.
+    const std::vector<int> types = fidelityTypeIds(device, gate_set);
 
     // Modular devices place capacity-aware: per-core selections joined
     // through teleport links. Monolithic devices grow one selection
     // over the whole coupling.
     if (topo.numCores() > 1)
-        return chooseChipletMapping(device, num_logical, keys);
-    return growWithin(device, keys,
+        return chooseChipletMapping(device, num_logical, types);
+    return growWithin(device, types,
                       std::vector<char>(
                           static_cast<size_t>(device.numQubits()), 1),
                       {}, num_logical);

@@ -19,25 +19,25 @@ namespace qiset {
 
 /**
  * Calibration keys an instruction set reads on each edge: one per
- * discrete type plus the family key ("XY" / "fSim") for continuous
- * sets.
+ * discrete type plus the family key (GateSet::familyKey()) for
+ * continuous sets.
  */
 std::vector<std::string> fidelityKeys(const GateSet& gate_set);
 
 /**
- * Best available gate fidelity on edge (a, b) under the instruction
- * set (zero if no set member is calibrated there).
+ * The device's type id of each fidelityKeys(gate_set) entry (-1 when
+ * not calibrated), resolved once per mapping or shard plan.
  */
-double bestEdgeFidelity(const Device& device, int a, int b,
-                        const GateSet& gate_set);
+std::vector<int> fidelityTypeIds(const Device& device,
+                                 const GateSet& gate_set);
 
 /**
- * bestEdgeFidelity against precomputed fidelityKeys(gate_set) — the
- * form the mapping pass calls once per candidate edge, so the key
- * list is built once per mapping rather than once per query.
+ * Best fidelity on edge id `edge` over the set's precomputed
+ * fidelityTypeIds; zero if no set member is calibrated there or the
+ * edge is -1 (an uncoupled pair).
  */
-double bestEdgeFidelity(const Device& device, int a, int b,
-                        const std::vector<std::string>& keys);
+double bestEdgeFidelity(const Device& device, int edge,
+                        const std::vector<int>& type_ids);
 
 /**
  * Choose num_logical physical qubits forming a connected subgraph,

@@ -129,12 +129,13 @@ aggregatesFor(const Shard& shard, const GateSet& gate_set)
     const Device& device = shard.device;
     ShardAggregates agg;
     agg.capacity = device.numQubits();
-    auto edges = device.topology().edges();
-    agg.num_edges = static_cast<int>(edges.size());
+    agg.num_edges = device.topology().numEdges();
+    // The set's type ids, resolved once per shard; edges are read by id.
+    std::vector<int> types = fidelityTypeIds(device, gate_set);
     double sum = 0.0;
-    for (auto [a, b] : edges)
-        sum += bestEdgeFidelity(device, a, b, gate_set);
-    agg.mean_edge_fid = edges.empty() ? 1.0 : sum / edges.size();
+    for (int edge = 0; edge < agg.num_edges; ++edge)
+        sum += bestEdgeFidelity(device, edge, types);
+    agg.mean_edge_fid = agg.num_edges == 0 ? 1.0 : sum / agg.num_edges;
     agg.avg_1q_error = device.averageOneQubitError();
     agg.mean_distance = meanPairwiseDistance(device.topology());
     return agg;

@@ -26,22 +26,15 @@ gateSpecs(const GateSet& gate_set)
         spec.analytic = type.analyticTier();
         specs.push_back(std::move(spec));
     }
-    if (gate_set.continuous == ContinuousFamily::FullXy) {
+    if (gate_set.isContinuous()) {
         GateSpec spec;
-        spec.type_name = "XY";
-        spec.family = TemplateFamily::FullXy;
-        spec.analytic = AnalyticTier::None;
-        specs.push_back(std::move(spec));
-    } else if (gate_set.continuous == ContinuousFamily::FullFsim) {
-        GateSpec spec;
-        spec.type_name = "fSim";
-        spec.family = TemplateFamily::FullFsim;
-        spec.analytic = AnalyticTier::None;
-        specs.push_back(std::move(spec));
-    } else if (gate_set.continuous == ContinuousFamily::FullCphase) {
-        GateSpec spec;
-        spec.type_name = "CZt";
-        spec.family = TemplateFamily::FullCphase;
+        spec.type_name = gate_set.familyKey();
+        spec.family =
+            gate_set.continuous == ContinuousFamily::FullXy
+                ? TemplateFamily::FullXy
+                : gate_set.continuous == ContinuousFamily::FullFsim
+                      ? TemplateFamily::FullFsim
+                      : TemplateFamily::FullCphase;
         spec.analytic = AnalyticTier::None;
         specs.push_back(std::move(spec));
     }
@@ -186,68 +179,6 @@ groupBlocks(const Circuit& circuit, MemArena& arena, BlockSweep& sweep)
         sweep.op_slot[i] = table[cell];
     }
 }
-
-/**
- * Per-spec calibrated fidelities of the device's coupling edges, the
- * doubles selection reads for every block. Rows of specs.size()
- * entries are indexed through each edge's lower endpoint (its
- * higher-numbered neighbours, in adjacency order), so the table is
- * sized by the edges, and a row is filled from Device::edgeFidelity
- * the first time a block lands on its edge (-1 marks an unfilled
- * row). Uncoupled pairs read a trailing row of zeros, as edgeFidelity
- * reports them.
- */
-class EdgeFidelityTable
-{
-  public:
-    EdgeFidelityTable(const Device& device,
-                      const std::vector<GateSpec>& specs, MemArena& arena)
-        : device_(device), specs_(specs),
-          first_row_(makeArenaVector<uint32_t>(
-              arena, static_cast<size_t>(device.numQubits()))),
-          fidelities_(makeArenaVector<double>(arena))
-    {
-        const Topology& topo = device.topology();
-        uint32_t rows = 0;
-        for (int q = 0; q < device.numQubits(); ++q) {
-            first_row_[static_cast<size_t>(q)] = rows;
-            for (int v : topo.neighbors(q))
-                rows += v > q;
-        }
-        uncoupled_row_ = rows;
-        fidelities_.assign(rows * specs.size(), -1.0);
-        fidelities_.resize((rows + 1) * specs.size(), 0.0);
-    }
-
-    /** The fidelities of every spec on edge (a, b), in spec order. */
-    const double* row(int a, int b)
-    {
-        int lo = std::min(a, b);
-        int hi = std::max(a, b);
-        size_t r = first_row_[static_cast<size_t>(lo)];
-        bool coupled = false;
-        for (int v : device_.topology().neighbors(lo)) {
-            if (v == hi) {
-                coupled = true;
-                break;
-            }
-            r += v > lo;
-        }
-        double* out = &fidelities_[(coupled ? r : uncoupled_row_) *
-                                   specs_.size()];
-        if (out[0] < 0.0)
-            for (size_t k = 0; k < specs_.size(); ++k)
-                out[k] = device_.edgeFidelity(lo, hi, specs_[k].type_name);
-        return out;
-    }
-
-  private:
-    const Device& device_;
-    const std::vector<GateSpec>& specs_;
-    ArenaVector<uint32_t> first_row_;
-    ArenaVector<double> fidelities_;
-    size_t uncoupled_row_ = 0;
-};
 
 /**
  * One distinct (slot, fit) choice of a translation. The first block
@@ -503,7 +434,8 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     static const LabelId u3_label = internLabel("U3");
 
     // Selection stays per block — edge fidelities differ per edge — but
-    // reads the block's slot and the edge's row of the fidelity table.
+    // reads the block's slot and its edge's cells of the device's
+    // calibration table, through the specs' type ids resolved once.
     // Blocks of one slot that choose the same fit emit the same gates,
     // so each distinct (slot, fit) gets one FitEmission, chained per
     // slot, whose gates the output's unitary table holds once. Each
@@ -515,7 +447,9 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     // bounded cache evicts the entries in between.
     const auto& op_qubits = routed.opQubits();
     const auto& op_labels = routed.opLabels();
-    EdgeFidelityTable edges(device, specs, scratch);
+    ArenaVector<int> spec_types = makeArenaVector<int>(scratch, num_specs);
+    for (size_t k = 0; k < num_specs; ++k)
+        spec_types[k] = device.gateTypeId(specs[k].type_name);
     ArenaVector<BlockChoice> blocks = makeArenaVector<BlockChoice>(scratch);
     blocks.reserve(static_cast<size_t>(routed.twoQubitGateCount()));
     ArenaVector<FitEmission> emissions =
@@ -537,11 +471,11 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         const auto& source = dress && sweep.dressings[s].fallback
                                  ? sweep.raw_profiles
                                  : sweep.profiles;
-        const double* row = edges.row(physical[op_qubits[i][0]],
-                                      physical[op_qubits[i][1]]);
+        int edge = device.edgeId(physical[op_qubits[i][0]],
+                                 physical[op_qubits[i][1]]);
         for (size_t k = 0; k < num_specs; ++k) {
             profiles[k] = source[s * num_specs + k].get();
-            fidelities[k] = row[k];
+            fidelities[k] = device.edgeFidelity(edge, spec_types[k]);
         }
         GateChoice choice =
             selectGate(profiles, fidelities, f1q_avg, approximate,

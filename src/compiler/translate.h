@@ -31,7 +31,8 @@ namespace qiset {
 
 /**
  * Gate specs an instruction set exposes (discrete + continuous),
- * with the analytic-availability tier each type advertises.
+ * with the analytic-availability tier each type advertises. Each is
+ * named by its calibration key, in fidelityKeys() order.
  */
 std::vector<GateSpec> gateSpecs(const GateSet& gate_set);
 

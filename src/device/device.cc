@@ -1,6 +1,7 @@
 #include "device/device.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/error.h"
@@ -9,46 +10,74 @@ namespace qiset {
 
 Device::Device(std::string name, Topology topology)
     : name_(std::move(name)), topology_(std::move(topology)),
+      first_edge_(static_cast<size_t>(topology_.numQubits()) + 1, 0),
       one_qubit_error_(topology_.numQubits(), 0.0),
       qubit_noise_(topology_.numQubits())
 {
+    for (int q = 0; q < numQubits(); ++q) {
+        first_edge_[q + 1] = first_edge_[q];
+        for (int v : topology_.neighbors(q))
+            first_edge_[q + 1] += v > q;
+    }
 }
 
-uint64_t
-Device::edgeKey(int a, int b)
+int
+Device::edgeId(int a, int b) const
 {
-    if (a > b)
-        std::swap(a, b);
-    return (static_cast<uint64_t>(a) << 32) | static_cast<uint32_t>(b);
+    if (a < 0 || a >= numQubits() || b < 0 || b >= numQubits())
+        return -1;
+    int lo = std::min(a, b);
+    int hi = std::max(a, b);
+    int edge = first_edge_[lo];
+    for (int v : topology_.neighbors(lo)) {
+        if (v == hi)
+            return edge;
+        edge += v > lo;
+    }
+    return -1;
+}
+
+int
+Device::gateTypeId(const std::string& gate_type) const
+{
+    auto it = std::lower_bound(gate_types_.begin(), gate_types_.end(),
+                               gate_type);
+    if (it == gate_types_.end() || *it != gate_type)
+        return -1;
+    return static_cast<int>(it - gate_types_.begin());
 }
 
 void
 Device::setEdgeFidelity(int a, int b, const std::string& gate_type,
                         double fidelity)
 {
-    QISET_REQUIRE(topology_.adjacent(a, b), "(", a, ",", b,
-                  ") is not a coupled pair");
+    int edge = edgeId(a, b);
+    QISET_REQUIRE(edge >= 0, "(", a, ",", b, ") is not a coupled pair");
     QISET_REQUIRE(fidelity >= 0.0 && fidelity <= 1.0,
                   "fidelity out of [0, 1]");
-    edge_fidelities_[edgeKey(a, b)][gate_type] = fidelity;
+    auto it = std::lower_bound(gate_types_.begin(), gate_types_.end(),
+                               gate_type);
+    size_t type = static_cast<size_t>(it - gate_types_.begin());
+    if (it == gate_types_.end() || *it != gate_type) {
+        // A new column at its place in name order: widen every row.
+        size_t width = gate_types_.size();
+        gate_types_.insert(it, gate_type);
+        std::vector<double> wider(
+            static_cast<size_t>(first_edge_.back()) * (width + 1), 0.0);
+        for (size_t cell = 0; cell < fidelities_.size(); ++cell) {
+            size_t t = cell % width;
+            wider[cell + cell / width + (t >= type)] = fidelities_[cell];
+        }
+        fidelities_ = std::move(wider);
+    }
+    fidelities_[static_cast<size_t>(edge) * gate_types_.size() + type] =
+        fidelity;
 }
 
 double
 Device::edgeFidelity(int a, int b, const std::string& gate_type) const
 {
-    auto edge_it = edge_fidelities_.find(edgeKey(a, b));
-    if (edge_it == edge_fidelities_.end())
-        return 0.0;
-    auto type_it = edge_it->second.find(gate_type);
-    if (type_it == edge_it->second.end())
-        return 0.0;
-    return type_it->second;
-}
-
-bool
-Device::supportsGate(int a, int b, const std::string& gate_type) const
-{
-    return edgeFidelity(a, b, gate_type) > 0.0;
+    return edgeFidelity(edgeId(a, b), gateTypeId(gate_type));
 }
 
 void
@@ -97,15 +126,17 @@ Device::noiseModelFor(const std::vector<int>& physical) const
 double
 Device::meanEdgeFidelity(const std::string& gate_type) const
 {
+    int type = gateTypeId(gate_type);
+    if (type < 0)
+        return 0.0;
     double sum = 0.0;
     int count = 0;
-    for (const auto& [key, types] : edge_fidelities_) {
-        auto it = types.find(gate_type);
-        if (it != types.end() && it->second > 0.0) {
-            sum += it->second;
+    for (size_t cell = static_cast<size_t>(type); cell < fidelities_.size();
+         cell += gate_types_.size())
+        if (fidelities_[cell] > 0.0) {
+            sum += fidelities_[cell];
             ++count;
         }
-    }
     return count ? sum / count : 0.0;
 }
 
@@ -113,14 +144,17 @@ Device
 Device::withUniformGateTypes(const std::string& reference_type) const
 {
     Device copy = *this;
-    for (auto& [key, types] : copy.edge_fidelities_) {
-        auto it = types.find(reference_type);
-        if (it == types.end() || it->second <= 0.0)
+    int type = gateTypeId(reference_type);
+    if (type < 0)
+        return copy;
+    size_t width = gate_types_.size();
+    for (size_t row = 0; row < copy.fidelities_.size(); row += width) {
+        double reference = copy.fidelities_[row + type];
+        if (reference <= 0.0)
             continue;
-        double reference = it->second;
-        for (auto& [name, fidelity] : types)
-            if (fidelity > 0.0)
-                fidelity = reference;
+        for (size_t cell = row; cell < row + width; ++cell)
+            if (copy.fidelities_[cell] > 0.0)
+                copy.fidelities_[cell] = reference;
     }
     return copy;
 }
@@ -130,13 +164,9 @@ Device::withScaledTwoQubitErrors(double factor) const
 {
     QISET_REQUIRE(factor >= 0.0, "scale factor must be non-negative");
     Device copy = *this;
-    for (auto& [key, types] : copy.edge_fidelities_)
-        for (auto& [name, fidelity] : types) {
-            if (fidelity <= 0.0)
-                continue;
-            double error = std::min(1.0, factor * (1.0 - fidelity));
-            fidelity = 1.0 - error;
-        }
+    for (double& fidelity : copy.fidelities_)
+        if (fidelity > 0.0)
+            fidelity = 1.0 - std::min(1.0, factor * (1.0 - fidelity));
     return copy;
 }
 
@@ -162,14 +192,12 @@ Device::withDriftedCalibration(Rng& rng, double max_factor) const
     QISET_REQUIRE(max_factor >= 1.0, "drift factor must be >= 1");
     Device copy = *this;
     double log_max = std::log(max_factor);
-    for (auto& [key, types] : copy.edge_fidelities_)
-        for (auto& [name, fidelity] : types) {
-            if (fidelity <= 0.0)
-                continue;
-            double factor = std::exp(rng.uniform(-log_max, log_max));
-            double error = std::min(1.0, factor * (1.0 - fidelity));
-            fidelity = 1.0 - error;
-        }
+    for (double& fidelity : copy.fidelities_) {
+        if (fidelity <= 0.0)
+            continue;
+        double factor = std::exp(rng.uniform(-log_max, log_max));
+        fidelity = 1.0 - std::min(1.0, factor * (1.0 - fidelity));
+    }
     return copy;
 }
 
@@ -193,28 +221,17 @@ Device::extractRegion(const std::vector<int>& qubits,
         region.one_qubit_error_[i] = one_qubit_error_.at(qubits[i]);
         region.qubit_noise_[i] = qubit_noise_.at(qubits[i]);
     }
-    for (size_t i = 0; i < qubits.size(); ++i)
-        for (size_t j = i + 1; j < qubits.size(); ++j) {
-            auto it = edge_fidelities_.find(edgeKey(qubits[i], qubits[j]));
-            if (it == edge_fidelities_.end() ||
-                !topology_.adjacent(qubits[i], qubits[j]))
-                continue;
-            region.edge_fidelities_[edgeKey(static_cast<int>(i),
-                                            static_cast<int>(j))] =
-                it->second;
-        }
+    // Region edge e copies the row of the parent edge it relabels.
+    size_t width = gate_types_.size();
+    region.gate_types_ = gate_types_;
+    for (auto [i, j] : region.topology_.edges()) {
+        const double* row =
+            fidelities_.data() +
+            static_cast<size_t>(edgeId(qubits[i], qubits[j])) * width;
+        region.fidelities_.insert(region.fidelities_.end(), row,
+                                  row + width);
+    }
     return region;
-}
-
-std::vector<std::string>
-Device::calibratedGateTypes() const
-{
-    std::set<std::string> names;
-    for (const auto& [key, types] : edge_fidelities_)
-        for (const auto& [name, fidelity] : types)
-            if (fidelity > 0.0)
-                names.insert(name);
-    return {names.begin(), names.end()};
 }
 
 } // namespace qiset

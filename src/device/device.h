@@ -8,10 +8,15 @@
  * gate durations). The compiler reads fidelities for noise-adaptive
  * gate selection and stamps error rates/durations onto the compiled
  * circuit; the simulators turn those into noise channels.
+ *
+ * Two-qubit fidelities live in one flat table of (edge id, type id)
+ * cells: edges in Topology::edges() order, types in name order. Its
+ * layout, and so every walk over it (drift draws, means), depends
+ * only on the calibration's content, not on the order it was set.
+ * Compiler passes resolve ids once and read cells by id.
  */
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,18 +35,38 @@ class Device
     const Topology& topology() const { return topology_; }
     int numQubits() const { return topology_.numQubits(); }
 
-    /** Set the calibrated fidelity of a gate type on an edge. */
+    /**
+     * Set the calibrated fidelity of a gate type on an edge (a new
+     * type adds a column); fails on an out-of-range or uncoupled pair.
+     */
     void setEdgeFidelity(int a, int b, const std::string& gate_type,
                          double fidelity);
 
     /**
-     * Calibrated fidelity of gate_type on edge (a, b); zero when the
-     * type is not calibrated there (i.e. unavailable).
+     * Id of edge (a, b), in either order: its index in
+     * Topology::edges(); -1 for an out-of-range or uncoupled pair.
      */
-    double edgeFidelity(int a, int b, const std::string& gate_type) const;
+    int edgeId(int a, int b) const;
 
-    /** True if the gate type has nonzero fidelity on the edge. */
-    bool supportsGate(int a, int b, const std::string& gate_type) const;
+    /** Column of a calibrated gate type; -1 when none is set. */
+    int gateTypeId(const std::string& gate_type) const;
+
+    /**
+     * Calibrated fidelity of type id `type` on edge id `edge`; zero
+     * when the type is not calibrated there (i.e. unavailable) or
+     * either id is -1.
+     */
+    double edgeFidelity(int edge, int type) const
+    {
+        return edge < 0 || type < 0
+                   ? 0.0
+                   : fidelities_[static_cast<size_t>(edge) *
+                                     gate_types_.size() +
+                                 static_cast<size_t>(type)];
+    }
+
+    /** edgeFidelity(edgeId(a, b), gateTypeId(gate_type)). */
+    double edgeFidelity(int a, int b, const std::string& gate_type) const;
 
     /** Per-qubit single-qubit gate error rate. */
     void setOneQubitError(int q, double error_rate);
@@ -66,7 +91,7 @@ class Device
      */
     NoiseModel noiseModelFor(const std::vector<int>& physical) const;
 
-    /** Mean fidelity of a gate type across all edges supporting it. */
+    /** Mean fidelity of a gate type over the edges supporting it. */
     double meanEdgeFidelity(const std::string& gate_type) const;
 
     /**
@@ -90,9 +115,6 @@ class Device
      */
     Device withScaledNoise(double factor) const;
 
-    /** Names of gate types calibrated on at least one edge. */
-    std::vector<std::string> calibratedGateTypes() const;
-
     /**
      * Sub-device on the given qubits (compile-shard extraction):
      * topology is the induced subgraph, and per-qubit noise, 1Q
@@ -109,20 +131,22 @@ class Device
      * Simulate calibration drift (Section IX: parameters drift over
      * time, with gate-error fluctuations of up to 10x): every edge's
      * error rate for every gate type is multiplied by an independent
-     * log-uniform factor in [1/max_factor, max_factor].
+     * log-uniform factor in [1/max_factor, max_factor], drawn per
+     * calibrated cell in (edge id, type name) order.
      * The returned device is the *true* (drifted) hardware; compiling
      * against the stale original models skipping recalibration.
      */
     Device withDriftedCalibration(Rng& rng, double max_factor) const;
 
   private:
-    static uint64_t edgeKey(int a, int b);
-
     std::string name_;
     Topology topology_;
-    std::unordered_map<uint64_t,
-                       std::unordered_map<std::string, double>>
-        edge_fidelities_;
+    /** Id of q's first edge to a higher-numbered neighbour. */
+    std::vector<int> first_edge_;
+    /** Calibrated type names, sorted: the table's columns. */
+    std::vector<std::string> gate_types_;
+    /** [edge * gate_types_.size() + type]; 0 = uncalibrated. */
+    std::vector<double> fidelities_;
     std::vector<double> one_qubit_error_;
     std::vector<QubitNoise> qubit_noise_;
     double two_qubit_duration_ns_ = 30.0;

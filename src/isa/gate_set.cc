@@ -41,6 +41,15 @@ GateSet::hasType(const std::string& type_name) const
     return false;
 }
 
+const char*
+GateSet::familyKey() const
+{
+    return continuous == ContinuousFamily::FullXy       ? "XY"
+           : continuous == ContinuousFamily::FullFsim   ? "fSim"
+           : continuous == ContinuousFamily::FullCphase ? "CZt"
+                                                        : "";
+}
+
 namespace isa {
 
 namespace {

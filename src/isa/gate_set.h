@@ -80,6 +80,13 @@ struct GateSet
 
     /** True if the set contains a type with the given name. */
     bool hasType(const std::string& type_name) const;
+
+    /**
+     * Calibration key of the continuous family, the name a Device
+     * stores the family's per-edge fidelity under: "XY", "fSim" or
+     * "CZt". Empty for a discrete set.
+     */
+    const char* familyKey() const;
 };
 
 namespace isa {

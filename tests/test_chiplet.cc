@@ -143,8 +143,7 @@ TEST(ChipletDevice, CalibratedLikeAMonolithicDevice)
     EXPECT_EQ(d.numQubits(), 24);
     EXPECT_EQ(d.topology().numCores(), 4);
     for (auto [a, b] : d.topology().edges()) {
-        double fid = bestEdgeFidelity(
-            d, a, b, std::vector<std::string>{"S3"});
+        double fid = d.edgeFidelity(a, b, "S3");
         EXPECT_GT(fid, 0.9);
         EXPECT_LT(fid, 1.0);
     }

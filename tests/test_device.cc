@@ -19,14 +19,40 @@ TEST(Device, EdgeFidelityRoundTrip)
     // Unknown type or edge: zero.
     EXPECT_EQ(d.edgeFidelity(0, 1, "XY"), 0.0);
     EXPECT_EQ(d.edgeFidelity(1, 2, "CZ"), 0.0);
-    EXPECT_TRUE(d.supportsGate(0, 1, "CZ"));
-    EXPECT_FALSE(d.supportsGate(1, 2, "CZ"));
+    EXPECT_GT(d.edgeFidelity(0, 1, "CZ"), 0.0);
+    // Uncoupled or out-of-range pairs read zero too.
+    for (auto [a, b] : {std::pair{0, 2}, {5, 0}, {-1, 0}, {0, 5}, {1, 1}})
+        EXPECT_EQ(d.edgeFidelity(a, b, "CZ"), 0.0) << a << "," << b;
+
+    // The same cell by id.
+    int edge = d.edgeId(1, 0);
+    int type = d.gateTypeId("CZ");
+    EXPECT_EQ(edge, 0);
+    EXPECT_EQ(type, 0);
+    EXPECT_EQ(d.edgeFidelity(edge, type), d.edgeFidelity(0, 1, "CZ"));
+    EXPECT_EQ(d.edgeId(2, 1), 1);
+    EXPECT_EQ(d.gateTypeId("XY"), -1);
+
+    // Type columns stay in name order, and a new column keeps every
+    // cell set before it.
+    d.setEdgeFidelity(1, 2, "S4", 0.94);
+    d.setEdgeFidelity(0, 1, "BB", 0.92);
+    EXPECT_EQ(d.gateTypeId("BB"), 0);
+    EXPECT_EQ(d.gateTypeId("CZ"), 1);
+    EXPECT_EQ(d.gateTypeId("S4"), 2);
+    EXPECT_EQ(d.edgeFidelity(0, 1, "CZ"), 0.93);
+    EXPECT_EQ(d.edgeFidelity(1, 2, "S4"), 0.94);
+    EXPECT_EQ(d.edgeFidelity(0, 1, "S4"), 0.0);
 }
 
 TEST(Device, RejectsNonCoupledPairs)
 {
     Device d("toy", Topology::line(3));
-    EXPECT_THROW(d.setEdgeFidelity(0, 2, "CZ", 0.9), FatalError);
+    for (auto [a, b] : {std::pair{0, 2}, {5, 0}, {-1, 0}, {0, 5}, {1, 1}}) {
+        EXPECT_THROW(d.setEdgeFidelity(a, b, "CZ", 0.9), FatalError)
+            << a << "," << b;
+        EXPECT_EQ(d.edgeId(a, b), -1) << a << "," << b;
+    }
 }
 
 TEST(Device, UniformGateTypeAblation)
@@ -175,6 +201,57 @@ TEST(Device, DriftedCalibrationStaysBounded)
             ++changed;
     }
     EXPECT_GT(changed, d.topology().numEdges() / 2);
+}
+
+TEST(Device, DriftDependsOnlyOnTheCalibration)
+{
+    // Two devices with the same values: one filled in makeSycamore's
+    // order, one with its edges and types visited in reverse.
+    Rng rng(9);
+    Device forward = makeSycamore(rng);
+    const std::vector<std::string> types = {
+        "S1", "S2", "S3", "S4", "S5", "S6", "S7", "SWAP", "fSim", "CZt"};
+    const auto edges = forward.topology().edges();
+    Device reverse("Sycamore", forward.topology());
+    for (auto edge = edges.rbegin(); edge != edges.rend(); ++edge)
+        for (auto type = types.rbegin(); type != types.rend(); ++type)
+            reverse.setEdgeFidelity(
+                edge->second, edge->first, *type,
+                forward.edgeFidelity(edge->first, edge->second, *type));
+
+    // Equal tables...
+    for (const std::string& type : types) {
+        int id = forward.gateTypeId(type);
+        ASSERT_GE(id, 0) << type;
+        ASSERT_EQ(reverse.gateTypeId(type), id) << type;
+        for (int e = 0; e < static_cast<int>(edges.size()); ++e)
+            ASSERT_EQ(reverse.edgeFidelity(e, id), forward.edgeFidelity(e, id))
+                << type << " on edge " << e;
+    }
+
+    // ...drift to bitwise-equal snapshots under one seed.
+    Rng drift_forward(2021), drift_reverse(2021);
+    for (int snapshot = 0; snapshot < 2; ++snapshot) {
+        Device a = forward.withDriftedCalibration(drift_forward, 3.0);
+        Device b = reverse.withDriftedCalibration(drift_reverse, 3.0);
+        int moved = 0;
+        for (const std::string& type : types) {
+            int id = a.gateTypeId(type);
+            for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
+                EXPECT_EQ(a.edgeFidelity(e, id), b.edgeFidelity(e, id))
+                    << type << " on edge " << e << ", snapshot "
+                    << snapshot;
+                moved += a.edgeFidelity(e, id) != forward.edgeFidelity(e, id);
+            }
+            EXPECT_EQ(a.meanEdgeFidelity(type), b.meanEdgeFidelity(type))
+                << type << ", snapshot " << snapshot;
+        }
+        EXPECT_GT(moved, static_cast<int>(edges.size() * types.size()) / 2);
+    }
+    for (const std::string& type : types)
+        EXPECT_EQ(forward.meanEdgeFidelity(type),
+                  reverse.meanEdgeFidelity(type))
+            << type;
 }
 
 TEST(Device, UnitScalingIsIdentity)

@@ -41,7 +41,11 @@ TEST(Mapping, BestEdgeFidelityTakesMaxOverTypes)
     d.setEdgeFidelity(0, 1, "S3", 0.86);
     d.setEdgeFidelity(0, 1, "S4", 0.95);
     GateSet set = isa::rigettiSet(1); // {S3, S4}
-    EXPECT_NEAR(bestEdgeFidelity(d, 0, 1, set), 0.95, 1e-12);
+    EXPECT_NEAR(bestEdgeFidelity(d, d.edgeId(0, 1), fidelityTypeIds(d, set)),
+                0.95, 1e-12);
+    // An uncoupled pair has no edge id and reads zero.
+    EXPECT_EQ(bestEdgeFidelity(d, d.edgeId(0, 0), fidelityTypeIds(d, set)),
+              0.0);
 }
 
 TEST(Mapping, SeedsOnBestEdge)
