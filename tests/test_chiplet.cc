@@ -222,14 +222,14 @@ TEST(TeleportRouter, MadeByNameAsTelesabre)
 TEST(TeleportRouter, CountsStuckFallbackMoves)
 {
     // QFT-14 on a drifted 3x3 chiplet cycles through link moves until
-    // the stuck fallback forces progress (pinned in test_ir_identity).
+    // the stuck fallback forces progress (pinned in test_ir_identity,
+    // on the same snapshot: drift seed 3, snapshot 0).
     Rng dev_rng(10);
     ChipletSpec spec;
     spec.core_rows = 3;
     spec.core_cols = 3;
     Device chiplet = makeChipletDevice(spec, dev_rng);
     Rng drift_rng(3);
-    chiplet.withDriftedCalibration(drift_rng, 3.0); // snapshot 0
     Device snapshot = chiplet.withDriftedCalibration(drift_rng, 3.0);
     Circuit qft14 = makeQftCircuit(14);
     GateSet g3 = isa::googleSet(3);
