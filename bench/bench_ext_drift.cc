@@ -9,9 +9,16 @@
  * while the hardware has moved on. Multi-type sets lean on calibration
  * data for noise-adaptive selection, so stale data costs them more —
  * quantifying why the paper's recurring-calibration budget matters.
+ *
+ * The XED averages come from a few circuits on one drift snapshot, so
+ * each penalty is printed with the standard error of the paired
+ * per-circuit XED difference, and the closing reading names only the
+ * sets whose penalty exceeds twice that error.
  */
 
+#include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "apps/qaoa.h"
@@ -41,17 +48,21 @@ main(int argc, char** argv)
     std::cout << "=== Extension: compiling on drifted calibration "
                  "(QAOA-6, Sycamore, 3x drift) ===\n\n";
     Table table({"gate set", "XED (recalibrated)", "XED (stale data)",
-                 "penalty"});
+                 "penalty", "std. error"});
+    std::string resolved;
+    int unresolved = 0;
     for (const GateSet& set : {isa::singleTypeSet(2), isa::googleSet(3),
                                isa::googleSet(7)}) {
         double fresh_total = 0.0, stale_total = 0.0;
+        // Paired per-circuit differences, recalibrated minus stale.
+        std::vector<double> diffs;
         for (const auto& app : circuits) {
             auto ideal = idealProbabilities(app);
 
             // Recalibrated: the compiler sees the true error rates.
             CompileResult recal =
                 compileCircuit(app, truth, set, cache, options);
-            fresh_total +=
+            double fresh =
                 crossEntropyDifference(ideal, simulateCompiled(recal));
 
             // Stale: compiled against the old snapshot, executed on
@@ -59,25 +70,46 @@ main(int argc, char** argv)
             CompileResult old =
                 compileCircuit(app, stale, set, cache, options);
             reannotateErrorRates(old, truth);
-            stale_total +=
+            double stale_xed =
                 crossEntropyDifference(ideal, simulateCompiled(old));
+            fresh_total += fresh;
+            stale_total += stale_xed;
+            diffs.push_back(fresh - stale_xed);
         }
-        double fresh_avg = fresh_total / circuits.size();
-        double stale_avg = stale_total / circuits.size();
+        double n = static_cast<double>(circuits.size());
+        double fresh_avg = fresh_total / n;
+        double stale_avg = stale_total / n;
+        double mean_diff = fresh_avg - stale_avg;
+        double sum_sq = 0.0;
+        for (double d : diffs)
+            sum_sq += (d - mean_diff) * (d - mean_diff);
+        double std_error = n > 1 ? std::sqrt(sum_sq / (n - 1) / n) : 0.0;
+        double base = std::max(fresh_avg, 1e-9);
         table.addRow({set.name, fmtDouble(fresh_avg, 3),
                       fmtDouble(stale_avg, 3),
-                      fmtDouble(100.0 * (fresh_avg - stale_avg) /
-                                    std::max(fresh_avg, 1e-9),
-                                1) +
-                          "%"});
+                      fmtDouble(100.0 * mean_diff / base, 1) + "%",
+                      fmtDouble(100.0 * std_error / base, 1) + "%"});
+        if (std::abs(mean_diff) > 2.0 * std_error)
+            resolved += (resolved.empty() ? "" : ", ") + set.name +
+                        (mean_diff > 0.0 ? " (stale data costs XED)"
+                                         : " (stale data gains XED)");
+        else
+            ++unresolved;
     }
     table.print(std::cout);
 
-    std::cout
-        << "\nReading: recalibrated compilation beats stale-data "
-           "compilation; the gap is the\nvalue of the recurring "
-           "calibration the paper budgets for — and it is what makes\n"
-           "the 4-8-type sweet spot (cheap to recalibrate often) "
-           "practical.\n";
+    std::cout << "\nReading: the penalty is the recalibrated XED's lead "
+                 "over stale-data XED; its\nstandard error is that of "
+                 "the paired per-circuit difference over "
+              << circuits.size()
+              << " circuits\non one drift snapshot. Penalties beyond two "
+                 "standard errors: "
+              << (resolved.empty() ? "none" : resolved) << ".\n";
+    if (unresolved > 0)
+        std::cout << (resolved.empty() ? "All " : "The other ") << unresolved
+                  << " set(s) are within this sample's noise: this run "
+                     "shows no sign for them.\n";
+    std::cout << "Where stale data does cost XED, that is the value of "
+                 "the recurring calibration\nthe paper budgets for.\n";
     return 0;
 }
