@@ -17,10 +17,29 @@ ProfileCache::ProfileCache(size_t max_entries)
 {
 }
 
-std::string
-ProfileCache::key(const Matrix& target, const GateSpec& spec)
+void
+ProfileCache::composeKey(std::string& out,
+                         const DecompositionStrategy& strategy,
+                         const GateSpec& spec, std::string_view target_key)
 {
-    return profileKeyCore(target, spec);
+    // The one place keys are composed, for every engine. The bytes are
+    // those of v3 files, so saved caches keep loading.
+    out += strategy.name();
+    out += '|';
+    out += spec.type_name;
+    out += '|';
+    out += target_key;
+}
+
+std::string
+ProfileCache::key(const Matrix& target, const GateSpec& spec,
+                  const DecompositionStrategy& strategy)
+{
+    std::string target_key;
+    strategy.targetKeyInto(target_key, target);
+    std::string k;
+    composeKey(k, strategy, spec, target_key);
+    return k;
 }
 
 ProfileCache::Stripe&
@@ -88,12 +107,25 @@ ProfileCache::get(const Matrix& target, const GateSpec& spec,
                   const DecompositionStrategy& strategy,
                   LocalCacheCounters* local, uint64_t blocks)
 {
+    thread_local std::string target_key;
+    target_key.clear();
+    strategy.targetKeyInto(target_key, target);
+    return get(target, target_key, spec, decomposer, strategy, local,
+               blocks);
+}
+
+std::shared_ptr<const GateProfile>
+ProfileCache::get(const Matrix& target, std::string_view target_key,
+                  const GateSpec& spec, const NuOpDecomposer& decomposer,
+                  const DecompositionStrategy& strategy,
+                  LocalCacheCounters* local, uint64_t blocks)
+{
     // Warm lookups are the pass-sweep hot path: build the key in a
     // reused per-thread buffer so a cache hit performs zero heap
     // allocations. The map copies the buffer only on insert (misses).
     thread_local std::string k;
     k.clear();
-    strategy.cacheKeyInto(k, target, spec);
+    composeKey(k, strategy, spec, target_key);
     Stripe& stripe = stripeFor(k);
     {
         // Hits touch only this stripe, and only with a shared lock:

@@ -33,6 +33,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -88,10 +89,11 @@ class ProfileCache
 
     /**
      * Profile of decomposing `target` with `spec` under the given
-     * decomposition strategy, computing it on first use. The key, the
-     * stored representative and the fit contents are all the
-     * strategy's choice (strategies embed their tag in the key, so one
-     * cache safely serves mixed engines). The returned profile stays
+     * decomposition strategy, computing it on first use. The key's
+     * target part, the stored representative and the fit contents are
+     * all the strategy's choice; the key leads with the strategy's
+     * name (see key()), so one cache safely serves mixed engines. The
+     * returned profile stays
      * valid even if the entry is later evicted. When `local` is given,
      * the call is additionally tallied there.
      *
@@ -106,6 +108,18 @@ class ProfileCache
     std::shared_ptr<const GateProfile>
     get(const Matrix& target, const GateSpec& spec,
         const NuOpDecomposer& decomposer,
+        const DecompositionStrategy& strategy,
+        LocalCacheCounters* local = nullptr, uint64_t blocks = 1);
+
+    /**
+     * get() with the target part of the key already rendered by
+     * `strategy.targetKeyInto(target_key, target)`: the translator
+     * renders it once per distinct block and shares it across the
+     * gate specs.
+     */
+    std::shared_ptr<const GateProfile>
+    get(const Matrix& target, std::string_view target_key,
+        const GateSpec& spec, const NuOpDecomposer& decomposer,
         const DecompositionStrategy& strategy,
         LocalCacheCounters* local = nullptr, uint64_t blocks = 1);
 
@@ -159,10 +173,12 @@ class ProfileCache
                   nuopDecompositionStrategy());
 
     /**
-     * Raw strategy-agnostic key core of a (target, spec) pair
-     * (exposed for tests; strategies prefix it with their tag).
+     * The key the cache stores the profile of (target, spec) under:
+     * "<strategy name>|<spec type>|<target part>" (exposed for tests).
      */
-    static std::string key(const Matrix& target, const GateSpec& spec);
+    static std::string key(const Matrix& target, const GateSpec& spec,
+                           const DecompositionStrategy& strategy =
+                               nuopDecompositionStrategy());
 
   private:
     struct Entry
@@ -197,6 +213,12 @@ class ProfileCache
     /** Stripe count when unbounded; bounded caches use one stripe so
      *  the capacity bound evicts in exact global-LRU order. */
     static constexpr size_t kUnboundedStripes = 16;
+
+    /** Append the key of (spec, target part) under `strategy`. */
+    static void composeKey(std::string& out,
+                           const DecompositionStrategy& strategy,
+                           const GateSpec& spec,
+                           std::string_view target_key);
 
     Stripe& stripeFor(const std::string& k);
     const Stripe& stripeFor(const std::string& k) const;

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "nuop/template_circuit.h"
@@ -107,6 +109,12 @@ struct BlockSlot
     uint64_t blocks = 0;
     /** Some of them are translated (not inter-core link ops). */
     bool translated = false;
+    /**
+     * The target part of the slot's cache keys (the strategy's
+     * targetKeyInto), rendered once and shared by every gate spec; set
+     * while the slot resolves.
+     */
+    std::string_view key;
 };
 
 /**
@@ -171,7 +179,7 @@ groupBlocks(const Circuit& circuit, MemArena& arena, BlockSweep& sweep)
         }
         if (table[cell] == kNoSlot) {
             table[cell] = static_cast<uint32_t>(sweep.slots.size());
-            sweep.slots.push_back({&unitary, hash, 0, false});
+            sweep.slots.push_back({&unitary, hash, 0, false, {}});
         }
         BlockSlot& slot = sweep.slots[table[cell]];
         ++slot.blocks;
@@ -202,13 +210,123 @@ struct FitEmission
     bool analytic = false;
 };
 
+/**
+ * One distinct (slot, edge) selection: blocks of one slot on one edge
+ * make the same Eq. 2 choice, so the first runs it and the rest reuse
+ * it. Chained per edge.
+ */
+struct PairChoice
+{
+    uint32_t slot = 0;
+    /** The chosen (slot, fit)'s FitEmission. */
+    uint32_t emission = 0;
+    /** Next pair on the same edge, or kNoSlot. */
+    uint32_t next = kNoSlot;
+};
+
 /** What emission reads per translated block. */
 struct BlockChoice
 {
-    /** Calibrated fidelity of the chosen type on the block's edge. */
-    double edge_fidelity = 1.0;
+    uint32_t slot = 0;
+    /** The block's edge: its index among the compile's used edges. */
+    uint32_t edge = 0;
+    /** The chosen (slot, fit)'s FitEmission. */
     uint32_t emission = 0;
 };
+
+/**
+ * Fill the powers of one edge's row of the power table. A row holds
+ * per spec its calibrated fidelity f2q (already in row[0, num_specs)),
+ * then per spec pow(f2q, L) for L < depths: the fidelity of L native
+ * gates. Uncalibrated specs keep zeros.
+ */
+void
+fillEdgeRow(size_t num_specs, size_t depths, double* row)
+{
+    for (size_t k = 0; k < num_specs; ++k)
+        if (row[k] > 0.0)
+            for (size_t layers = 0; layers < depths; ++layers)
+                row[num_specs + k * depths + layers] =
+                    std::pow(row[k], static_cast<int>(layers));
+}
+
+/** pow(f1q, 2(L+1)) for L < depths: the U3 pairs around L gates. */
+void
+fillOneQubitPowers(double f1q, size_t depths, double* out)
+{
+    for (int layers = 0; layers < static_cast<int>(depths); ++layers)
+        out[layers] = std::pow(f1q, 2.0 * (layers + 1));
+}
+
+/** The layer count of a profile's deepest fit. */
+int
+deepestFit(const GateProfile& profile)
+{
+    int deepest = 0;
+    for (const LayerFit& fit : profile.fits) {
+        QISET_REQUIRE(fit.layers >= 0, "profile fit with negative depth");
+        deepest = std::max(deepest, fit.layers);
+    }
+    return deepest;
+}
+
+/**
+ * The Eq. 2 selection loop behind selectGate and translation. In exact
+ * mode only threshold-meeting fits compete, and when none does the
+ * best lossy fit wins. Either way a zero-layer fit counts only when it
+ * is exact (a local target): dropping the gate is not a NuOp template.
+ * `row` is the edge's row of the power table (fillEdgeRow), f1q_pow[L]
+ * is pow(f1q, 2(L+1)), and every fit has fewer than `depths` layers.
+ */
+GateChoice
+selectFit(const GateProfile* const* profiles, size_t num_specs,
+          const double* row, const double* f1q_pow, size_t depths,
+          bool approximate, double exact_threshold)
+{
+    GateChoice best;
+    // Deterministic tie-break on exactly equal Fu: fewer layers, then
+    // the lexicographically smaller type name — the choice must not
+    // depend on the order the instruction set lists its types.
+    auto better = [&best](double fu, const LayerFit& fit,
+                          const GateProfile& profile) {
+        if (fu != best.overall)
+            return fu > best.overall;
+        if (!best.profile)
+            return false; // fu == 0: never select a zero-Fu fit.
+        if (fit.layers != best.fit->layers)
+            return fit.layers < best.fit->layers;
+        return profile.type_name < best.profile->type_name;
+    };
+    auto scan = [&](bool exact_only) {
+        for (size_t g = 0; g < num_specs; ++g) {
+            double f2q = row[g];
+            if (f2q <= 0.0)
+                continue; // gate type not calibrated on this edge.
+            const GateProfile& profile = *profiles[g];
+            const double* f2q_pow = row + num_specs + g * depths;
+            for (const LayerFit& fit : profile.fits) {
+                if (fit.fd < exact_threshold &&
+                    (exact_only || fit.layers == 0))
+                    continue;
+                double fh = f2q_pow[fit.layers] * f1q_pow[fit.layers];
+                double fu = fit.fd * fh;
+                if (better(fu, fit, profile)) {
+                    best.profile = &profile;
+                    best.fit = &fit;
+                    best.edge_fidelity = f2q;
+                    best.overall = fu;
+                }
+            }
+        }
+    };
+    scan(!approximate);
+    if (!best.profile && !approximate)
+        scan(false); // mirrors NuOp returning its best attempt.
+    QISET_REQUIRE(best.profile != nullptr,
+                  "no hardware gate type with a usable decomposition "
+                  "is available on this edge");
+    return best;
+}
 
 /**
  * Recover the local factors that dress the canonical representative
@@ -245,10 +363,13 @@ dressTarget(const Matrix& target, const std::vector<GateSpec>& specs,
         return;
     }
     dressing.fallback = true;
+    const DecompositionStrategy& raw = nuopDecompositionStrategy();
+    thread_local std::string raw_key;
+    raw_key.clear();
+    raw.targetKeyInto(raw_key, target);
     for (size_t k = 0; k < specs.size(); ++k)
-        raw_profiles[k] = cache.get(target, specs[k], decomposer,
-                                    nuopDecompositionStrategy(), local,
-                                    /*blocks=*/0);
+        raw_profiles[k] = cache.get(target, raw_key, specs[k], decomposer,
+                                    raw, local, /*blocks=*/0);
 }
 
 /**
@@ -259,7 +380,8 @@ dressTarget(const Matrix& target, const std::vector<GateSpec>& specs,
  * own result cell.
  */
 void
-resolveBlocks(BlockSweep& sweep, const std::vector<GateSpec>& specs,
+resolveBlocks(BlockSweep& sweep, MemArena& arena,
+              const std::vector<GateSpec>& specs,
               const NuOpDecomposer& decomposer,
               const DecompositionStrategy& strategy, bool dress,
               ProfileCache& cache, ThreadPool* pool,
@@ -267,6 +389,15 @@ resolveBlocks(BlockSweep& sweep, const std::vector<GateSpec>& specs,
 {
     size_t num_specs = specs.size();
     size_t num_slots = sweep.slots.size();
+    // Each slot's key target part is rendered once, through one reused
+    // per-thread buffer (a warm compile renders without touching the
+    // heap), and every lookup of the slot composes its key from it.
+    thread_local std::string rendered;
+    auto render = [&](BlockSlot& slot) {
+        rendered.clear();
+        strategy.targetKeyInto(rendered, *slot.unitary);
+        slot.key = rendered;
+    };
     sweep.profiles.resize(num_slots * num_specs);
     if (dress) {
         sweep.raw_profiles.resize(num_slots * num_specs);
@@ -280,8 +411,8 @@ resolveBlocks(BlockSweep& sweep, const std::vector<GateSpec>& specs,
         const BlockSlot& slot = sweep.slots[s];
         if (k < num_specs) {
             sweep.profiles[s * num_specs + k] =
-                cache.get(*slot.unitary, specs[k], decomposer, strategy,
-                          local, slot.blocks);
+                cache.get(*slot.unitary, slot.key, specs[k], decomposer,
+                          strategy, local, slot.blocks);
         } else if (slot.translated) {
             dressTarget(*slot.unitary, specs, decomposer, strategy, cache,
                         local, sweep.dressings[s],
@@ -300,10 +431,21 @@ resolveBlocks(BlockSweep& sweep, const std::vector<GateSpec>& specs,
                             : max_parallelism)
              : 0;
     if (effective_workers > 1) {
+        // Every slot's jobs may run at once: the keys live in the arena.
+        for (BlockSlot& slot : sweep.slots) {
+            render(slot);
+            char* key = arena.allocateArray<char>(rendered.size());
+            std::memcpy(key, rendered.data(), rendered.size());
+            slot.key = std::string_view(key, rendered.size());
+        }
         parallelFor(*pool, total, job, max_parallelism);
     } else {
-        for (size_t i = 0; i < total; ++i)
-            job(i);
+        // One slot's jobs at a time, each slot's key in the buffer.
+        for (size_t s = 0; s < num_slots; ++s) {
+            render(sweep.slots[s]);
+            for (size_t k = 0; k < per_slot; ++k)
+                job(s * per_slot + k);
+        }
     }
 }
 
@@ -320,8 +462,8 @@ precomputeProfiles(const Circuit& circuit,
     MemArena scratch;
     BlockSweep sweep(scratch);
     groupBlocks(circuit, scratch, sweep);
-    resolveBlocks(sweep, specs, decomposer, strategy, /*dress=*/false,
-                  cache, pool, local, max_parallelism);
+    resolveBlocks(sweep, scratch, specs, decomposer, strategy,
+                  /*dress=*/false, cache, pool, local, max_parallelism);
 }
 
 GateChoice
@@ -332,70 +474,19 @@ selectGate(const std::vector<const GateProfile*>& profiles,
 {
     QISET_REQUIRE(profiles.size() == edge_fidelities.size(),
                   "profile/fidelity arity mismatch");
-    GateChoice best;
-    // Deterministic tie-break on exactly equal Fu: fewer layers, then
-    // the lexicographically smaller type name — the choice must not
-    // depend on the order the instruction set lists its types.
-    auto better = [&best](double fu, const LayerFit& fit,
-                          const GateProfile& profile) {
-        if (fu != best.overall)
-            return fu > best.overall;
-        if (!best.profile)
-            return false; // fu == 0: never select a zero-Fu fit.
-        if (fit.layers != best.fit->layers)
-            return fit.layers < best.fit->layers;
-        return profile.type_name < best.profile->type_name;
-    };
-    for (size_t g = 0; g < profiles.size(); ++g) {
-        double f2q = edge_fidelities[g];
-        if (f2q <= 0.0)
-            continue; // gate type not calibrated on this edge.
-        const GateProfile* profile = profiles[g];
-        for (const auto& fit : profile->fits) {
-            // Zero-layer fits only count when they are exact (local
-            // targets); lossy gate-dropping is not a NuOp template.
-            if (fit.layers == 0 && fit.fd < exact_threshold)
-                continue;
-            double fh = std::pow(f2q, fit.layers) *
-                        std::pow(one_qubit_fidelity,
-                                 2.0 * (fit.layers + 1));
-            double fu = fit.fd * fh;
-            // Exact mode: only threshold-meeting fits compete.
-            if (!approximate && fit.fd < exact_threshold)
-                continue;
-            if (better(fu, fit, *profile)) {
-                best.profile = profile;
-                best.fit = &fit;
-                best.edge_fidelity = f2q;
-                best.overall = fu;
-            }
-        }
-    }
-    if (!best.profile && !approximate) {
-        // No gate type reached the exact threshold; fall back to the
-        // highest-Fd fit available (mirrors NuOp returning its best
-        // attempt).
-        for (size_t g = 0; g < profiles.size(); ++g) {
-            double f2q = edge_fidelities[g];
-            if (f2q <= 0.0)
-                continue;
-            for (const auto& fit : profiles[g]->fits) {
-                double fh = std::pow(f2q, fit.layers) *
-                            std::pow(one_qubit_fidelity,
-                                     2.0 * (fit.layers + 1));
-                if (better(fit.fd * fh, fit, *profiles[g])) {
-                    best.profile = profiles[g];
-                    best.fit = &fit;
-                    best.edge_fidelity = f2q;
-                    best.overall = fit.fd * fh;
-                }
-            }
-        }
-    }
-    QISET_REQUIRE(best.profile != nullptr,
-                  "no hardware gate type with a usable decomposition "
-                  "is available on this edge");
-    return best;
+    size_t num_specs = profiles.size();
+    size_t depths = 1;
+    for (size_t g = 0; g < num_specs; ++g)
+        if (edge_fidelities[g] > 0.0)
+            depths = std::max(
+                depths, static_cast<size_t>(deepestFit(*profiles[g])) + 1);
+    std::vector<double> row(edge_fidelities);
+    row.resize(num_specs * (1 + depths));
+    fillEdgeRow(num_specs, depths, row.data());
+    std::vector<double> f1q_pow(depths);
+    fillOneQubitPowers(one_qubit_fidelity, depths, f1q_pow.data());
+    return selectFit(profiles.data(), num_specs, row.data(), f1q_pow.data(),
+                     depths, approximate, exact_threshold);
 }
 
 TranslateResult
@@ -423,8 +514,8 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     LocalCacheCounters local;
     BlockSweep sweep(scratch);
     groupBlocks(routed, scratch, sweep);
-    resolveBlocks(sweep, specs, decomposer, strategy, dress, cache, pool,
-                  &local, max_parallelism);
+    resolveBlocks(sweep, scratch, specs, decomposer, strategy, dress, cache,
+                  pool, &local, max_parallelism);
 
     int n = routed.numQubits();
     TranslateResult result;
@@ -433,9 +524,16 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     double f1q_avg = 1.0 - device.averageOneQubitError();
     static const LabelId u3_label = internLabel("U3");
 
-    // Selection stays per block — edge fidelities differ per edge — but
-    // reads the block's slot and its edge's cells of the device's
-    // calibration table, through the specs' type ids resolved once.
+    // Eq. 2 runs once per distinct (slot, edge id): its inputs are the
+    // slot's profiles, the edge's cells of the device's calibration
+    // table (read through the specs' type ids, resolved once), f1q and
+    // the mode, so every other block of the pair reuses the choice (one
+    // PairChoice per distinct pair, chained per edge). The powers come
+    // from per-compile tables: pow(f1q, 2(L+1)) once per depth and
+    // pow(f2q, L) once per used (edge, spec, depth), with L
+    // up to the deepest fit of the compile's profiles (a shared cache
+    // can serve fits deeper than max_layers). The same std::pow calls
+    // on the same arguments as a direct evaluation, so the same bits.
     // Blocks of one slot that choose the same fit emit the same gates,
     // so each distinct (slot, fit) gets one FitEmission, chained per
     // slot, whose gates the output's unitary table holds once. Each
@@ -447,64 +545,122 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     // bounded cache evicts the entries in between.
     const auto& op_qubits = routed.opQubits();
     const auto& op_labels = routed.opLabels();
+    double exact_threshold = decomposer.options().exact_threshold;
+    size_t num_slots = sweep.slots.size();
+    // Per slot, the profiles its blocks select against: the raw NuOp
+    // ones where the dressing fell back.
+    ArenaVector<const GateProfile*> slot_profiles =
+        makeArenaVector<const GateProfile*>(scratch, num_slots * num_specs);
+    size_t depths = 1;
+    for (size_t s = 0; s < num_slots; ++s) {
+        const auto& source = dress && sweep.dressings[s].fallback
+                                 ? sweep.raw_profiles
+                                 : sweep.profiles;
+        for (size_t k = 0; k < num_specs; ++k) {
+            const GateProfile* profile = source[s * num_specs + k].get();
+            slot_profiles[s * num_specs + k] = profile;
+            depths = std::max(
+                depths, static_cast<size_t>(deepestFit(*profile)) + 1);
+        }
+    }
     ArenaVector<int> spec_types = makeArenaVector<int>(scratch, num_specs);
     for (size_t k = 0; k < num_specs; ++k)
         spec_types[k] = device.gateTypeId(specs[k].type_name);
+    ArenaVector<double> f1q_pow = makeArenaVector<double>(scratch, depths);
+    fillOneQubitPowers(f1q_avg, depths, f1q_pow.data());
+
+    // Number the edges the translated blocks use, in first-use order.
+    // Each gets one row of the power table: its f2q per spec, then its
+    // powers per spec. The last edge id stands for uncoupled pairs
+    // (id -1), which read zero fidelity for every type.
+    auto num_edges = static_cast<size_t>(device.topology().numEdges());
+    ArenaVector<uint32_t> used_edge =
+        makeArenaVector<uint32_t>(scratch, num_edges + 1, kNoSlot);
+    uint32_t used_edges = 0;
     ArenaVector<BlockChoice> blocks = makeArenaVector<BlockChoice>(scratch);
     blocks.reserve(static_cast<size_t>(routed.twoQubitGateCount()));
-    ArenaVector<FitEmission> emissions =
-        makeArenaVector<FitEmission>(scratch);
-    emissions.reserve(sweep.slots.size());
-    ArenaVector<uint32_t> slot_emissions =
-        makeArenaVector<uint32_t>(scratch, sweep.slots.size(), kNoSlot);
-    std::vector<const GateProfile*> profiles(num_specs);
-    std::vector<double> fidelities(num_specs);
     size_t pass_through = 0;
-    size_t block_ops = 0;
-    size_t emission_gates = 0;
     for (size_t i = 0; i < op_qubits.size(); ++i) {
         uint32_t s = sweep.op_slot[i];
         if (s == kNoSlot || isLinkOp(op_labels[i])) {
             ++pass_through; // a single op with its own entry.
             continue;
         }
-        const auto& source = dress && sweep.dressings[s].fallback
-                                 ? sweep.raw_profiles
-                                 : sweep.profiles;
         int edge = device.edgeId(physical[op_qubits[i][0]],
                                  physical[op_qubits[i][1]]);
-        for (size_t k = 0; k < num_specs; ++k) {
-            profiles[k] = source[s * num_specs + k].get();
-            fidelities[k] = device.edgeFidelity(edge, spec_types[k]);
+        uint32_t& used = used_edge[edge < 0 ? num_edges : edge];
+        if (used == kNoSlot)
+            used = used_edges++;
+        blocks.push_back({s, used, 0});
+    }
+    size_t row_size = num_specs * (1 + depths);
+    ArenaVector<double> powers =
+        makeArenaVector<double>(scratch, used_edges * row_size);
+    for (size_t id = 0; id <= num_edges; ++id) {
+        if (used_edge[id] == kNoSlot)
+            continue;
+        int edge = id < num_edges ? static_cast<int>(id) : -1;
+        double* row = &powers[used_edge[id] * row_size];
+        for (size_t k = 0; k < num_specs; ++k)
+            row[k] = device.edgeFidelity(edge, spec_types[k]);
+        fillEdgeRow(num_specs, depths, row);
+    }
+
+    // Most slots sit on one edge; repeated blocks (SWAPs, phase
+    // ladders) spread over several.
+    ArenaVector<PairChoice> pairs = makeArenaVector<PairChoice>(scratch);
+    pairs.reserve(num_slots + used_edges);
+    ArenaVector<uint32_t> edge_pairs =
+        makeArenaVector<uint32_t>(scratch, used_edges, kNoSlot);
+    ArenaVector<FitEmission> emissions =
+        makeArenaVector<FitEmission>(scratch);
+    emissions.reserve(num_slots);
+    ArenaVector<uint32_t> slot_emissions =
+        makeArenaVector<uint32_t>(scratch, num_slots, kNoSlot);
+    size_t block_ops = 0;
+    size_t emission_gates = 0;
+    for (BlockChoice& block : blocks) {
+        uint32_t s = block.slot;
+        uint32_t p = edge_pairs[block.edge];
+        while (p != kNoSlot && pairs[p].slot != s)
+            p = pairs[p].next;
+        if (p == kNoSlot) {
+            const GateProfile* const* profiles =
+                &slot_profiles[s * num_specs];
+            GateChoice choice = selectFit(
+                profiles, num_specs, &powers[block.edge * row_size],
+                f1q_pow.data(), depths, approximate, exact_threshold);
+            uint32_t e = slot_emissions[s];
+            while (e != kNoSlot && emissions[e].fit != choice.fit)
+                e = emissions[e].next;
+            if (e == kNoSlot) {
+                FitEmission emission;
+                emission.profile = choice.profile;
+                emission.fit = choice.fit;
+                emission.spec = static_cast<uint32_t>(
+                    std::find(profiles, profiles + num_specs,
+                              choice.profile) -
+                    profiles);
+                emission.next = slot_emissions[s];
+                emission.label = internLabel(choice.profile->type_name);
+                emission.analytic = choice.profile->engine == "kak";
+                e = slot_emissions[s] =
+                    static_cast<uint32_t>(emissions.size());
+                emissions.push_back(emission);
+                emission_gates += 2 + 3 * choice.fit->layers;
+            }
+            pairs.push_back({s, e, edge_pairs[block.edge]});
+            p = edge_pairs[block.edge] =
+                static_cast<uint32_t>(pairs.size() - 1);
         }
-        GateChoice choice =
-            selectGate(profiles, fidelities, f1q_avg, approximate,
-                       decomposer.options().exact_threshold);
+        block.emission = pairs[p].emission;
+        // Every block counts itself, memo hits included.
+        const LayerFit& fit = *emissions[block.emission].fit;
+        block_ops += 2 + 3 * fit.layers;
         // Exact mode admits only threshold-meeting fits unless
         // selection fell back.
-        if (!approximate &&
-            choice.fit->fd < decomposer.options().exact_threshold)
+        if (!approximate && fit.fd < exact_threshold)
             ++result.exact_fallbacks;
-        uint32_t e = slot_emissions[s];
-        while (e != kNoSlot && emissions[e].fit != choice.fit)
-            e = emissions[e].next;
-        if (e == kNoSlot) {
-            FitEmission emission;
-            emission.profile = choice.profile;
-            emission.fit = choice.fit;
-            emission.spec = static_cast<uint32_t>(
-                std::find(profiles.begin(), profiles.end(),
-                          choice.profile) -
-                profiles.begin());
-            emission.next = slot_emissions[s];
-            emission.label = internLabel(choice.profile->type_name);
-            emission.analytic = choice.profile->engine == "kak";
-            e = slot_emissions[s] = static_cast<uint32_t>(emissions.size());
-            emissions.push_back(emission);
-            emission_gates += 2 + 3 * choice.fit->layers;
-        }
-        blocks.push_back({choice.edge_fidelity, e});
-        block_ops += 2 + 3 * choice.fit->layers;
     }
     result.circuit.reserveOps(pass_through + block_ops,
                               pass_through + emission_gates);
@@ -553,6 +709,8 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
 
         const BlockChoice& block = blocks[block_index++];
         FitEmission& emission = emissions[block.emission];
+        // The chosen type's f2q, at the head of the edge's row.
+        double edge_fidelity = powers[block.edge * row_size + emission.spec];
         const GateProfile& profile = *emission.profile;
         const LayerFit& fit = *emission.fit;
         if (emission.analytic)
@@ -595,9 +753,9 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         emit_1q(rb, gate(), u3_label);
         for (int layer = 0; layer < fit.layers; ++layer) {
             result.circuit.add2q(ra, rb, gate(), emission.label,
-                                 1.0 - block.edge_fidelity,
+                                 1.0 - edge_fidelity,
                                  device.twoQubitDurationNs());
-            result.estimated_fidelity *= block.edge_fidelity;
+            result.estimated_fidelity *= edge_fidelity;
             emit_1q(ra, gate(), u3_label);
             emit_1q(rb, gate(), u3_label);
         }

@@ -69,12 +69,14 @@ struct GateChoice
 /**
  * Noise-adaptive selection (Eq. 2) across the profiles available on an
  * edge. In exact mode the smallest depth reaching the exact threshold
- * wins per type (when no fit reaches it, the best-Fu fit of any
- * fidelity wins; translation counts these as exact_fallbacks); in
- * approximate mode Fu is maximized over depths.
- * Exact Fu ties break deterministically — fewer layers first, then
- * lexicographically smaller gate-type name — so the choice never
- * depends on the order profiles are supplied in.
+ * wins per type (when no fit reaches it, the best-Fu lossy fit wins;
+ * translation counts these as exact_fallbacks); in approximate mode Fu
+ * is maximized over depths. A zero-layer fit competes only when it is
+ * exact, in every mode. Exact Fu ties break deterministically — fewer
+ * layers first, then lexicographically smaller gate-type name — so the
+ * choice never depends on the order profiles are supplied in.
+ * Translation runs this same loop, with its powers from per-compile
+ * tables.
  */
 GateChoice selectGate(const std::vector<const GateProfile*>& profiles,
                       const std::vector<double>& edge_fidelities,
@@ -110,9 +112,8 @@ struct TranslateResult
     int dressing_fallbacks = 0;
     /**
      * Exact-mode 2Q blocks for which no fit met the exact threshold,
-     * so selectGate took the best-Fu fit of any fidelity (a lossy
-     * zero-layer fit included): each such block is implemented only
-     * approximately.
+     * so selectGate took the best-Fu lossy fit of at least one layer:
+     * each such block is implemented only approximately.
      */
     int exact_fallbacks = 0;
 
@@ -129,8 +130,9 @@ struct TranslateResult
  * exact local factors of each concrete target.
  *
  * Each distinct 2Q block unitary is resolved once per call — its
- * profiles (precomputeProfiles' sweep) and its dressing — and the
- * Eq. 2 selection then runs per block against that block's edge.
+ * cache-key target part, its profiles (precomputeProfiles' sweep) and
+ * its dressing — and the Eq. 2 selection runs once per distinct
+ * (block unitary, edge), every block of the pair reusing the choice.
  * Scratch bumps from `arena` when given (the caller resets it after
  * the call), else from a call-local arena.
  */

@@ -52,7 +52,11 @@ Topology::edges() const
 int
 Topology::numEdges() const
 {
-    return static_cast<int>(edges().size());
+    int count = 0;
+    for (int a = 0; a < num_qubits_; ++a)
+        for (int b : adjacency_[a])
+            count += a < b;
+    return count;
 }
 
 std::vector<int>

@@ -94,25 +94,6 @@ resolveTier(const GateSpec& spec)
 
 } // namespace
 
-std::string
-profileKeyCore(const Matrix& target, const GateSpec& spec)
-{
-    std::string out;
-    appendProfileKeyCore(out, target, spec);
-    return out;
-}
-
-void
-appendProfileKeyCore(std::string& out, const Matrix& target,
-                     const GateSpec& spec)
-{
-    // quantizedForm is shared with the NuOp multistart seeding, so
-    // key-equal targets always draw identical seeds.
-    out += spec.type_name;
-    out += '|';
-    appendQuantizedForm(out, target);
-}
-
 WeylCoordinates
 canonicalWeylCoordinates(const Matrix& target)
 {
@@ -265,19 +246,6 @@ kakSynthesize(const Matrix& target, const GateSpec& spec)
 // ---------------------------------------------------------------- engines
 
 namespace {
-
-/** Canonical-class cache-key fragment of a target. */
-void
-appendWeylKey(std::string& out, const Matrix& target)
-{
-    WeylCoordinates c = canonicalWeylCoordinates(target);
-    out += "w|";
-    appendFixed(out, c.cx, 9);
-    out += '|';
-    appendFixed(out, c.cy, 9);
-    out += '|';
-    appendFixed(out, c.cz, 9);
-}
 
 /**
  * The historical BFGS profile ladder: fits for layer counts 0..max
@@ -457,11 +425,12 @@ class NuOpStrategy : public DecompositionStrategy
   public:
     std::string name() const override { return "nuop"; }
 
-    void cacheKeyInto(std::string& out, const Matrix& target,
-                      const GateSpec& spec) const override
+    void targetKeyInto(std::string& out,
+                       const Matrix& target) const override
     {
-        out += "nuop|";
-        appendProfileKeyCore(out, target, spec);
+        // quantizedForm is shared with the NuOp multistart seeding, so
+        // key-equal targets always draw identical seeds.
+        appendQuantizedForm(out, target);
     }
 
     GateProfile computeProfile(const Matrix& target, const GateSpec& spec,
@@ -484,13 +453,17 @@ class AutoStrategy : public DecompositionStrategy
         return canonicalGate(canonicalWeylCoordinates(target));
     }
 
-    void cacheKeyInto(std::string& out, const Matrix& target,
-                      const GateSpec& spec) const override
+    void targetKeyInto(std::string& out,
+                       const Matrix& target) const override
     {
-        out += "auto|";
-        out += spec.type_name;
+        // The canonical class: its rounded Weyl coordinates.
+        WeylCoordinates c = canonicalWeylCoordinates(target);
+        out += "w|";
+        appendFixed(out, c.cx, 9);
         out += '|';
-        appendWeylKey(out, target);
+        appendFixed(out, c.cy, 9);
+        out += '|';
+        appendFixed(out, c.cz, 9);
     }
 
     GateProfile computeProfile(const Matrix& target, const GateSpec& spec,

@@ -81,13 +81,6 @@ struct GateSpec
     AnalyticTier analytic = AnalyticTier::Unspecified;
 };
 
-/** Raw, strategy-agnostic cache key core of a (target, spec) pair. */
-std::string profileKeyCore(const Matrix& target, const GateSpec& spec);
-
-/** Append profileKeyCore(target, spec) to `out` without a temporary. */
-void appendProfileKeyCore(std::string& out, const Matrix& target,
-                          const GateSpec& spec);
-
 /**
  * One decomposition engine. Implementations must be deterministic:
  * key-equal targets must produce bit-identical profiles regardless of
@@ -120,15 +113,17 @@ class DecompositionStrategy
     }
 
     /**
-     * Append the cache key of (target, spec) to `out`. The key embeds
-     * the engine tag (and the canonicalized class for canonicalizing
-     * engines) so different strategies never collide inside one
-     * shared ProfileCache. The profile cache calls this with a reused
-     * buffer so warm lookups build their key without touching the
-     * heap.
+     * Append the target part of the profile-cache key of `target` to
+     * `out`: quantizedForm(target) for "nuop", "w|cx|cy|cz" (the
+     * rounded Weyl coordinates, 9 decimals each) for "auto". The part
+     * depends on the target only, so the translator renders it once
+     * per distinct block and shares it across gate specs. ProfileCache
+     * composes the full key "<name()>|<spec type>|<target part>", so
+     * different engines never collide inside one shared cache, and
+     * key-equal targets must have equal representatives.
      */
-    virtual void cacheKeyInto(std::string& out, const Matrix& target,
-                              const GateSpec& spec) const = 0;
+    virtual void targetKeyInto(std::string& out,
+                               const Matrix& target) const = 0;
 
     /**
      * Compute the full layer-fit profile of decomposing

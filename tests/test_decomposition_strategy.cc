@@ -52,14 +52,12 @@ synthesisFidelity(const AnalyticSynthesis& synthesis,
     return 1.0 - templ.infidelity(synthesis.params, target);
 }
 
-/** The profile-cache key `strategy` builds for (target, spec). */
+/** The profile-cache key of (target, spec) under `strategy`. */
 std::string
 cacheKey(const DecompositionStrategy& strategy, const Matrix& target,
          const GateSpec& spec)
 {
-    std::string key;
-    strategy.cacheKeyInto(key, target, spec);
-    return key;
+    return ProfileCache::key(target, spec, strategy);
 }
 
 TEST(DecompositionEngines, MadeByName)
@@ -221,6 +219,13 @@ TEST(CanonicalKeys, LocallyEquivalentTargetsShareOneEntry)
     const DecompositionStrategy& nuop = nuopDecompositionStrategy();
     EXPECT_NE(cacheKey(nuop, base, czSpec()),
               cacheKey(nuop, dressed, czSpec()));
+
+    // The stored bytes, "<engine>|<type>|<target part>", are those of
+    // saved v3 caches.
+    EXPECT_EQ(cacheKey(nuop, dressed, czSpec()),
+              "nuop|S3|" + quantizedForm(dressed));
+    EXPECT_EQ(cacheKey(*automatic, dressed, czSpec()),
+              "auto|S3|w|0.420000000|0.000000000|0.000000000");
 }
 
 TEST(AutoStrategy, TiersAnalyticAndNumericFallback)

@@ -231,25 +231,33 @@ TEST(Translate, NoiseAdaptiveAcrossEdges)
     NuOpDecomposer decomposer(fastNuOp());
     ProfileCache cache;
 
+    // The block twice on each edge in each qubit order: every repeat
+    // of an edge reuses that edge's selection.
     Circuit logical(3);
-    logical.add2q(0, 1, zz(0.5), "ZZ");
-    logical.add2q(1, 2, zz(0.5), "ZZ");
+    for (int repeat = 0; repeat < 2; ++repeat) {
+        logical.add2q(0, 1, zz(0.5), "ZZ");
+        logical.add2q(1, 2, zz(0.5), "ZZ");
+        logical.add2q(1, 0, zz(0.5), "ZZ");
+        logical.add2q(2, 1, zz(0.5), "ZZ");
+    }
     TranslateResult result = translateCircuit(
         logical, {0, 1, 2}, d, set, decomposer, cache, true);
 
     // The same application unitary must compile to different gate
     // types on the two edges (the Fig. 5 scenario).
-    std::string first_type, second_type;
+    int first_gates = 0;
+    int second_gates = 0;
     for (const auto& op : result.circuit.ops()) {
         if (!op.isTwoQubit())
             continue;
-        if (op.qubits()[0] == 0 || op.qubits()[1] == 0)
-            first_type = op.label();
-        else
-            second_type = op.label();
+        bool first = op.qubits()[0] == 0 || op.qubits()[1] == 0;
+        EXPECT_EQ(op.label(), first ? "S3" : "S4");
+        ++(first ? first_gates : second_gates);
     }
-    EXPECT_EQ(first_type, "S3");
-    EXPECT_EQ(second_type, "S4");
+    EXPECT_GT(first_gates, 0);
+    EXPECT_EQ(first_gates, second_gates);
+    EXPECT_EQ(result.type_usage.at("S3"), first_gates);
+    EXPECT_EQ(result.type_usage.at("S4"), second_gates);
 }
 
 TEST(Translate, ContinuousFamilyEmissionIsExact)
@@ -411,17 +419,17 @@ TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
     }
 }
 
-/** The "nuop" engine, counting the cache keys it builds. */
+/** The "nuop" engine, counting the key target parts it renders. */
 class KeyCountingStrategy : public DecompositionStrategy
 {
   public:
     std::string name() const override { return "nuop"; }
 
-    void cacheKeyInto(std::string& out, const Matrix& target,
-                      const GateSpec& spec) const override
+    void targetKeyInto(std::string& out,
+                       const Matrix& target) const override
     {
-        ++key_builds;
-        nuopDecompositionStrategy().cacheKeyInto(out, target, spec);
+        ++target_renders;
+        nuopDecompositionStrategy().targetKeyInto(out, target);
     }
 
     GateProfile computeProfile(const Matrix& target, const GateSpec& spec,
@@ -432,7 +440,7 @@ class KeyCountingStrategy : public DecompositionStrategy
                                                           decomposer);
     }
 
-    mutable std::atomic<int> key_builds{0};
+    mutable std::atomic<int> target_renders{0};
 };
 
 /**
@@ -461,9 +469,9 @@ repeatedBlocksCircuit()
 
 TEST(Translate, BuildsOneCacheKeyPerDistinctBlockAndSpec)
 {
-    // Each distinct block unitary is looked up once per gate spec,
-    // cold or warm, however many blocks carry it; the lookups still
-    // count once per block.
+    // Each distinct block unitary renders its key's target part once
+    // and is looked up once per gate spec, cold or warm, however many
+    // blocks carry it; the lookups still count once per block.
     Device d = rigettiLine4();
     GateSet set = isa::rigettiSet(1);
     NuOpDecomposer decomposer(fastNuOp());
@@ -471,11 +479,11 @@ TEST(Translate, BuildsOneCacheKeyPerDistinctBlockAndSpec)
     KeyCountingStrategy strategy;
     ProfileCache cache;
     for (const char* pass : {"cold", "warm"}) {
-        strategy.key_builds = 0;
+        strategy.target_renders = 0;
         TranslateResult result =
             translateCircuit(routed, {0, 1, 2, 3}, d, set, decomposer,
                              strategy, cache, /*approximate=*/true);
-        EXPECT_EQ(strategy.key_builds.load(), 4 * 2) << pass;
+        EXPECT_EQ(strategy.target_renders.load(), 4) << pass;
         EXPECT_EQ(result.cache_hits + result.cache_misses, 9u * 2) << pass;
     }
     EXPECT_EQ(cache.stats().misses, 4u * 2);
@@ -665,24 +673,36 @@ TEST(Translate, CountsExactModeFallbacks)
 {
     // SWAP needs three CZs. With fewer layers allowed no fit meets the
     // exact threshold, so exact-mode selection takes the best lossy
-    // fit; translation counts the block and the pass reports it.
+    // fit, which still has native gates (dropping them is not a
+    // template). Translation counts each such block, repeats on one
+    // edge included, and the pass reports them.
     Device d = twoQubitDevice(0.99, 0.0);
     GateSet set = isa::singleTypeSet(3);
-    Circuit logical(2);
-    logical.add2q(0, 1, swap(), "SWAP");
-    const int expected[] = {1, 1, 0}; // max_layers 1, 2, 3
-    for (int max_layers = 1; max_layers <= 3; ++max_layers) {
-        SCOPED_TRACE(max_layers);
-        int want = expected[max_layers - 1];
+    struct Row
+    {
+        int max_layers;
+        int swaps;
+        int want;
+    };
+    const Row rows[] = {{1, 1, 1}, {2, 1, 1}, {3, 1, 0}, {1, 2, 2}};
+    for (const Row& row : rows) {
+        SCOPED_TRACE(testing::Message() << "max_layers " << row.max_layers
+                                        << ", swaps " << row.swaps);
+        int want = row.want;
+        Circuit logical(2);
+        for (int k = 0; k < row.swaps; ++k)
+            logical.add2q(0, 1, swap(), "SWAP");
         CompileOptions options;
         options.approximate = false;
+        options.consolidate = false; // keep repeated SWAPs apart.
         options.nuop = fastNuOp();
-        options.nuop.max_layers = max_layers;
+        options.nuop.max_layers = row.max_layers;
         NuOpDecomposer decomposer(options.nuop);
         ProfileCache cache;
         TranslateResult result = translateCircuit(
             logical, {0, 1}, d, set, decomposer, cache, false);
         EXPECT_EQ(result.exact_fallbacks, want);
+        EXPECT_GE(result.two_qubit_count, row.swaps);
 
         CompileResult compiled =
             compileCircuit(logical, d, set, cache, options);
