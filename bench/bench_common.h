@@ -7,6 +7,8 @@
  * compile-simulate-score loop used by the Fig. 9/10 reproductions.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -109,6 +111,38 @@ inline double
 successRate(const CompileResult& result, const Circuit& app)
 {
     return simulateSuccessRate(result, app);
+}
+
+/**
+ * Fastest rep of `num` over fastest rep of `den`, for two legs whose
+ * reps alternate. A host stall only ever adds time, so each side's
+ * fastest rep is its least disturbed one, and a slow host stretch
+ * covers reps of both sides instead of one whole leg.
+ */
+inline double
+bestRatio(const std::vector<double>& num, const std::vector<double>& den)
+{
+    if (num.empty() || den.empty())
+        return 0.0;
+    double best_den = *std::min_element(den.begin(), den.end());
+    return best_den > 0.0
+               ? *std::min_element(num.begin(), num.end()) / best_den
+               : 0.0;
+}
+
+/**
+ * Whether two alternating ratio legs run another rep: each runs at
+ * least 3, and the reps go on until 4 s have passed since `start`.
+ * An idle host's vCPUs can take over a second to join a parallel
+ * burst (on a 4-vCPU VM idle for 6 s, four threads ran at about 1x for
+ * 1.6 s), and a parallel rep inside that window reads about 1x.
+ */
+inline bool
+anotherRatioRep(int reps_done, std::chrono::steady_clock::time_point start)
+{
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return reps_done < 3 || elapsed.count() < 4.0;
 }
 
 /**

@@ -340,23 +340,6 @@ emitPasses(const std::vector<std::pair<std::string, double>>& pass_p50)
     std::cout << "}";
 }
 
-/**
- * Fastest rep of `num` over fastest rep of `den`, for two legs whose
- * reps alternate. A host stall only ever adds time, so each side's
- * fastest rep is its least disturbed one, and a slow host stretch
- * covers reps of both sides instead of one whole leg.
- */
-double
-bestRatio(const std::vector<double>& num, const std::vector<double>& den)
-{
-    if (num.empty() || den.empty())
-        return 0.0;
-    double best_den = *std::min_element(den.begin(), den.end());
-    return best_den > 0.0
-               ? *std::min_element(num.begin(), num.end()) / best_den
-               : 0.0;
-}
-
 struct WorkloadReport
 {
     std::string name;
@@ -445,11 +428,11 @@ runWorkload(const std::string& name, const Circuit& app,
     report.warm_p95 = percentile(warm.ms, 0.95);
     report.parallel_p50 = percentile(parallel_ms, 0.50);
     report.parallel_p95 = percentile(parallel_ms, 0.95);
-    report.speedup = bestRatio(cold_ms, parallel_ms);
+    report.speedup = bench::bestRatio(cold_ms, parallel_ms);
     report.scalar_p50 = report.cold_p50;
     if (scalar_leg) {
         report.scalar_p50 = percentile(scalar_ms, 0.50);
-        report.speedup_vs_scalar = bestRatio(scalar_ms, cold_ms);
+        report.speedup_vs_scalar = bench::bestRatio(scalar_ms, cold_ms);
     }
     report.bit_identical =
         bench::resultsBitIdentical(serial_result, parallel_result);
@@ -619,7 +602,7 @@ main(int argc, char** argv)
         }
     }
     double auto_warm_p50 = percentile(auto_ms, 0.50);
-    double auto_over_nuop = bestRatio(auto_ms, paired_nuop_ms);
+    double auto_over_nuop = bench::bestRatio(auto_ms, paired_nuop_ms);
 
     // Warm QFT-32 with the four-type G3 set under "sabre", the shape
     // of the recalibration recompiles: Eq. 2 selection over several

@@ -12,8 +12,13 @@
  * Emits a single JSON object on stdout (captured as
  * BENCH_sharding.json by scripts/bench_smoke.sh); the regression gate
  * tracks the speedup, which is machine-relative and therefore stable
- * across runner generations. The pool is capped at 4 threads so the
- * figure is comparable between laptops and CI runners.
+ * across runner generations. The two legs alternate reps, every rep
+ * on a fresh cache, for at least 3 reps each and 4 s in all
+ * (bench::anotherRatioRep); the wall times are each leg's fastest rep
+ * and the speedup is their ratio (bench::bestRatio), so neither one
+ * host stall nor vCPUs that wake late can sink the gate. The pool is
+ * capped at 4 threads so the figure is comparable between laptops and
+ * CI runners.
  */
 
 #include <algorithm>
@@ -103,21 +108,35 @@ main()
         threads = std::max(1, std::atoi(env));
 
     // Serial single-device baseline: the whole workload on the best
-    // device, no pool.
-    ProfileCache serial_cache;
-    auto serial_start = std::chrono::steady_clock::now();
-    std::vector<CompileResult> serial = compileBatch(
-        apps, fleet.shard(0).device, set, serial_cache, opts);
-    double serial_ms = wallMsSince(serial_start);
-
-    // Sharded: planner spreads the workload over the fleet, compiles
-    // fan out over the pool with one shared cache.
-    ProfileCache sharded_cache;
+    // device, no pool. Sharded: the planner spreads the workload over
+    // the fleet, and compiles fan out over the pool with one shared
+    // cache. The first rep's results are checked below.
     ThreadPool pool(threads);
-    auto sharded_start = std::chrono::steady_clock::now();
-    ShardedBatchResult sharded =
-        compileBatchSharded(apps, fleet, set, sharded_cache, {}, &pool);
-    double sharded_ms = wallMsSince(sharded_start);
+    std::vector<double> serial_reps_ms, sharded_reps_ms;
+    std::vector<CompileResult> serial;
+    ShardedBatchResult sharded;
+    auto reps_start = std::chrono::steady_clock::now();
+    for (int rep = 0; bench::anotherRatioRep(rep, reps_start); ++rep) {
+        ProfileCache serial_cache;
+        auto serial_start = std::chrono::steady_clock::now();
+        std::vector<CompileResult> batch = compileBatch(
+            apps, fleet.shard(0).device, set, serial_cache, opts);
+        serial_reps_ms.push_back(wallMsSince(serial_start));
+
+        ProfileCache sharded_cache;
+        auto sharded_start = std::chrono::steady_clock::now();
+        ShardedBatchResult spread = compileBatchSharded(
+            apps, fleet, set, sharded_cache, {}, &pool);
+        sharded_reps_ms.push_back(wallMsSince(sharded_start));
+        if (rep == 0) {
+            serial = std::move(batch);
+            sharded = std::move(spread);
+        }
+    }
+    double serial_ms =
+        *std::min_element(serial_reps_ms.begin(), serial_reps_ms.end());
+    double sharded_ms =
+        *std::min_element(sharded_reps_ms.begin(), sharded_reps_ms.end());
 
     // Bit-identity: every sharded result must equal a solo compile on
     // its assigned device. Circuits placed on shard 0 compare against
@@ -141,7 +160,7 @@ main()
         }
     }
 
-    double speedup = sharded_ms > 0.0 ? serial_ms / sharded_ms : 0.0;
+    double speedup = bench::bestRatio(serial_reps_ms, sharded_reps_ms);
     double serial_cps = serial_ms > 0.0 ? 1000.0 * apps.size() / serial_ms
                                         : 0.0;
     double sharded_cps =
