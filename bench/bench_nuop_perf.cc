@@ -1,8 +1,10 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): NuOp decomposition latency per
- * layer count and gate family, plus simulator gate-application
- * throughput. Mirrors the paper's Section VI compile-time discussion.
+ * layer count and gate family, the per-call cost of the template
+ * objective and gradient that BFGS runs inside every decomposition,
+ * plus simulator gate-application throughput. Mirrors the paper's
+ * Section VI compile-time discussion.
  */
 
 #include <benchmark/benchmark.h>
@@ -10,7 +12,9 @@
 #include "apps/qv.h"
 #include "common/rng.h"
 #include "nuop/decomposer.h"
+#include "nuop/template_circuit.h"
 #include "qc/gates.h"
+#include "qc/linalg.h"
 #include "sim/density_matrix.h"
 #include "sim/statevector.h"
 
@@ -68,6 +72,85 @@ BM_NuOpFullFsimFamily(benchmark::State& state)
     }
 }
 BENCHMARK(BM_NuOpFullFsimFamily);
+
+/**
+ * One template call at a seeded point: range(0) layers of SYC
+ * (range(1) == 0) or of the Full fSim family (range(1) == 1), a Haar
+ * target and a scratch reused across calls, as in a BFGS run.
+ */
+struct TemplateCall
+{
+    TwoQubitTemplate templ;
+    Matrix target;
+    std::vector<double> x;
+    TwoQubitTemplate::BuildScratch scratch;
+    std::vector<double> grad;
+
+    explicit TemplateCall(const benchmark::State& state)
+        : templ(state.range(1) == 0
+                    ? TwoQubitTemplate(static_cast<int>(state.range(0)),
+                                       gates::sycamore())
+                    : TwoQubitTemplate(static_cast<int>(state.range(0)),
+                                       TemplateFamily::FullFsim))
+    {
+        Rng rng(static_cast<uint64_t>(10 * state.range(0) +
+                                      state.range(1)));
+        target = haarRandomUnitary(4, rng);
+        x.resize(templ.numParams());
+        for (double& value : x)
+            value = rng.uniform(0.0, 2.0 * gates::kPi);
+    }
+};
+
+/** The BFGS objective: one template build and its trace fidelity. */
+void
+BM_TemplateObjective(benchmark::State& state)
+{
+    TemplateCall call(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            call.templ.infidelityWithScratch(call.x, call.target,
+                                             call.scratch));
+}
+BENCHMARK(BM_TemplateObjective)
+    ->ArgsProduct({{1, 2, 3, 4, 5}, {0, 1}})
+    ->ArgNames({"layers", "fsim"});
+
+/** The gradient with a build of its own, then the backward sweep. */
+void
+BM_TemplateGradient(benchmark::State& state)
+{
+    TemplateCall call(state);
+    for (auto _ : state) {
+        call.templ.infidelityGradient(call.x, call.target, call.grad,
+                                      call.scratch);
+        benchmark::DoNotOptimize(call.grad.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_TemplateGradient)
+    ->ArgsProduct({{1, 2, 3, 4, 5}, {0, 1}})
+    ->ArgNames({"layers", "fsim"});
+
+/**
+ * The backward sweep alone, over the build the objective left in the
+ * scratch: NuOp's BFGS gradient.
+ */
+void
+BM_TemplateGradientSweep(benchmark::State& state)
+{
+    TemplateCall call(state);
+    call.templ.infidelityWithScratch(call.x, call.target, call.scratch);
+    for (auto _ : state) {
+        call.templ.infidelityGradientFromBuild(call.x, call.target,
+                                               call.grad, call.scratch);
+        benchmark::DoNotOptimize(call.grad.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_TemplateGradientSweep)
+    ->ArgsProduct({{1, 2, 3, 4, 5}, {0, 1}})
+    ->ArgNames({"layers", "fsim"});
 
 void
 BM_StateVector2qGate(benchmark::State& state)

@@ -71,16 +71,16 @@ growWithin(const Device& device, const std::vector<int>& types,
     if (chosen.empty() && target >= 2) {
         double best_fid = -1.0;
         std::pair<int, int> seed{-1, -1};
-        for (auto [a, b] : topo.edges()) {
+        topo.forEachEdge([&](int a, int b) {
             if (!allowed[static_cast<size_t>(a)] ||
                 !allowed[static_cast<size_t>(b)])
-                continue;
+                return;
             double f = bestEdgeFidelity(device, device.edgeId(a, b), types);
             if (f > best_fid) {
                 best_fid = f;
                 seed = {a, b};
             }
-        }
+        });
         QISET_REQUIRE(seed.first >= 0, "no couplers to place on");
         chosen = {seed.first, seed.second};
         join(seed.first);
@@ -168,14 +168,14 @@ chooseChipletMapping(const Device& device, int num_logical,
     // Core quality: mean best calibrated fidelity of its couplers.
     std::vector<double> core_score(static_cast<size_t>(num_cores), 0.0);
     std::vector<int> core_edges(static_cast<size_t>(num_cores), 0);
-    for (auto [a, b] : topo.edges()) {
+    topo.forEachEdge([&](int a, int b) {
         int c = topo.coreOf(a);
         if (c != topo.coreOf(b))
-            continue;
+            return;
         core_score[static_cast<size_t>(c)] +=
             bestEdgeFidelity(device, device.edgeId(a, b), types);
         ++core_edges[static_cast<size_t>(c)];
-    }
+    });
     for (int c = 0; c < num_cores; ++c)
         if (core_edges[static_cast<size_t>(c)] > 0)
             core_score[static_cast<size_t>(c)] /=

@@ -82,10 +82,16 @@ routeCircuit(const Circuit& logical, const Topology& coupling)
 {
     QISET_REQUIRE(coupling.numQubits() == logical.numQubits(),
                   "coupling graph width must match the circuit");
-    QISET_REQUIRE(coupling.connected() || logical.numQubits() == 1,
+    int n = logical.numQubits();
+    // One path/scratch pair for the whole sweep: the BFS queries
+    // reuse their capacity instead of allocating per SWAP candidate.
+    // The scratch starts at the 2n ints a path query uses, and the
+    // connectivity check borrows it first.
+    std::vector<int> path;
+    std::vector<int> path_scratch(2 * static_cast<size_t>(n));
+    QISET_REQUIRE(coupling.connected(path_scratch.data()) || n == 1,
                   "coupling graph must be connected");
 
-    int n = logical.numQubits();
     RoutedCircuit out;
     out.circuit = Circuit(n);
     // Output = every logical op plus inserted SWAPs; pre-size for the
@@ -102,10 +108,6 @@ routeCircuit(const Circuit& logical, const Topology& coupling)
         state.swapSlots(slot_a, slot_b);
     };
 
-    // One path/scratch pair for the whole sweep: the BFS queries
-    // reuse their capacity instead of allocating per SWAP candidate.
-    std::vector<int> path;
-    std::vector<int> path_scratch;
     for (const auto& op : logical.ops()) {
         Qubits qs = op.qubits();
         if (!op.isTwoQubit()) {

@@ -777,7 +777,9 @@ SabreRouter::route(const Circuit& logical, const Topology& coupling,
 {
     QISET_REQUIRE(coupling.numQubits() == logical.numQubits(),
                   "coupling graph width must match the circuit");
-    QISET_REQUIRE(coupling.connected() || logical.numQubits() == 1,
+    QISET_REQUIRE(coupling.connected(arena.allocateArray<int>(
+                      static_cast<size_t>(coupling.numQubits()))) ||
+                      logical.numQubits() == 1,
                   "coupling graph must be connected");
     QISET_REQUIRE(schedule.consistentWith(logical),
                   "sabre routing needs the schedule of the logical "

@@ -95,6 +95,8 @@ struct TargetDressing
 {
     bool active = false;
     bool fallback = false;
+    /** The strategy's profileTarget, set with the slot's key. */
+    Matrix representative;
     Matrix pre_a, pre_b;   // merged into the first U3 pair
     Matrix post_a, post_b; // merged into the last U3 pair
 };
@@ -330,20 +332,19 @@ selectFit(const GateProfile* const* profiles, size_t num_specs,
 
 /**
  * Recover the local factors that dress the canonical representative
- * back into `target`. When they cannot be recovered (a degenerate
- * solve: it happens on near-identity controlled phases), mark the
- * fallback and fetch the raw-keyed NuOp profiles the slot's blocks
- * select against instead. Those fetches are bookkeeping, not reuse,
- * so they count misses but no hits.
+ * (dressing.representative) back into `target`. When they cannot be
+ * recovered (a degenerate solve: it happens on near-identity
+ * controlled phases), mark the fallback and fetch the raw-keyed NuOp
+ * profiles the slot's blocks select against instead. Those fetches are
+ * bookkeeping, not reuse, so they count misses but no hits.
  */
 void
 dressTarget(const Matrix& target, const std::vector<GateSpec>& specs,
-            const NuOpDecomposer& decomposer,
-            const DecompositionStrategy& strategy, ProfileCache& cache,
+            const NuOpDecomposer& decomposer, ProfileCache& cache,
             LocalCacheCounters* local, TargetDressing& dressing,
             BlockSweep::ProfileRef* raw_profiles)
 {
-    Matrix representative = strategy.profileTarget(target);
+    const Matrix& representative = dressing.representative;
     if (!(representative.maxAbsDiff(target) > 0.0))
         return; // the target is its own representative.
     LocalEquivalence equivalence =
@@ -391,11 +392,19 @@ resolveBlocks(BlockSweep& sweep, MemArena& arena,
     size_t num_slots = sweep.slots.size();
     // Each slot's key target part is rendered once, through one reused
     // per-thread buffer (a warm compile renders without touching the
-    // heap), and every lookup of the slot composes its key from it.
+    // heap), and every lookup of the slot composes its key from it. A
+    // dressed slot's representative comes from the same
+    // canonicalization.
     thread_local std::string rendered;
-    auto render = [&](BlockSlot& slot) {
+    auto render = [&](size_t s) {
+        BlockSlot& slot = sweep.slots[s];
         rendered.clear();
-        strategy.targetKeyInto(rendered, *slot.unitary);
+        if (dress)
+            strategy.targetKeyAndRepresentativeInto(
+                rendered, sweep.dressings[s].representative,
+                *slot.unitary);
+        else
+            strategy.targetKeyInto(rendered, *slot.unitary);
         slot.key = rendered;
     };
     sweep.profiles.resize(num_slots * num_specs);
@@ -414,8 +423,8 @@ resolveBlocks(BlockSweep& sweep, MemArena& arena,
                 cache.get(*slot.unitary, slot.key, specs[k], decomposer,
                           strategy, local, slot.blocks);
         } else if (slot.translated) {
-            dressTarget(*slot.unitary, specs, decomposer, strategy, cache,
-                        local, sweep.dressings[s],
+            dressTarget(*slot.unitary, specs, decomposer, cache, local,
+                        sweep.dressings[s],
                         &sweep.raw_profiles[s * num_specs]);
         }
     };
@@ -432,17 +441,17 @@ resolveBlocks(BlockSweep& sweep, MemArena& arena,
              : 0;
     if (effective_workers > 1) {
         // Every slot's jobs may run at once: the keys live in the arena.
-        for (BlockSlot& slot : sweep.slots) {
-            render(slot);
+        for (size_t s = 0; s < num_slots; ++s) {
+            render(s);
             char* key = arena.allocateArray<char>(rendered.size());
             std::memcpy(key, rendered.data(), rendered.size());
-            slot.key = std::string_view(key, rendered.size());
+            sweep.slots[s].key = std::string_view(key, rendered.size());
         }
         parallelFor(*pool, total, job, max_parallelism);
     } else {
         // One slot's jobs at a time, each slot's key in the buffer.
         for (size_t s = 0; s < num_slots; ++s) {
-            render(sweep.slots[s]);
+            render(s);
             for (size_t k = 0; k < per_slot; ++k)
                 job(s * per_slot + k);
         }

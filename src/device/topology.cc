@@ -42,10 +42,7 @@ std::vector<std::pair<int, int>>
 Topology::edges() const
 {
     std::vector<std::pair<int, int>> out;
-    for (int a = 0; a < num_qubits_; ++a)
-        for (int b : adjacency_[a])
-            if (a < b)
-                out.emplace_back(a, b);
+    forEachEdge([&out](int a, int b) { out.emplace_back(a, b); });
     return out;
 }
 
@@ -53,9 +50,7 @@ int
 Topology::numEdges() const
 {
     int count = 0;
-    for (int a = 0; a < num_qubits_; ++a)
-        for (int b : adjacency_[a])
-            count += a < b;
+    forEachEdge([&count](int, int) { ++count; });
     return count;
 }
 
@@ -109,23 +104,34 @@ Topology::shortestPathInto(int a, int b, std::vector<int>& path,
 bool
 Topology::connected() const
 {
-    std::vector<bool> seen(num_qubits_, false);
-    std::queue<int> frontier;
-    frontier.push(0);
-    seen[0] = true;
-    int count = 1;
-    while (!frontier.empty()) {
-        int u = frontier.front();
-        frontier.pop();
-        for (int v : adjacency_[u]) {
-            if (!seen[v]) {
-                seen[v] = true;
-                ++count;
-                frontier.push(v);
-            }
+    std::vector<int> scratch(static_cast<size_t>(num_qubits_));
+    return connected(scratch.data());
+}
+
+bool
+Topology::connected(int* scratch) const
+{
+    // Union-find over the edges: scratch[q] is q's parent (a root is
+    // its own), and every union of two roots joins two components.
+    int* parent = scratch;
+    for (int q = 0; q < num_qubits_; ++q)
+        parent[q] = q;
+    auto root = [parent](int q) {
+        while (parent[q] != q) {
+            parent[q] = parent[parent[q]]; // path halving
+            q = parent[q];
         }
-    }
-    return count == num_qubits_;
+        return q;
+    };
+    int components = num_qubits_;
+    forEachEdge([&](int a, int b) {
+        int root_a = root(a), root_b = root(b);
+        if (root_a != root_b) {
+            parent[root_a] = root_b;
+            --components;
+        }
+    });
+    return components == 1;
 }
 
 Topology

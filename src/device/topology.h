@@ -76,8 +76,22 @@ class Topology
 
     const std::vector<int>& neighbors(int q) const;
 
-    /** All edges with a < b. */
+    /** All edges with a < b, in forEachEdge's order. */
     std::vector<std::pair<int, int>> edges() const;
+
+    /**
+     * Call fn(a, b) for every edge with a < b without building a list:
+     * a ascending, then a's neighbours in the order they were added.
+     */
+    template <typename Fn>
+    void
+    forEachEdge(Fn&& fn) const
+    {
+        for (int a = 0; a < num_qubits_; ++a)
+            for (int b : adjacency_[a])
+                if (a < b)
+                    fn(a, b);
+    }
 
     int numEdges() const;
 
@@ -97,6 +111,13 @@ class Topology
 
     /** True if every qubit can reach every other. */
     bool connected() const;
+
+    /**
+     * connected() over caller storage: `scratch` holds numQubits()
+     * ints and is overwritten. The routers lend it scratch they own,
+     * so their precondition check allocates nothing.
+     */
+    bool connected(int* scratch) const;
 
     /**
      * Induced subgraph on the given qubits; node i of the result is

@@ -9,7 +9,8 @@
  * scipy's BFGS; this is the equivalent C++ implementation: inverse-
  * Hessian BFGS updates and a backtracking Armijo line search. The
  * gradient comes from the caller: NuOp passes its template's exact
- * adjoint-method gradient (TwoQubitTemplate::infidelityGradient), and
+ * adjoint-method gradient (the backward sweep of
+ * TwoQubitTemplate::infidelityGradientFromBuild), and
  * numericalGradientInto below is the plain central-difference
  * reference for any other objective (and the template gradient's test
  * reference). Problem sizes are tiny (6-50 variables), so dense
@@ -24,7 +25,14 @@ namespace qiset {
 /** Objective callback: R^n -> R. */
 using ObjectiveFn = std::function<double(const std::vector<double>&)>;
 
-/** Gradient callback: sizes grad like x and writes the gradient at x. */
+/**
+ * Gradient callback: sizes grad like x and writes the gradient at x.
+ * minimizeBfgs calls it only right after the objective at the same x
+ * (bit for bit): once at x0 and once at each accepted line-search
+ * point, with no other call in between. A gradient may therefore read
+ * state that the objective's evaluation at x left behind, as NuOp's
+ * template gradient reads the objective's build.
+ */
 using GradientFn = std::function<void(const std::vector<double>& x,
                                       std::vector<double>& grad)>;
 
@@ -88,7 +96,8 @@ struct BfgsWorkspace
  *
  * @param f Objective function (evaluated many times; keep it cheap).
  * @param gradient Gradient of f, called once at x0 and once per
- *        accepted step.
+ *        accepted step, each time right after f at the same point
+ *        (see GradientFn).
  * @param x0 Starting point.
  * @param options Tolerances and limits.
  * @param workspace Optional scratch reused across calls; pass nullptr

@@ -95,7 +95,10 @@ NuOpDecomposer::bestFidelityForLayers(const Matrix& target,
         std::max(bfgs.stop_below, 0.1 * (1.0 - options_.exact_threshold));
 
     // Each callback captures one pointer, which std::function stores
-    // inline: building them allocates nothing.
+    // inline: building them allocates nothing. minimizeBfgs takes
+    // every gradient right after the objective at the same x (the
+    // GradientFn contract), so the gradient is the backward sweep over
+    // the build the objective has just left in the scratch.
     struct Problem
     {
         const TwoQubitTemplate& templ;
@@ -108,8 +111,8 @@ NuOpDecomposer::bestFidelityForLayers(const Matrix& target,
     };
     const GradientFn gradient = [&problem](const std::vector<double>& x,
                                            std::vector<double>& grad) {
-        problem.templ.infidelityGradient(x, problem.target, grad,
-                                         problem.build);
+        problem.templ.infidelityGradientFromBuild(x, problem.target, grad,
+                                                  problem.build);
     };
 
     // Seed deterministically per (target, gate, layers, start index):

@@ -456,14 +456,17 @@ class AutoStrategy : public DecompositionStrategy
     void targetKeyInto(std::string& out,
                        const Matrix& target) const override
     {
-        // The canonical class: its rounded Weyl coordinates.
+        appendClassKey(out, canonicalWeylCoordinates(target));
+    }
+
+    void targetKeyAndRepresentativeInto(std::string& out,
+                                        Matrix& representative,
+                                        const Matrix& target)
+        const override
+    {
         WeylCoordinates c = canonicalWeylCoordinates(target);
-        out += "w|";
-        appendFixed(out, c.cx, 9);
-        out += '|';
-        appendFixed(out, c.cy, 9);
-        out += '|';
-        appendFixed(out, c.cz, 9);
+        appendClassKey(out, c);
+        representative = canonicalGate(c);
     }
 
     GateProfile computeProfile(const Matrix& target, const GateSpec& spec,
@@ -484,6 +487,19 @@ class AutoStrategy : public DecompositionStrategy
         // Numerical fallback (still canonical-keyed, so locally
         // equivalent targets keep sharing the BFGS result).
         return nuopLadder(representative, spec, decomposer);
+    }
+
+  private:
+    /** The canonical class's key part: its rounded Weyl coordinates. */
+    static void
+    appendClassKey(std::string& out, const WeylCoordinates& c)
+    {
+        out += "w|";
+        appendFixed(out, c.cx, 9);
+        out += '|';
+        appendFixed(out, c.cy, 9);
+        out += '|';
+        appendFixed(out, c.cz, 9);
     }
 };
 

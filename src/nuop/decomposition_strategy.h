@@ -126,6 +126,22 @@ class DecompositionStrategy
                                const Matrix& target) const = 0;
 
     /**
+     * targetKeyInto(out, target) and profileTarget(target) from one
+     * canonicalization of `target`, the representative into
+     * `representative`: byte- and bit-identical to the two calls. The
+     * translator renders a dressed slot's key this way, so "auto"
+     * computes each slot's Weyl coordinates once per compile.
+     */
+    virtual void
+    targetKeyAndRepresentativeInto(std::string& out,
+                                   Matrix& representative,
+                                   const Matrix& target) const
+    {
+        targetKeyInto(out, target);
+        representative = profileTarget(target);
+    }
+
+    /**
      * Compute the full layer-fit profile of decomposing
      * profileTarget(target) with the gate type. The decomposer
      * supplies the NuOp settings (layer bound, exact threshold,

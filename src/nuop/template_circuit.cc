@@ -50,9 +50,9 @@ TwoQubitTemplate::numParams() const
 size_t
 TwoQubitTemplate::slotCount(int layers)
 {
-    // u3 2(k+1), pair k+1, gate k, product 2k+1, and the backward
-    // sweep's two adjoint slots and one environment slot.
-    return 6 * static_cast<size_t>(layers) + 7;
+    // u3 2(k+1), trig k+1, pair k+1, gate k, product 2k+1, and the
+    // backward sweep's two adjoint slots and one environment slot.
+    return 7 * static_cast<size_t>(layers) + 8;
 }
 
 void
@@ -68,7 +68,8 @@ TwoQubitTemplate::slotsIn(BuildScratch& scratch) const
     scratch.reserve(layers_);
     Slots s;
     s.u3 = scratch.slots.data();
-    s.pair = s.u3 + 2 * (layers_ + 1);
+    s.trig = s.u3 + 2 * (layers_ + 1);
+    s.pair = s.trig + (layers_ + 1);
     s.gate = s.pair + (layers_ + 1);
     s.product = s.gate + layers_;
     s.adjoint = s.product + (2 * layers_ + 1);
@@ -110,6 +111,35 @@ TwoQubitTemplate::runningProduct(const Slots& s, int stage) const
     return stage == 0 ? s.pair[0] : s.product[stage];
 }
 
+namespace {
+
+/**
+ * gates::u3 into the reused slot `u`, keeping the U3's trig in
+ * trig[0..3] for u3Partials: cos(alpha/2) + i sin(alpha/2), e^(i beta),
+ * e^(i lambda) and e^(i(beta + lambda)). `u` is formed from those
+ * values with gates::u3's own expressions, so it is bit-identical to
+ * gates::u3.
+ */
+void
+u3WithTrigInto(Matrix& u, cplx* trig, const double* angles)
+{
+    const cplx i(0.0, 1.0);
+    if (u.rows() != 2 || u.cols() != 2)
+        u = Matrix(2, 2);
+    const double c = std::cos(angles[0] / 2.0);
+    const double s = std::sin(angles[0] / 2.0);
+    trig[0] = cplx(c, s);
+    trig[1] = std::exp(i * angles[1]);
+    trig[2] = std::exp(i * angles[2]);
+    trig[3] = std::exp(i * (angles[1] + angles[2]));
+    u(0, 0) = c;
+    u(0, 1) = -trig[2] * s;
+    u(1, 0) = trig[1] * s;
+    u(1, 1) = trig[3] * c;
+}
+
+} // namespace
+
 const Matrix&
 TwoQubitTemplate::buildWithScratch(const std::vector<double>& params,
                                    BuildScratch& scratch) const
@@ -121,8 +151,11 @@ TwoQubitTemplate::buildWithScratch(const std::vector<double>& params,
     const int stride = 6 + gateParamsPerLayer();
     for (int b = 0; b <= layers_; ++b) {
         const double* p = &params[b * stride];
-        gates::u3Into(s.u3[2 * b], p[0], p[1], p[2]);
-        gates::u3Into(s.u3[2 * b + 1], p[3], p[4], p[5]);
+        Matrix& trig = s.trig[b];
+        if (trig.rows() != 2 || trig.cols() != 4)
+            trig = Matrix(2, 4);
+        u3WithTrigInto(s.u3[2 * b], &trig(0, 0), p);
+        u3WithTrigInto(s.u3[2 * b + 1], &trig(1, 0), p + 3);
         Matrix::kronInto(s.pair[b], s.u3[2 * b], s.u3[2 * b + 1]);
         if (b < layers_ && family_ != TemplateFamily::Fixed)
             layerGateInto(s.gate[b], p + 6);
@@ -163,18 +196,19 @@ namespace {
 /**
  * Partial derivatives of Tr(M dU) for U = U3(alpha, beta, lambda)
  * (the gates::u3 convention) with respect to its three angles, where
- * Tr(M dU) = sum_pq dU[p][q] m[q][p].
+ * Tr(M dU) = sum_pq dU[p][q] m[q][p]; `trig` is the U3's trig as
+ * u3WithTrigInto keeps it.
  */
 void
-u3Partials(const double* angles, const Matrix& u, const cplx m[2][2],
+u3Partials(const cplx* trig, const Matrix& u, const cplx m[2][2],
            cplx out[3])
 {
     const cplx i(0.0, 1.0);
-    const double c = std::cos(angles[0] / 2.0);
-    const double s = std::sin(angles[0] / 2.0);
-    const cplx e_beta = std::exp(i * angles[1]);
-    const cplx e_lambda = std::exp(i * angles[2]);
-    const cplx e_both = std::exp(i * (angles[1] + angles[2]));
+    const double c = trig[0].real();
+    const double s = trig[0].imag();
+    const cplx& e_beta = trig[1];
+    const cplx& e_lambda = trig[2];
+    const cplx& e_both = trig[3];
     // dU/dalpha = U3(alpha + pi, beta, lambda) / 2
     //           = [[-s, -e^(i lambda) c], [e^(i beta) c, -e^(i(beta +
     //             lambda)) s]] / 2.
@@ -188,11 +222,12 @@ u3Partials(const double* angles, const Matrix& u, const cplx m[2][2],
 /**
  * dw = Tr(E dF) for the six U3 angles of a pair stage F = A (x) B,
  * F[2p+k][2q+l] = A[p][q] B[k][l]: E contracted against B is A's
- * slot, and against A it is B's.
+ * slot, and against A it is B's. `trig` is the pair's trig slot:
+ * A's row, then B's.
  */
 void
 pairPartials(const Matrix& e, const Matrix& a, const Matrix& b,
-             const double* angles, cplx dw[6])
+             const Matrix& trig, cplx dw[6])
 {
     cplx ma[2][2], mb[2][2];
     for (int row = 0; row < 2; ++row)
@@ -206,8 +241,8 @@ pairPartials(const Matrix& e, const Matrix& a, const Matrix& b,
             ma[row][col] = sum_a;
             mb[row][col] = sum_b;
         }
-    u3Partials(angles, a, ma, dw);
-    u3Partials(angles + 3, b, mb, dw + 3);
+    u3Partials(&trig(0, 0), a, ma, dw);
+    u3Partials(&trig(1, 0), b, mb, dw + 3);
 }
 
 /**
@@ -256,15 +291,27 @@ TwoQubitTemplate::infidelityGradient(const std::vector<double>& x,
                                      std::vector<double>& grad,
                                      BuildScratch& scratch) const
 {
+    buildWithScratch(x, scratch);
+    infidelityGradientFromBuild(x, target, grad, scratch);
+}
+
+void
+TwoQubitTemplate::infidelityGradientFromBuild(const std::vector<double>& x,
+                                              const Matrix& target,
+                                              std::vector<double>& grad,
+                                              BuildScratch& scratch) const
+{
+    QISET_REQUIRE(static_cast<int>(x.size()) == numParams() &&
+                      scratch.slots.size() >= slotCount(layers_),
+                  "the scratch holds no build of this template");
     // f = 1 - |z| / 4 with z = hilbertSchmidt(U, T) = conj(w) and
     // w = Tr(T^dag U), so df = -Re(z dw) / (4 |z|). With U = S_j F_j
     // P_(j-1) (S_j the stages above j), w = Tr(E_j F_j) for the
     // environment E_j = P_(j-1) R_j and R_j = T^dag S_j, so each
     // angle's dw is a trace of E_j against its factor's derivative.
-    const Matrix& top = buildWithScratch(x, scratch);
     Slots s = slotsIn(scratch);
     grad.assign(x.size(), 0.0);
-    const cplx z = hilbertSchmidt(top, target);
+    const cplx z = hilbertSchmidt(runningProduct(s, 2 * layers_), target);
     const double abs_z = std::abs(z);
     if (abs_z == 0.0)
         return;
@@ -287,7 +334,8 @@ TwoQubitTemplate::infidelityGradient(const std::vector<double>& x,
             cplx dw[6];
             int first = 0, count = 6;
             if (pair_stage) {
-                pairPartials(*e, s.u3[2 * b], s.u3[2 * b + 1], p, dw);
+                pairPartials(*e, s.u3[2 * b], s.u3[2 * b + 1], s.trig[b],
+                             dw);
             } else {
                 first = 6;
                 count = gatePartials(family_, *e, p + 6, dw);

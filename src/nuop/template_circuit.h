@@ -59,15 +59,16 @@ class TwoQubitTemplate
 
     /**
      * Reusable matrix scratch for the template product and its
-     * gradient: one slot per U3 factor, Kronecker pair,
-     * continuous-family layer gate and running product of the last
-     * build, plus the gradient's backward sweep (two adjoint slots
-     * and one environment slot). Every matrix is SBO-inline (<= 4x4),
-     * so the slot vector is the scratch's only allocation; reserve()
-     * sizes it once for a whole layer sweep, and reusing one scratch
-     * across the ~10^5 objective and gradient evaluations of a BFGS
-     * multistart sweep keeps the optimizer's inner loop
-     * allocation-free.
+     * gradient: one slot per U3 factor, Kronecker pair (plus one for
+     * its two U3s' trig), continuous-family layer gate and running
+     * product of the last build, and the gradient's backward sweep
+     * (two adjoint slots and one environment slot). Every matrix is
+     * SBO-inline (<= 4x4), so the slot vector is the scratch's only
+     * allocation; reserve() sizes it once for a whole layer sweep, and
+     * reusing one scratch across the ~10^5 objective and gradient
+     * evaluations of a BFGS multistart sweep keeps the optimizer's
+     * inner loop allocation-free. The first 2(layers+1) slots hold the
+     * last build's U3 factors in execution order [a0, b0, a1, b1, ...].
      */
     struct BuildScratch
     {
@@ -94,24 +95,40 @@ class TwoQubitTemplate
 
     /**
      * Exact gradient of infidelityWithScratch at x, into `grad`, by
-     * one forward build and one backward sweep (the adjoint method).
-     * With U = F_2L ... F_1 F_0 the template's stage factors (pairs at
-     * even stages, layer gates at odd ones), P_j = F_j ... F_0 the
-     * build's running products and R_j = T^dag F_2L ... F_(j+1), each
-     * stage's environment E_j = P_(j-1) R_j gives w = Tr(T^dag U) =
+     * one forward build and one backward sweep (the adjoint method):
+     * the build, then infidelityGradientFromBuild. With U = F_2L ...
+     * F_1 F_0 the template's stage factors (pairs at even stages,
+     * layer gates at odd ones), P_j = F_j ... F_0 the build's running
+     * products and R_j = T^dag F_2L ... F_(j+1), each stage's
+     * environment E_j = P_(j-1) R_j gives w = Tr(T^dag U) =
      * Tr(E_j F_j), so every angle of stage j differentiates w as a
      * trace of E_j against its factor's closed-form derivative. The
-     * sweep costs about 2.5 objective evaluations whatever the
-     * parameter count, where central differences cost 2n. The result
-     * agrees with numericalGradientInto to within its truncation
-     * error, and is byte-identical on every kernel tier. A target
-     * orthogonal to the template's unitary (|Tr(T^dag U)| = 0, where
-     * |w| has no gradient) gets the zero vector.
+     * result agrees with numericalGradientInto to within its
+     * truncation error, and is byte-identical on every kernel tier. A
+     * target orthogonal to the template's unitary (|Tr(T^dag U)| = 0,
+     * where |w| has no gradient) gets the zero vector.
      */
     void infidelityGradient(const std::vector<double>& x,
                             const Matrix& target,
                             std::vector<double>& grad,
                             BuildScratch& scratch) const;
+
+    /**
+     * The backward sweep of infidelityGradient alone, over the build
+     * that `scratch` already holds: that build must be of this
+     * template at x, as infidelityWithScratch(x, target, scratch)
+     * leaves it. It reads the build's factors, running products and
+     * U3 trig, so it recomputes no factor and no cos/sin/exp of a U3
+     * angle, and writes exactly what infidelityGradient writes. NuOp's
+     * BFGS gradient is this sweep (minimizeBfgs evaluates the
+     * objective at every point it then differentiates); on one host a
+     * sweep cost about one objective evaluation, where the build plus
+     * sweep cost about two (docs/benchmarks.md, bench_nuop_perf).
+     */
+    void infidelityGradientFromBuild(const std::vector<double>& x,
+                                     const Matrix& target,
+                                     std::vector<double>& grad,
+                                     BuildScratch& scratch) const;
 
     /**
      * Angles of the two-qubit gate in a given layer for a parameter
@@ -151,6 +168,9 @@ class TwoQubitTemplate
     struct Slots
     {
         Matrix* u3;      ///< 2(layers+1): [a0, b0, a1, b1, ...]
+        Matrix* trig;    ///< layers+1, 2x4: row k of [b] holds
+                         ///< u3[2b+k]'s cos(alpha/2) + i sin(alpha/2),
+                         ///< e^(i beta), e^(i lambda), e^(i(beta+lambda))
         Matrix* pair;    ///< layers+1: a_b (x) b_b
         Matrix* gate;    ///< layers: continuous-family gates
         Matrix* product; ///< 2 layers+1: [j] is stage j's running

@@ -23,19 +23,6 @@ u3(double alpha, double beta, double lambda)
     };
 }
 
-void
-u3Into(Matrix& out, double alpha, double beta, double lambda)
-{
-    if (out.rows() != 2 || out.cols() != 2)
-        out = Matrix(2, 2);
-    double c = std::cos(alpha / 2.0);
-    double s = std::sin(alpha / 2.0);
-    out(0, 0) = c;
-    out(0, 1) = -std::exp(kI * lambda) * s;
-    out(1, 0) = std::exp(kI * beta) * s;
-    out(1, 1) = std::exp(kI * (beta + lambda)) * c;
-}
-
 Matrix
 identity1q()
 {

@@ -35,13 +35,6 @@ inline constexpr double kPi = 3.14159265358979323846;
 /** Arbitrary single-qubit rotation (paper footnote 1). */
 Matrix u3(double alpha, double beta, double lambda);
 
-/**
- * u3 into a caller-owned matrix (reshaped to 2x2 when needed) with the
- * exact arithmetic of u3() — the allocation-free building block of the
- * NuOp template's objective evaluation.
- */
-void u3Into(Matrix& out, double alpha, double beta, double lambda);
-
 Matrix identity1q();
 Matrix pauliX();
 Matrix pauliY();

@@ -1,6 +1,7 @@
 // BFGS optimizer tests on standard problems.
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,171 @@ centralDifferences(const ObjectiveFn& f)
     return [f](const std::vector<double>& x, std::vector<double>& grad) {
         grad = numericalGradient(f, x);
     };
+}
+
+/**
+ * Every objective and gradient call of one minimizeBfgs run, in call
+ * order, with the point each was made at.
+ */
+struct CallLog
+{
+    struct Call
+    {
+        bool gradient;
+        std::vector<double> x;
+    };
+    std::vector<Call> calls;
+
+    ObjectiveFn
+    objective(ObjectiveFn f)
+    {
+        return [this, f](const std::vector<double>& x) {
+            calls.push_back({false, x});
+            return f(x);
+        };
+    }
+
+    GradientFn
+    gradient(GradientFn g)
+    {
+        return [this, g](const std::vector<double>& x,
+                         std::vector<double>& grad) {
+            calls.push_back({true, x});
+            g(x, grad);
+        };
+    }
+
+    size_t
+    count(bool gradients) const
+    {
+        size_t n = 0;
+        for (const Call& call : calls)
+            n += call.gradient == gradients;
+        return n;
+    }
+};
+
+/**
+ * The GradientFn contract: every gradient call comes right after an
+ * objective call at bitwise the same x, the first pair at x0.
+ */
+void
+expectGradientsFollowTheirObjective(const CallLog& log,
+                                    const std::vector<double>& x0)
+{
+    ASSERT_GE(log.calls.size(), 2u);
+    ASSERT_FALSE(log.calls[0].gradient);
+    ASSERT_TRUE(log.calls[1].gradient);
+    ASSERT_EQ(log.calls[0].x.size(), x0.size());
+    EXPECT_EQ(std::memcmp(log.calls[0].x.data(), x0.data(),
+                          x0.size() * sizeof(double)),
+              0);
+    for (size_t k = 1; k < log.calls.size(); ++k) {
+        if (!log.calls[k].gradient)
+            continue;
+        const CallLog::Call& before = log.calls[k - 1];
+        ASSERT_FALSE(before.gradient) << "call " << k;
+        ASSERT_EQ(before.x.size(), log.calls[k].x.size());
+        EXPECT_EQ(std::memcmp(before.x.data(), log.calls[k].x.data(),
+                              before.x.size() * sizeof(double)),
+                  0)
+            << "call " << k;
+    }
+}
+
+double
+rosenbrock(const std::vector<double>& x)
+{
+    double a = 1.0 - x[0];
+    double b = x[1] - x[0] * x[0];
+    return a * a + 100.0 * b * b;
+}
+
+void
+rosenbrockGradient(const std::vector<double>& x, std::vector<double>& grad)
+{
+    double b = x[1] - x[0] * x[0];
+    grad.assign({-2.0 * (1.0 - x[0]) - 400.0 * x[0] * b, 200.0 * b});
+}
+
+TEST(Bfgs, GradientComesRightAfterTheObjectiveAtTheSamePoint)
+{
+    // NuOp's gradient reads the build its objective has just made, so
+    // every exit path must keep the contract: the tolerances, the
+    // iteration cap and a failed line search.
+    const std::vector<double> x0 = {-1.2, 1.0};
+    {
+        SCOPED_TRACE("Rosenbrock to convergence (backtracking)");
+        CallLog log;
+        BfgsOptions opts;
+        opts.max_iterations = 2000;
+        BfgsResult r = minimizeBfgs(log.objective(rosenbrock),
+                                    log.gradient(rosenbrockGradient), x0,
+                                    opts);
+        EXPECT_TRUE(r.converged);
+        EXPECT_NEAR(r.x[0], 1.0, 1e-6);
+        // Rejected line-search points: more objective calls than
+        // gradient calls.
+        EXPECT_GT(log.count(false), log.count(true) + 10);
+        expectGradientsFollowTheirObjective(log, x0);
+    }
+    {
+        SCOPED_TRACE("iteration cap");
+        CallLog log;
+        BfgsOptions opts;
+        opts.max_iterations = 3;
+        BfgsResult r = minimizeBfgs(log.objective(rosenbrock),
+                                    log.gradient(rosenbrockGradient), x0,
+                                    opts);
+        EXPECT_FALSE(r.converged);
+        EXPECT_EQ(r.iterations, 3);
+        EXPECT_EQ(log.count(true), 4u);
+        expectGradientsFollowTheirObjective(log, x0);
+    }
+    {
+        SCOPED_TRACE("stop_below");
+        CallLog log;
+        BfgsOptions opts;
+        opts.stop_below = 1.0;
+        BfgsResult r = minimizeBfgs(log.objective(rosenbrock),
+                                    log.gradient(rosenbrockGradient), x0,
+                                    opts);
+        EXPECT_TRUE(r.converged);
+        EXPECT_LT(r.value, 1.0);
+        EXPECT_GT(r.iterations, 1);
+        expectGradientsFollowTheirObjective(log, x0);
+    }
+    {
+        SCOPED_TRACE("gradient_tol");
+        CallLog log;
+        const std::vector<double> at_minimum = {1.0, 1.0};
+        BfgsResult r = minimizeBfgs(log.objective(rosenbrock),
+                                    log.gradient(rosenbrockGradient),
+                                    at_minimum);
+        EXPECT_TRUE(r.converged);
+        EXPECT_EQ(r.iterations, 1);
+        EXPECT_EQ(log.calls.size(), 2u);
+        expectGradientsFollowTheirObjective(log, at_minimum);
+    }
+    {
+        // A gradient of the wrong sign: every step along -H g climbs,
+        // so all 40 halvings of the line search fail.
+        SCOPED_TRACE("failed line search");
+        CallLog log;
+        auto uphill = [](const std::vector<double>& x,
+                         std::vector<double>& grad) {
+            rosenbrockGradient(x, grad);
+            for (double& g : grad)
+                g = -g;
+        };
+        BfgsResult r = minimizeBfgs(log.objective(rosenbrock),
+                                    log.gradient(uphill), x0);
+        EXPECT_TRUE(r.converged);
+        EXPECT_EQ(r.iterations, 1);
+        EXPECT_EQ(log.count(true), 1u);
+        EXPECT_EQ(log.count(false), 41u);
+        expectGradientsFollowTheirObjective(log, x0);
+    }
 }
 
 TEST(Bfgs, MinimizesConvexQuadratic)

@@ -1,6 +1,9 @@
 // The fixed decomposition-engine set, analytic KAK synthesis and the
 // Weyl-canonicalized profile cache.
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "apps/qv.h"
@@ -272,6 +275,39 @@ TEST(AutoStrategy, ProfilesCanonicalRepresentative)
     TwoQubitTemplate templ(exact.layers, cz());
     EXPECT_NEAR(1.0 - templ.infidelity(exact.params, representative),
                 1.0, 1e-9);
+}
+
+TEST(AutoStrategy, OneCanonicalizationGivesTheKeyAndTheRepresentative)
+{
+    // The translator renders a dressed slot's key and representative
+    // from one set of Weyl coordinates; both must match the separate
+    // targetKeyInto and profileTarget calls byte for byte, for both
+    // engines.
+    Rng rng(2025);
+    std::vector<Matrix> targets = {
+        cz(), swap(), zz(0.31), Matrix::identity(4),
+        u3(1.9, 0.3, 0.8).kron(u3(0.5, 1.1, 2.0)) * zz(0.31)};
+    for (int k = 0; k < 20; ++k)
+        targets.push_back(randomSu4(rng));
+    for (const char* name : {"auto", "nuop"}) {
+        auto strategy = makeDecompositionStrategy(name);
+        for (size_t t = 0; t < targets.size(); ++t) {
+            SCOPED_TRACE(::testing::Message() << name << " target " << t);
+            std::string key, joint_key = "prefix|";
+            strategy->targetKeyInto(key, targets[t]);
+            Matrix representative = strategy->profileTarget(targets[t]);
+            Matrix joint_representative;
+            strategy->targetKeyAndRepresentativeInto(
+                joint_key, joint_representative, targets[t]);
+            EXPECT_EQ(joint_key, "prefix|" + key);
+            ASSERT_EQ(joint_representative.rows(), 4u);
+            ASSERT_EQ(joint_representative.cols(), 4u);
+            EXPECT_EQ(std::memcmp(joint_representative.data(),
+                                  representative.data(),
+                                  16 * sizeof(cplx)),
+                      0);
+        }
+    }
 }
 
 TEST(TranslateWithStrategies, AutoEmissionImplementsDressedTargets)

@@ -192,6 +192,78 @@ TEST(Template, AdjointGradientMatchesCentralDifferences)
     RecordProperty("worst_abs_diff", ::testing::PrintToString(worst));
 }
 
+TEST(Template, SweepOverTheObjectivesBuildMatchesAFreshGradientBitwise)
+{
+    // NuOp's BFGS gradient is the backward sweep over the build that
+    // the objective has just left in the scratch. After
+    // infidelityWithScratch(x), that sweep must write exactly what
+    // infidelityGradient(x) writes on a fresh scratch, and every U3
+    // factor the build stored must be gates::u3 of its angles, bit for
+    // bit. One scratch, sized deeper than any template here, serves
+    // every template in turn, as in a profile ladder.
+    struct Case
+    {
+        const char* name;
+        TemplateFamily family;
+        Matrix gate;
+        int gate_params; // free angles per layer gate
+    };
+    const Case cases[] = {
+        {"CZ", TemplateFamily::Fixed, cz(), 0},
+        {"SYC", TemplateFamily::Fixed, sycamore(), 0},
+        {"FullXy", TemplateFamily::FullXy, Matrix(), 1},
+        {"FullFsim", TemplateFamily::FullFsim, Matrix(), 2},
+        {"FullCphase", TemplateFamily::FullCphase, Matrix(), 1},
+    };
+    TwoQubitTemplate::BuildScratch shared;
+    shared.reserve(6);
+    std::vector<double> swept, fresh;
+    Rng rng(77);
+    for (const Case& c : cases) {
+        for (int layers = 0; layers <= 5; ++layers) {
+            TwoQubitTemplate t =
+                c.family == TemplateFamily::Fixed
+                    ? TwoQubitTemplate(layers, c.gate)
+                    : TwoQubitTemplate(layers, c.family);
+            const int stride = 6 + c.gate_params;
+            for (int point = 0; point < 20; ++point) {
+                Matrix target = haarRandomUnitary(4, rng);
+                std::vector<double> x(t.numParams());
+                for (double& value : x)
+                    value = rng.uniform(-3.0 * kPi, 3.0 * kPi);
+                SCOPED_TRACE(::testing::Message()
+                             << c.name << " layers " << layers
+                             << " point " << point);
+
+                t.infidelityWithScratch(x, target, shared);
+                t.infidelityGradientFromBuild(x, target, swept, shared);
+                TwoQubitTemplate::BuildScratch own;
+                t.infidelityGradient(x, target, fresh, own);
+                ASSERT_EQ(swept.size(), x.size());
+                ASSERT_EQ(fresh.size(), x.size());
+                ASSERT_EQ(std::memcmp(swept.data(), fresh.data(),
+                                      x.size() * sizeof(double)),
+                          0);
+
+                // The U3 factors the build stored, which the sweep
+                // read and left as they were.
+                for (int k = 0; k < 2 * (layers + 1); ++k) {
+                    const double* angles =
+                        &x[(k / 2) * stride + 3 * (k % 2)];
+                    Matrix expected = u3(angles[0], angles[1], angles[2]);
+                    const Matrix& stored = shared.slots[k];
+                    ASSERT_EQ(stored.rows(), 2u);
+                    ASSERT_EQ(stored.cols(), 2u);
+                    ASSERT_EQ(std::memcmp(stored.data(), expected.data(),
+                                          4 * sizeof(cplx)),
+                              0)
+                        << "U3 " << k;
+                }
+            }
+        }
+    }
+}
+
 TEST(Template, GradientIsZeroWhereTheOverlapVanishes)
 {
     // The all-zero template is exactly the identity, and
